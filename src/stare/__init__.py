@@ -6,7 +6,7 @@ from .encoder import EncoderConfig, InjectionDirection, TrainConfig, embed, forw
 from .mining import ContrastiveGroup, MiningConfig, mine_all, mine_group
 from .mli import Probe, SweepGrid, TokenLabelCorpus, extract_direction, sweep, train_probe
 from .retrieval import PromptSpec, RetrievalIndex, bm25_topk, build_index, build_prompt, topk
-from .ted import EditCosts, sim_struct, ted, ted_bruteforce
+from .ted import EditCosts, sim_struct, ted
 from .trees import (ParseDialect, ParseTree, anonymize_leaves, parse, parse_bracketed,
                     parse_sexpr, parse_sql_skeleton)
 
@@ -20,5 +20,5 @@ __all__ = [
     "exact_jaccard", "extract_direction", "extract_features", "forward", "load_corpus",
     "lsh_params", "mine_all", "mine_group", "minhash", "parse", "parse_bracketed",
     "parse_sexpr", "parse_sql_skeleton", "save_corpus", "sim_struct", "sweep", "ted",
-    "ted_bruteforce", "topk", "train", "train_probe",
+    "topk", "train", "train_probe",
 ]

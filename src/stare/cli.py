@@ -1,9 +1,10 @@
 """Command-line pipeline: bucket | mine | train | mli | retrieve | eval | ted | fixture-gen.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Logs go to stderr; artifacts go to the --out directory, which also
-receives the resolved config for provenance. Concurrent runs against
-one output directory are rejected via a lock file.
+Logs go to stderr; the five stages write artifacts to the --out
+directory, which also receives the resolved config for provenance, and
+reject concurrent runs against it via a lock file. ``retrieve`` only
+reads the directory.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from .corpus import Corpus, load_corpus
 from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
 from .mli import ProbeConfig, SweepGrid
-from .ted import sim_struct_raw, ted
+from .ted import sim_struct, sim_struct_raw, ted
 from .trees import ParseError, parse
 
 logger = logging.getLogger("stare")
@@ -67,28 +70,22 @@ def _archive_config(config: PipelineConfig, out: Path) -> None:
         json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
 
 
-def _load_train_corpus(config: PipelineConfig) -> Corpus:
-    return load_corpus(config.path(config.corpus["train"]), config.corpus["dialect"])
+def _load_corpus(config: PipelineConfig, split: str) -> Corpus:
+    return load_corpus(config.path(config.corpus[split]), config.corpus["dialect"])
 
 
-def _load_dev_corpus(config: PipelineConfig) -> Corpus:
-    return load_corpus(config.path(config.corpus["dev"]), config.corpus["dialect"])
-
-
-def _encoder_config(config: PipelineConfig, corpus: Corpus) -> EncoderConfig:
-    enc_cfg = config.encoder
-    vocab = encoder.build_vocab([rec.utterance for rec in corpus])
-    return EncoderConfig(vocab=vocab, d=enc_cfg["d"], layers=enc_cfg["layers"],
-                         heads=enc_cfg["heads"], max_len=enc_cfg["max_len"],
-                         seed=enc_cfg["seed"])
+def _upstream(path: Path, stage: str) -> Path:
+    """An artifact that an earlier stage writes; DataError if it is missing."""
+    if not path.exists():
+        raise DataError(f"missing {path}; run '{stage}' first")
+    return path
 
 
 def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
-    b = config.bucketing
-    index = bucketing.LshIndex(num_hashes=b["num_hashes"], tau=b["tau"], seed=b["seed"])
+    index = bucketing.LshIndex(**config.bucketing)
     for rec in corpus:
         feats = bucketing.extract_features(rec.parse, corpus.dialect)
-        index.insert(rec.id, bucketing.minhash(feats, b["num_hashes"], b["seed"]))
+        index.insert(rec.id, bucketing.minhash(feats, index.num_hashes, index.seed))
     return index
 
 
@@ -97,21 +94,18 @@ def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
 # ---------------------------------------------------------------------------
 
 def cmd_bucket(config: PipelineConfig, out: Path) -> int:
-    corpus = _load_train_corpus(config)
+    corpus = _load_corpus(config, "train")
     if not len(corpus):
         raise DataError("empty corpus")
     index = _build_lsh(config, corpus)
     index.save(out / "lsh_index.json")
     pool_sizes = sorted(len(index.query(index.signatures[rec.id], exclude=rec.id))
                         for rec in corpus)
-    histogram: dict[str, int] = {}
-    for size in pool_sizes:
-        histogram[str(size)] = histogram.get(str(size), 0) + 1
     report = {
         "records": len(corpus),
         "bands": index.bands,
         "rows": index.rows,
-        "pool_size_histogram": histogram,
+        "pool_size_histogram": Counter(str(size) for size in pool_sizes),
         "mean_pool_size": float(np.mean(pool_sizes)),
     }
     (out / "bucket_report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
@@ -122,33 +116,22 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> int:
 
 
 def cmd_mine(config: PipelineConfig, out: Path) -> int:
-    corpus = _load_train_corpus(config)
-    index_path = out / "lsh_index.json"
-    if not index_path.exists():
-        raise DataError(f"missing LSH index {index_path}; run 'bucket' first")
-    index = bucketing.LshIndex.load(index_path)
-    m = config.mining
-    groups, report = mining.mine_all(corpus, index, MiningConfig(
-        n_hard=m["n_hard"], n_rand=m["n_rand"], seed=m["seed"],
-        anonymize=m["anonymize"]))
+    corpus = _load_corpus(config, "train")
+    index = bucketing.LshIndex.load(_upstream(out / "lsh_index.json", "bucket"))
+    groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     mining.save_groups(groups, out / "pairs.jsonl")
     (out / "mining_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
+        json.dumps(asdict(report), indent=2, sort_keys=True), encoding="utf-8")
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
     return EXIT_OK
 
 
 def cmd_train(config: PipelineConfig, out: Path) -> int:
-    corpus = _load_train_corpus(config)
-    pairs_path = out / "pairs.jsonl"
-    if not pairs_path.exists():
-        raise DataError(f"missing pairs file {pairs_path}; run 'mine' first")
-    groups = mining.load_groups(pairs_path)
-    cfg = _encoder_config(config, corpus)
-    t = config.training
-    train_cfg = TrainConfig(epochs=t["epochs"], lr=t["lr"],
-                            weight_decay=t["weight_decay"], batch=t["batch"],
-                            temperature=t["temperature"], seed=t["seed"])
+    corpus = _load_corpus(config, "train")
+    groups = mining.load_groups(_upstream(out / "pairs.jsonl", "mine"))
+    vocab = encoder.build_vocab([rec.utterance for rec in corpus])
+    cfg = EncoderConfig(vocab=vocab, **config.encoder)
+    train_cfg = TrainConfig(**config.training)
     if train_cfg.epochs == 0 or not groups:
         params, curve = encoder.init_params(cfg), []
     else:
@@ -164,12 +147,9 @@ def cmd_train(config: PipelineConfig, out: Path) -> int:
 
 
 def cmd_mli(config: PipelineConfig, out: Path) -> int:
-    corpus = _load_train_corpus(config)
-    dev = _load_dev_corpus(config)
-    params_path = out / "encoder.params"
-    if not params_path.exists():
-        raise DataError(f"missing params file {params_path}; run 'train' first")
-    params, cfg = encoder.load_params(params_path)
+    corpus = _load_corpus(config, "train")
+    dev = _load_corpus(config, "dev")
+    params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     m = config.mli
     if not m["label_corpora"]:
         raise DataError("mli.label_corpora is empty; nothing to probe")
@@ -182,22 +162,17 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]),
                      lambdas=[float(x) for x in m["lambdas"]])
-    probe_cfg = ProbeConfig(epochs=m["probe"]["epochs"], lr=m["probe"]["lr"],
-                            l2=m["probe"]["l2"])
     dev_queries = [(rec.utterance, rec.parse) for rec in dev]
     result = mli.sweep(dev_queries, corpus, params, cfg, label_corpora, grid,
-                       k=m["k"], probe_config=probe_cfg,
+                       k=m["k"], probe_config=ProbeConfig(**m["probe"]),
                        anonymize=config.mining["anonymize"])
     mli.write_sweep_report(result, out / "mli_grid.csv")
     best = result.best
+    mli.save_direction(best, out / "direction.json")
     if best is None:
-        (out / "direction.json").write_text(json.dumps(
-            {"format_version": mli.DIRECTION_FORMAT_VERSION, "baseline": True},
-            sort_keys=True), encoding="utf-8")
         logger.info("sweep kept the uninjected baseline (score %.4f)",
                     result.baseline_score)
     else:
-        mli.save_direction(best, out / "direction.json")
         logger.info("sweep best: %s layer %d lambda %.2f (%.4f vs baseline %.4f)",
                     best.prop, best.layer, best.lam, result.best_score,
                     result.baseline_score)
@@ -206,35 +181,26 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
 
 def _load_direction(out: Path):
     path = out / "direction.json"
-    if not path.exists():
-        return None
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("baseline"):
-        return None
-    return mli.load_direction(path)
+    return mli.load_direction(path) if path.exists() else None
 
 
 def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
-    corpus = _load_train_corpus(config)
+    corpus = _load_corpus(config, "train")
     params_path = Path(args.params) if args.params else out / "encoder.params"
-    if not params_path.exists():
-        raise DataError(f"missing params file {params_path}")
-    params, cfg = encoder.load_params(params_path)
+    params, cfg = encoder.load_params(_upstream(params_path, "train"))
     injection = _load_direction(out) if args.use_direction else None
     if args.index:
         index = retrieval.load_index(Path(args.index))
     else:
         index = retrieval.build_index(corpus, params, cfg, injection)
-    hits = retrieval.topk(index, args.query, args.k, params, cfg,
+    k = config.prompt["k"] if args.k is None else args.k
+    hits = retrieval.topk(index, args.query, k, params, cfg,
                           injection=injection, exclude=args.exclude)
     if args.format == "json":
         print(json.dumps([{"id": rid, "score": score} for rid, score in hits],
                          indent=2))
         return EXIT_OK
-    p = config.prompt
-    spec = retrieval.PromptSpec(task_name=p["task_name"], k=args.k,
-                                template=p["template"],
-                                schema_text=p.get("schema_text"))
+    spec = retrieval.PromptSpec(**{**config.prompt, "k": k})
     # topk is descending; prompts want ascending similarity, query last.
     exemplars = [(corpus.get(rid).utterance, corpus.get(rid).parse)
                  for rid, _ in reversed(hits)]
@@ -243,12 +209,9 @@ def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) ->
 
 
 def cmd_eval(config: PipelineConfig, out: Path) -> int:
-    corpus = _load_train_corpus(config)
-    dev = _load_dev_corpus(config)
-    params_path = out / "encoder.params"
-    if not params_path.exists():
-        raise DataError(f"missing params file {params_path}; run 'train' first")
-    trained_params, cfg = encoder.load_params(params_path)
+    corpus = _load_corpus(config, "train")
+    dev = _load_corpus(config, "dev")
+    trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     untrained_params = encoder.init_params(cfg)
     injection = _load_direction(out)
     k = config.retrieval["k"]
@@ -281,12 +244,10 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
 def cmd_ted(args: argparse.Namespace) -> int:
     a = parse(args.a, args.dialect)
     b = parse(args.b, args.dialect)
-    distance = ted(a, b)
-    raw = sim_struct_raw(a, b)
     print(json.dumps({
-        "ted": distance,
-        "sim_struct": max(0.0, min(1.0, raw)),
-        "sim_struct_raw": raw,
+        "ted": ted(a, b),
+        "sim_struct": sim_struct(a, b),
+        "sim_struct_raw": sim_struct_raw(a, b),
         "size_a": a.size,
         "size_b": b.size,
     }, indent=2, sort_keys=True))
@@ -322,7 +283,7 @@ def make_parser() -> _Parser:
     stage("mli", "probe layers and sweep injection configurations")
     p = stage("retrieve", "retrieve exemplars for a query")
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, help="exemplars to return (default: prompt.k)")
     p.add_argument("--exclude")
     p.add_argument("--format", choices=("json", "prompt"), default="json")
     p.add_argument("--index", help="saved retrieval index (default: build in memory)")
@@ -359,10 +320,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixture-gen":
             return cmd_fixture_gen(args)
         config = load_config(args.config)
+        if args.command == "retrieve":
+            return cmd_retrieve(config, Path(args.out), args)
         with _locked_out_dir(Path(args.out)) as out:
             _archive_config(config, out)
-            if args.command == "retrieve":
-                return cmd_retrieve(config, out, args)
             return _STAGES[args.command](config, out)
     except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:
         logger.error("%s", exc)

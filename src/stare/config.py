@@ -2,25 +2,28 @@
 
 Overrides use STARE_<SECTION>_<KEY> (e.g. STARE_BUCKETING_TAU=0.4);
 values are parsed as JSON when possible, else taken as strings.
-Relative paths resolve against the config file's directory.
+Relative paths resolve against the config file's directory. Sections
+that configure a pipeline object take their keys, defaults, types and
+range checks from its dataclass; unknown keys are errors everywhere.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .mli import DEFAULT_LAMBDAS, PROPERTIES
+from .bucketing import LshIndex
+from .encoder import EncoderConfig, TrainConfig
+from .mining import MiningConfig
+from .mli import DEFAULT_LAMBDAS, PROPERTIES, ProbeConfig
+from .retrieval import PromptSpec
 
 
 class ConfigError(ValueError):
     pass
-
-
-_SECTIONS = ("corpus", "bucketing", "mining", "encoder", "training", "mli",
-             "retrieval", "prompt")
 
 
 @dataclass
@@ -43,19 +46,19 @@ class PipelineConfig:
         return {name: getattr(self, name) for name in _SECTIONS}
 
 
+_SECTIONS = tuple(f.name for f in fields(PipelineConfig) if f.name != "base_dir")
+
+
+_SCHEMAS = {"bucketing": LshIndex, "mining": MiningConfig, "encoder": EncoderConfig,
+            "training": TrainConfig, "prompt": PromptSpec}
+# Constructor arguments that are not config keys, with placeholders for the check.
+_NOT_KEYS = {EncoderConfig: {"vocab": {}}}
+
 _DEFAULTS: dict[str, dict] = {
     "corpus": {"train": None, "dev": None, "dialect": "bracketed"},
-    "bucketing": {"num_hashes": 128, "tau": 0.5, "seed": 7},
-    "mining": {"n_hard": 3, "n_rand": 2, "seed": 13, "anonymize": False},
-    "encoder": {"d": 64, "layers": 4, "heads": 4, "max_len": 64, "seed": 1},
-    "training": {"epochs": 3, "lr": 1e-3, "weight_decay": 0.01, "batch": 1,
-                 "temperature": 0.07, "seed": 2},
     "mli": {"layers": None, "properties": list(PROPERTIES),
-            "lambdas": list(DEFAULT_LAMBDAS), "label_corpora": {},
-            "probe": {"epochs": 300, "lr": 0.5, "l2": 1e-4}, "k": 5},
+            "lambdas": list(DEFAULT_LAMBDAS), "label_corpora": {}, "probe": {}, "k": 5},
     "retrieval": {"k": 5},
-    "prompt": {"task_name": "Task", "k": 1, "template": "conversational",
-               "schema_text": None},
 }
 
 
@@ -85,14 +88,56 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _num(sections: dict, section: str, key: str):
-    value = sections[section][key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{section}.{key}", f"expected a number, got {value!r}")
-    return value
+def _fits(value, hint) -> bool:
+    """Whether a JSON value matches a scalar or ``X | None`` annotation;
+    bools are not numbers, and ints pass as floats."""
+    options = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in options
+    if isinstance(value, int) and float in options:
+        return True
+    return isinstance(value, options)
+
+
+def _merge(name: str, defaults: dict, given: dict) -> dict:
+    for key in given:
+        _require(key in defaults, f"{name}.{key}", "unknown key")
+    return {**defaults, **given}
+
+
+def _section(name: str, given: dict, cls) -> dict:
+    """The defaults of ``cls`` updated by ``given``, checked by ``cls`` itself;
+    its errors read "<field> <reason>", which names the key at fault."""
+    extra = _NOT_KEYS.get(cls, {})
+    hints = typing.get_type_hints(cls)
+    values = _merge(name, {f.name: f.default for f in fields(cls)
+                           if f.init and f.name not in extra}, given)
+    for key, value in values.items():
+        _require(_fits(value, hints[key]), f"{name}.{key}",
+                 f"expected {getattr(hints[key], '__name__', hints[key])}, got {value!r}")
+    try:
+        cls(**extra, **values)
+    except ValueError as exc:
+        key, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"{name}.{key}: {reason}" if key in values
+                          else f"{name}: {exc}") from exc
+    return values
+
+
+def _resolve(sections: dict) -> dict:
+    """Fill every section's defaults; check the dataclass-backed ones."""
+    for name, defaults in _DEFAULTS.items():
+        sections[name] = _merge(name, defaults, sections[name])
+    for name, cls in _SCHEMAS.items():
+        sections[name] = _section(name, sections[name], cls)
+    probe = sections["mli"]["probe"]
+    _require(isinstance(probe, dict), "mli.probe", "must be an object")
+    sections["mli"]["probe"] = _section("mli.probe", probe, ProbeConfig)
+    return sections
 
 
 def validate(config: PipelineConfig) -> PipelineConfig:
+    """Checks of the sections that no dataclass owns."""
     sections = config.to_dict()
 
     for key in ("train", "dev"):
@@ -104,32 +149,8 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     _require(sections["corpus"]["dialect"] in ("bracketed", "sexpr", "sql_skeleton"),
              "corpus.dialect", f"unknown dialect {sections['corpus']['dialect']!r}")
 
-    _require(0.0 < _num(sections, "bucketing", "tau") < 1.0, "bucketing.tau",
-             "must be in (0, 1)")
-    _require(_num(sections, "bucketing", "num_hashes") >= 2, "bucketing.num_hashes",
-             "must be >= 2")
-
-    _require(_num(sections, "mining", "n_hard") >= 0, "mining.n_hard", "must be >= 0")
-    _require(_num(sections, "mining", "n_rand") >= 0, "mining.n_rand", "must be >= 0")
-
-    d = _num(sections, "encoder", "d")
-    heads = _num(sections, "encoder", "heads")
-    layers = _num(sections, "encoder", "layers")
-    _require(d >= 1, "encoder.d", "must be >= 1")
-    _require(heads >= 1 and d % heads == 0, "encoder.heads", "must divide d")
-    _require(layers >= 2, "encoder.layers", "must be >= 2")
-    _require(_num(sections, "encoder", "max_len") >= 1, "encoder.max_len", "must be >= 1")
-
-    _require(0 <= _num(sections, "training", "epochs") <= 3, "training.epochs",
-             "must be in [0, 3]")
-    _require(_num(sections, "training", "lr") > 0, "training.lr", "must be positive")
-    _require(_num(sections, "training", "temperature") > 0, "training.temperature",
-             "must be positive")
-    _require(_num(sections, "training", "batch") >= 1, "training.batch", "must be >= 1")
-    _require(_num(sections, "training", "weight_decay") >= 0, "training.weight_decay",
-             "must be >= 0")
-
     mli = sections["mli"]
+    layers = sections["encoder"]["layers"]
     if mli.get("layers") is not None:
         for n in mli["layers"]:
             _require(isinstance(n, int) and 1 <= n <= layers, "mli.layers",
@@ -137,21 +158,15 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     for prop in mli.get("properties", ()):
         _require(prop in PROPERTIES, "mli.properties", f"unknown property {prop!r}")
     for lam in mli.get("lambdas", ()):
-        _require(isinstance(lam, (int, float)) and not isinstance(lam, bool),
-                 "mli.lambdas", f"expected a number, got {lam!r}")
-    _require(_num(sections, "mli", "k") >= 1, "mli.k", "must be >= 1")
+        _require(_fits(lam, float), "mli.lambdas", f"expected a number, got {lam!r}")
     for prop, path in mli.get("label_corpora", {}).items():
         _require(prop in PROPERTIES, "mli.label_corpora", f"unknown property {prop!r}")
         _require(config.path(path).exists(), "mli.label_corpora",
                  f"file not found: {config.path(path)}")
 
-    _require(_num(sections, "retrieval", "k") >= 1, "retrieval.k", "must be >= 1")
-    _require(_num(sections, "prompt", "k") >= 1, "prompt.k", "must be >= 1")
-    _require(sections["prompt"]["template"] in ("conversational", "sql_schema"),
-             "prompt.template", f"unknown template {sections['prompt']['template']!r}")
-    if sections["prompt"]["template"] == "sql_schema":
-        _require(bool(sections["prompt"].get("schema_text")), "prompt.schema_text",
-                 "required for the sql_schema template")
+    for name in ("mli", "retrieval"):
+        k = sections[name]["k"]
+        _require(_fits(k, int) and k >= 1, f"{name}.k", f"expected an int >= 1, got {k!r}")
     return config
 
 
@@ -169,11 +184,11 @@ def load_config(path: str | Path, env: dict[str, str] | None = None) -> Pipeline
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-    sections = {name: dict(_DEFAULTS[name]) for name in _SECTIONS}
+    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
     for name, overrides in raw.items():
         if not isinstance(overrides, dict):
             raise ConfigError(f"{name}: section must be an object")
         sections[name].update(overrides)
     apply_env_overrides(sections, env if env is not None else dict(os.environ))
-    config = PipelineConfig(base_dir=path.parent.resolve(), **sections)
+    config = PipelineConfig(base_dir=path.parent.resolve(), **_resolve(sections))
     return validate(config)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,19 +64,17 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d % self.heads:
-            raise ValueError("d must be divisible by heads")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
+        if self.heads < 1 or self.d % self.heads:
+            raise ValueError("heads must divide d")
         if self.layers < 2:
-            raise ValueError("need at least 2 layers so a middle layer exists")
+            raise ValueError("layers must be >= 2 so a middle layer exists")
+        if self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"vocab": self.vocab, "d": self.d, "layers": self.layers,
-                "heads": self.heads, "max_len": self.max_len, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EncoderConfig":
-        return cls(vocab=dict(obj["vocab"]), d=obj["d"], layers=obj["layers"],
-                   heads=obj["heads"], max_len=obj["max_len"], seed=obj["seed"])
+        return asdict(self)
 
 
 @dataclass
@@ -475,10 +474,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.epochs <= 3:
             raise ValueError("epochs must be in [0, 3]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        for name in ("lr", "temperature"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
 
 
 def group_texts(group, corpus) -> list[str]:
@@ -557,18 +559,40 @@ def save_params(path: str | Path, params: dict[str, np.ndarray], cfg: EncoderCon
             fh.write(arr.tobytes())
 
 
-def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
+def read_header_blob(path: str | Path, version: int,
+                     keys: tuple[str, ...]) -> tuple[dict, bytearray]:
+    """Header and blob of a params or index file; ValueError naming the file
+    if the header is unreadable, of another version, or lacks a key. The
+    loaded arrays view the one blob buffer, so each value is held once."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported params format: {header.get('format_version')}")
-        cfg = EncoderConfig.from_dict(header["config"])
-        params: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            params[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        try:
+            header = json.loads(fh.readline())
+            ok = header.get("format_version") == version and all(key in header for key in keys)
+        except (ValueError, AttributeError) as exc:
+            raise ValueError(f"{path}: unreadable header ({exc})") from exc
+        if not ok:
+            raise ValueError(f"{path}: not a version {version} file with keys {list(keys)}")
+        blob = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        if fh.readinto(blob) != len(blob):
+            raise ValueError(f"{path}: file changed while it was read")
+    return header, blob
+
+
+def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
+    header, blob = read_header_blob(path, FORMAT_VERSION, ("config", "arrays"))
+    try:
+        cfg = EncoderConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad encoder config ({exc})") from exc
+    shapes = param_shapes(cfg)
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
+    if (header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes]
+            or len(blob) != 8 * sum(sizes)):
+        raise ValueError(f"{path}: arrays do not match its encoder config ({len(blob)} bytes)")
+    params, offset = {}, 0
+    for (name, shape), size in zip(shapes, sizes):
+        params[name] = np.frombuffer(blob, np.float64, size, offset).reshape(shape)
+        offset += 8 * size
     return params, cfg
 
 

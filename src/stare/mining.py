@@ -35,6 +35,11 @@ class MiningConfig:
     seed: int = 0
     anonymize: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("n_hard", "n_rand"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class ContrastiveGroup:
@@ -55,14 +60,6 @@ class MiningReport:
     skipped_empty_pool: int = 0
     mean_pool_size: float = 0.0
     mean_positive_sim: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "anchors": self.anchors,
-            "skipped_empty_pool": self.skipped_empty_pool,
-            "mean_pool_size": self.mean_pool_size,
-            "mean_positive_sim": self.mean_positive_sim,
-        }
 
 
 def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:

@@ -22,8 +22,6 @@ from . import encoder as enc
 from . import retrieval
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
-from .ted import sim_struct
-from .trees import ParseDialect, anonymize_leaves, parse
 
 PROPERTIES = ("POS", "DEPS", "PT")
 
@@ -72,11 +70,6 @@ def default_label_set(prop: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def load_label_set(path: str | Path) -> list[str]:
-    return [line.strip() for line in Path(path).read_text("utf-8").splitlines()
-            if line.strip()]
-
-
 def load_token_label_corpus(path: str | Path, prop: str,
                             label_set: list[str] | None = None) -> TokenLabelCorpus:
     """TSV reader: "token<TAB>label" lines, blank line between sentences."""
@@ -118,6 +111,14 @@ class ProbeConfig:
     epochs: int = 300
     lr: float = 0.5
     l2: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
 
 
 def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
@@ -277,20 +278,6 @@ class SweepResult:
     probes: dict[tuple[str, int], Probe] = field(default_factory=dict)
 
 
-def _mean_sim_at_k(index: retrieval.RetrievalIndex, dev_queries, bank: Corpus,
-                   params, cfg, injection, k: int, dialect: ParseDialect,
-                   anonymize: bool) -> float:
-    scores = []
-    for utterance, gold_parse in dev_queries:
-        gold = parse(gold_parse, dialect)
-        if anonymize:
-            gold = anonymize_leaves(gold)
-        hits = retrieval.topk(index, utterance, k, params, cfg, injection=injection)
-        sims = [sim_struct(gold, bank.tree(rid, anonymize)) for rid, _ in hits]
-        scores.append(float(np.mean(sims)))
-    return float(np.mean(scores))
-
-
 def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
           params: dict[str, np.ndarray], cfg: EncoderConfig,
           label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid,
@@ -306,10 +293,15 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
     directions: dict[tuple[str, int], InjectionDirection] = {}
+    golds = retrieval.gold_trees(dev_queries, bank, anonymize)
 
-    base_index = retrieval.build_index(bank, params, cfg)
-    baseline = _mean_sim_at_k(base_index, dev_queries, bank, params, cfg, None, k,
-                              bank.dialect, anonymize)
+    def score_cell(injection: InjectionDirection | None) -> float:
+        index = retrieval.build_index(bank, params, cfg, injection)
+        hits = [retrieval.topk(index, utterance, k, params, cfg, injection=injection)
+                for utterance, _ in dev_queries]
+        return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
+
+    baseline = score_cell(None)
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))
     best: InjectionDirection | None = None
     best_score = baseline
@@ -337,12 +329,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
                                                lam=float(lam), prop=prop,
                                                converged=directions[key].converged)
                 try:
-                    if lam == 0.0:
-                        score = baseline
-                    else:
-                        index = retrieval.build_index(bank, params, cfg, injection)
-                        score = _mean_sim_at_k(index, dev_queries, bank, params, cfg,
-                                               injection, k, bank.dialect, anonymize)
+                    score = baseline if lam == 0.0 else score_cell(injection)
                 except Exception as exc:
                     rows.append(SweepRow(prop=prop, layer=layer, lam=float(lam),
                                          score=float("nan"), error=str(exc)))
@@ -369,22 +356,24 @@ def write_sweep_report(result: SweepResult, path: str | Path) -> None:
 DIRECTION_FORMAT_VERSION = 1
 
 
-def save_direction(direction: InjectionDirection, path: str | Path) -> None:
-    payload = {
-        "format_version": DIRECTION_FORMAT_VERSION,
-        "property": direction.prop,
-        "layer": direction.layer,
-        "lambda": direction.lam,
-        "converged": direction.converged,
-        "u": [float(x) for x in direction.u],
-    }
+def save_direction(direction: InjectionDirection | None, path: str | Path) -> None:
+    """Write the sweep's pick; None records that the uninjected baseline won."""
+    payload: dict = {"format_version": DIRECTION_FORMAT_VERSION}
+    if direction is None:
+        payload["baseline"] = True
+    else:
+        payload.update({"property": direction.prop, "layer": direction.layer,
+                        "lambda": direction.lam, "converged": direction.converged,
+                        "u": [float(x) for x in direction.u]})
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def load_direction(path: str | Path) -> InjectionDirection:
+def load_direction(path: str | Path) -> InjectionDirection | None:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != DIRECTION_FORMAT_VERSION:
         raise ValueError(f"unsupported direction format: {payload.get('format_version')}")
+    if payload.get("baseline"):
+        return None
     return InjectionDirection(u=np.asarray(payload["u"], dtype=np.float64),
                               layer=int(payload["layer"]), lam=float(payload["lambda"]),
                               prop=payload["property"],

@@ -21,7 +21,7 @@ from . import encoder as enc
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
 from .ted import sim_struct
-from .trees import anonymize_leaves, parse
+from .trees import ParseTree, anonymize_leaves, parse
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -169,18 +169,18 @@ TEMPLATE_SQL_SCHEMA = "sql_schema"
 
 @dataclass
 class PromptSpec:
-    task_name: str
-    k: int
+    task_name: str = "Task"
+    k: int = 1
     template: str = TEMPLATE_CONVERSATIONAL
     schema_text: str | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("prompt spec requires k >= 1")
+            raise ValueError("k must be >= 1")
         if self.template not in (TEMPLATE_CONVERSATIONAL, TEMPLATE_SQL_SCHEMA):
-            raise ValueError(f"unknown template {self.template!r}")
+            raise ValueError(f"template {self.template!r} is unknown")
         if self.template == TEMPLATE_SQL_SCHEMA and not self.schema_text:
-            raise MissingSchema("sql_schema template requires schema_text")
+            raise MissingSchema("schema_text is required for the sql_schema template")
 
 
 def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str) -> str:
@@ -226,30 +226,41 @@ def make_bm25_ranker(bank: Corpus):
     return rank
 
 
+def gold_trees(dev_queries: list[tuple[str, str]], bank: Corpus,
+               anonymize: bool = False) -> list[ParseTree]:
+    """The gold parse of each (utterance, parse) query, read like the bank's."""
+    golds = [parse(gold_parse, bank.dialect) for _, gold_parse in dev_queries]
+    return [anonymize_leaves(gold) for gold in golds] if anonymize else golds
+
+
+def mean_sim_at_k(golds: list[ParseTree], hits: list[list[tuple[str, float]]],
+                  bank: Corpus, anonymize: bool = False) -> float:
+    """Mean over queries of the mean structural similarity between the
+    gold tree and the parses of that query's retrieved bank ids."""
+    return float(np.mean([
+        float(np.mean([sim_struct(gold, bank.tree(rid, anonymize)) for rid, _ in head]))
+        for gold, head in zip(golds, hits)]))
+
+
 def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
              anonymize: bool = False) -> dict[str, float]:
     """Structural retrieval quality of a ranker against gold parses.
 
-    mean_sim_struct_at_k: mean over queries of the mean structural
-    similarity between the gold tree and the top-k retrieved parses.
+    mean_sim_struct_at_k: ``mean_sim_at_k`` of the top-k hits.
     mrr_structural_nn: reciprocal rank of the first bank item tied for
     the globally best structural similarity. mean_top1_sim: the ranker's
     own top-1 score.
     """
-    sims_at_k = []
+    golds = gold_trees(dev_queries, bank, anonymize)
+    heads = []
     mrrs = []
     top1 = []
-    for utterance, gold_parse in dev_queries:
-        gold = parse(gold_parse, bank.dialect)
-        if anonymize:
-            gold = anonymize_leaves(gold)
+    for (utterance, _), gold in zip(dev_queries, golds):
         ranking = rank_fn(utterance)
         if k > len(ranking):
             raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
-        head = ranking[:k]
-        sims = [sim_struct(gold, bank.tree(rid, anonymize)) for rid, _ in head]
-        sims_at_k.append(float(np.mean(sims)))
-        top1.append(head[0][1])
+        heads.append(ranking[:k])
+        top1.append(ranking[0][1])
         bank_sims = {rec.id: sim_struct(gold, bank.tree(rec.id, anonymize)) for rec in bank}
         best_sim = max(bank_sims.values())
         best_ids = {rid for rid, s in bank_sims.items() if s == best_sim}
@@ -257,7 +268,7 @@ def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
                             if rid in best_ids)
         mrrs.append(1.0 / rank_of_best)
     return {
-        "mean_sim_struct_at_k": float(np.mean(sims_at_k)),
+        "mean_sim_struct_at_k": mean_sim_at_k(golds, heads, bank, anonymize),
         "mrr_structural_nn": float(np.mean(mrrs)),
         "mean_top1_sim": float(np.mean(top1)),
     }
@@ -284,12 +295,11 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format_version") != INDEX_FORMAT_VERSION:
-            raise ValueError(f"unsupported index format: {header.get('format_version')}")
-        n, d = header["n"], header["d"]
-        buf = fh.read(n * d * 8)
-        embeddings = np.frombuffer(buf, dtype=np.float64).reshape(n, d).copy()
-    return RetrievalIndex(ids=list(header["ids"]), embeddings=embeddings,
-                          provenance=header["provenance"])
+    header, blob = enc.read_header_blob(path, INDEX_FORMAT_VERSION,
+                                        ("n", "d", "ids", "provenance"))
+    n, d, ids = header["n"], header["d"], header["ids"]
+    if not (isinstance(n, int) and isinstance(d, int) and isinstance(ids, list)
+            and len(ids) == n and len(blob) == 8 * n * d):
+        raise ValueError(f"{path}: embeddings do not match the header ({len(blob)} bytes)")
+    embeddings = np.frombuffer(blob, dtype=np.float64).reshape(n, d)
+    return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=header["provenance"])

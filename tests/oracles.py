@@ -1,8 +1,14 @@
-"""Independent numeric oracles used only by the test suite."""
+"""Independent oracles used only by the test suite."""
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
+
+from stare.ted import UNIT_COSTS, EditCosts
+from stare.trees import ParseTree
 
 
 def jacobi_svd_top_right(matrix: np.ndarray, sweeps: int = 40,
@@ -49,3 +55,120 @@ def jacobi_svd_top_right(matrix: np.ndarray, sweeps: int = 40,
             break
     top = v[:, int(np.argmax(np.diag(g)))]
     return top / np.linalg.norm(top)
+
+
+class TooLarge(ValueError):
+    pass
+
+
+_BRUTE_MAX = 4
+
+
+@lru_cache(maxsize=4096)
+def _relations(tree: ParseTree) -> tuple[tuple[str, ...], tuple[tuple[bool, ...], ...],
+                                         tuple[tuple[bool, ...], ...]]:
+    """Postorder labels plus ancestor and strictly-left-of boolean tables."""
+    labels: list[str] = []
+    desc: list[set[int]] = []
+
+    def visit(node: ParseTree) -> set[int]:
+        below: set[int] = set()
+        for child in node.children:
+            below |= visit(child)
+        idx = len(labels)
+        labels.append(node.label)
+        desc.append(set(below))
+        below.add(idx)
+        return below
+
+    visit(tree)
+    n = len(labels)
+    anc = [[j in desc[i] for j in range(n)] for i in range(n)]
+    left = [[i < j and not anc[j][i] and not anc[i][j] for j in range(n)]
+            for i in range(n)]
+    return tuple(labels), tuple(tuple(r) for r in anc), tuple(tuple(r) for r in left)
+
+
+def ted_bruteforce(a: ParseTree, b: ParseTree, costs: EditCosts = UNIT_COSTS) -> float:
+    """Exact edit cost by enumerating every valid ordered-tree mapping.
+
+    A mapping is valid when it is one-to-one and preserves both the
+    ancestor relation and left-to-right order; its cost is the relabel
+    cost of mapped pairs plus deletions/insertions for unmapped nodes.
+    Only feasible for tiny trees (TooLarge above 4 nodes); serves as the
+    independent oracle for ted().
+    """
+    if a.size > _BRUTE_MAX or b.size > _BRUTE_MAX:
+        raise TooLarge(f"brute-force oracle limited to {_BRUTE_MAX} nodes")
+    lab_a, anc_a, left_a = _relations(a)
+    lab_b, anc_b, left_b = _relations(b)
+    n_a, n_b = len(lab_a), len(lab_b)
+    best = costs.delete * n_a + costs.insert * n_b
+    delc, insc, relc = costs.delete, costs.insert, costs.relabel
+
+    def search(i: int, used_b: int, pairs: list[tuple[int, int]], cost: float) -> None:
+        nonlocal best
+        if cost >= best:
+            return
+        if i == n_a:
+            total = cost + insc * (n_b - len(pairs))
+            if total < best:
+                best = total
+            return
+        search(i + 1, used_b, pairs, cost + delc)
+        anc_ai = anc_a[i]
+        left_ai = left_a[i]
+        for j in range(n_b):
+            if used_b & (1 << j):
+                continue
+            ok = True
+            for i1, j1 in pairs:
+                if (anc_a[i1][i] != anc_b[j1][j] or anc_ai[i1] != anc_b[j][j1]
+                        or left_a[i1][i] != left_b[j1][j] or left_ai[i1] != left_b[j][j1]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            rel = 0.0 if lab_a[i] == lab_b[j] else relc
+            pairs.append((i, j))
+            search(i + 1, used_b | (1 << j), pairs, cost + rel)
+            pairs.pop()
+
+    search(0, 0, [], 0.0)
+    return best
+
+
+def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
+    """Every labeled ordered tree with 1..max_nodes nodes over the alphabet."""
+
+    def compositions(total: int) -> list[tuple[int, ...]]:
+        if total == 0:
+            return [()]
+        out = []
+        for first in range(1, total + 1):
+            for rest in compositions(total - first):
+                out.append((first,) + rest)
+        return out
+
+    def shapes(n: int) -> list[tuple]:
+        if n == 1:
+            return [()]
+        out = []
+        for split in compositions(n - 1):
+            for combo in itertools.product(*(shapes(part) for part in split)):
+                out.append(tuple(combo))
+        return out
+
+    def label_all(shape: tuple) -> list[ParseTree]:
+        child_options = [label_all(c) for c in shape]
+        out = []
+        for lab in alphabet:
+            for kids in itertools.product(*child_options):
+                out.append(ParseTree(lab, kids))
+        return out
+
+    trees: list[ParseTree] = []
+    for n in range(1, max_nodes + 1):
+        for shape in shapes(n):
+            trees.extend(label_all(shape))
+    return trees

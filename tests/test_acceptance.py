@@ -11,10 +11,10 @@ from stare.bucketing import LshIndex, exact_jaccard, minhash, signature_agreemen
 from stare.corpus import Corpus, Record
 from stare.mining import MiningConfig, mine_group
 from stare.retrieval import PromptSpec, build_prompt
-from stare.ted import all_trees, sim_struct, sim_struct_raw, ted, ted_bruteforce
+from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree
 
-from oracles import jacobi_svd_top_right
+from oracles import all_trees, jacobi_svd_top_right, ted_bruteforce
 
 
 def _report(criterion: int, ok: bool, detail: str, started: float) -> None:

@@ -1,0 +1,224 @@
+"""The section dataclasses as config schema, read-only retrieve, loud loaders."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from stare import cli, encoder as enc, retrieval
+from stare.config import ConfigError, load_config
+from stare.corpus import Corpus, Record, save_corpus
+from stare.mli import ProbeConfig
+from stare.ted import sim_struct
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+BANK = [Record("r0", "remind me to pack boxes", "[IN:REMIND [SL:TODO pack boxes ] ]"),
+        Record("r1", "call ravi now", "[IN:CALL [SL:CONTACT ravi ] ]"),
+        Record("r2", "remind me to call mom", "[IN:REMIND [SL:TODO call mom ] ]"),
+        Record("r3", "what is the weather", "[IN:GET_WEATHER ]")]
+
+
+def _write_config(root: Path, **sections) -> Path:
+    save_corpus(BANK, root / "train.jsonl")
+    save_corpus(BANK[:2], root / "dev.jsonl")
+    raw = {"corpus": {"train": "train.jsonl", "dev": "dev.jsonl", "dialect": "bracketed"},
+           "encoder": {"d": 16, "layers": 2, "heads": 2, "max_len": 16, "seed": 0}}
+    for name, values in sections.items():
+        raw.setdefault(name, {}).update(values)
+    path = root / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.fixture
+def run_dir(tmp_path):
+    """A config with prompt.k = 2 and an out dir holding untrained params."""
+    config = _write_config(tmp_path, prompt={"task_name": "T", "k": 2})
+    vocab = enc.build_vocab([rec.utterance for rec in BANK])
+    cfg = enc.EncoderConfig(vocab=vocab, **load_config(config, env={}).encoder)
+    out = tmp_path / "out"
+    out.mkdir()
+    enc.save_params(out / "encoder.params", enc.init_params(cfg), cfg)
+    return config, out
+
+
+def _retrieve(config: Path, out: Path, *extra: str) -> int:
+    return cli.main(["retrieve", "--config", str(config), "--out", str(out),
+                     "--query", "remind me to pack", *extra])
+
+
+class TestStrictness:
+    @pytest.mark.parametrize("section,key", [
+        ("training", "epochs"), ("training", "batch"), ("mining", "n_hard"),
+        ("encoder", "d"), ("bucketing", "num_hashes")])
+    @pytest.mark.parametrize("value", [1.5, 64.0])
+    def test_int_field_rejects_float(self, tmp_path, section, key, value):
+        config = _write_config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            load_config(config, env={})
+        assert cli.main(["bucket", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 2
+
+    def test_bool_field_rejects_string(self, tmp_path):
+        config = _write_config(tmp_path, mining={"anonymize": "yes"})
+        with pytest.raises(ConfigError, match=r"^mining\.anonymize: "):
+            load_config(config, env={})
+
+    @pytest.mark.parametrize("section,key", [
+        ("bucketing", "tua"), ("mli", "lamdbas"), ("retrieval", "kk"), ("corpus", "tarin")])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        config = _write_config(tmp_path, **{section: {key: 1}})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key"):
+            load_config(config, env={})
+
+    def test_unknown_env_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^bucketing\.tua: "):
+            load_config(_write_config(tmp_path), env={"STARE_BUCKETING_TUA": "0.4"})
+
+    def test_partial_probe_gets_dataclass_defaults(self, tmp_path):
+        config = load_config(_write_config(tmp_path, mli={"probe": {"epochs": 50}}), env={})
+        assert config.mli["probe"] == {"epochs": 50, "lr": 0.5, "l2": 1e-4}
+        assert ProbeConfig(**config.mli["probe"]) == ProbeConfig(epochs=50)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("encoder", "d", 0), ("encoder", "max_len", 0), ("training", "weight_decay", -1),
+        ("mining", "n_rand", -1), ("prompt", "template", "bogus"), ("mli.probe", "lr", 0)])
+    def test_dataclass_range_error_names_key(self, tmp_path, section, key, value):
+        if section == "mli.probe":
+            config = _write_config(tmp_path, mli={"probe": {key: value}})
+        else:
+            config = _write_config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            load_config(config, env={})
+
+    def test_missing_schema_names_key(self, tmp_path):
+        config = _write_config(tmp_path, prompt={"template": "sql_schema"})
+        with pytest.raises(ConfigError, match=r"^prompt\.schema_text: "):
+            load_config(config, env={})
+
+    def test_seeds_default_to_dataclass_zero(self, tmp_path):
+        config = load_config(_write_config(tmp_path), env={})
+        assert [config.bucketing["seed"], config.mining["seed"], config.training["seed"]] \
+            == [0, 0, 0]
+
+
+class TestRetrieve:
+    def test_k_defaults_to_prompt_k(self, run_dir, capsys):
+        config, out = run_dir
+        assert _retrieve(config, out, "--format", "json") == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2
+        assert _retrieve(config, out, "--format", "prompt") == 0
+        prompt = capsys.readouterr().out
+        assert "Example 2" in prompt and "Example 3" not in prompt
+
+    def test_writes_nothing_to_run_dir(self, run_dir, monkeypatch, capsys):
+        config, out = run_dir
+        recorded = b'{"recorded": "by a stage"}'
+        (out / "config_used.json").write_bytes(recorded)
+        before = sorted(p.name for p in out.iterdir())
+        monkeypatch.setenv("STARE_RETRIEVAL_K", "9")
+        assert _retrieve(config, out) == 0
+        assert (out / "config_used.json").read_bytes() == recorded
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_runs_while_locked(self, run_dir, capsys):
+        config, out = run_dir
+        (out / ".lock").touch()
+        assert _retrieve(config, out) == 0
+        assert (out / ".lock").exists()
+
+
+class TestLoaders:
+    def test_foreign_index_header(self, run_dir):
+        config, out = run_dir
+        with pytest.raises(ValueError, match="encoder.params"):
+            retrieval.load_index(out / "encoder.params")
+        assert _retrieve(config, out, "--index", str(out / "encoder.params")) == 2
+
+    def test_truncated_index(self, run_dir, tmp_path):
+        _, out = run_dir
+        params, cfg = enc.load_params(out / "encoder.params")
+        index = retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg)
+        path = tmp_path / "index.bin"
+        retrieval.save_index(index, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="index.bin"):
+            retrieval.load_index(path)
+
+    @pytest.mark.parametrize("cut", [300, -8])
+    def test_truncated_params(self, run_dir, cut):
+        config, out = run_dir
+        path = out / "encoder.params"
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="encoder.params"):
+            enc.load_params(path)
+        assert _retrieve(config, out) == 2
+
+    def test_round_trip_unchanged(self, run_dir):
+        _, out = run_dir
+        path = out / "encoder.params"
+        params, cfg = enc.load_params(path)
+        again = path.parent / "again.params"
+        enc.save_params(again, params, cfg)
+        assert again.read_bytes() == path.read_bytes()
+
+
+# Every shipped config resolves to these sections, as before the dataclasses
+# became the schema; only corpus, retrieval and prompt differ between them.
+_SHARED = {
+    "bucketing": {"num_hashes": 128, "seed": 7, "tau": 0.5},
+    "encoder": {"d": 64, "heads": 4, "layers": 4, "max_len": 64, "seed": 1},
+    "mining": {"anonymize": False, "n_hard": 3, "n_rand": 2, "seed": 13},
+    "mli": {"k": 5, "label_corpora": {}, "lambdas": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0],
+            "layers": None, "probe": {"epochs": 300, "l2": 0.0001, "lr": 0.5},
+            "properties": ["POS", "DEPS", "PT"]},
+    "training": {"batch": 1, "epochs": 3, "lr": 0.001, "seed": 2, "temperature": 0.07,
+                 "weight_decay": 0.01},
+}
+_SPIDER_SCHEMA = ('CREATE TABLE IF NOT EXISTS "employee" ( "eid" text, "name" text, '
+                  '"salary" text, PRIMARY KEY ("eid") );')
+_SHIPPED = {
+    "mtop": ("bracketed", 20, {"k": 20, "schema_text": None, "task_name": "MTop",
+                               "template": "conversational"}),
+    "smcalflow": ("sexpr", 5, {"k": 5, "schema_text": None, "task_name": "SMCalFlow",
+                               "template": "conversational"}),
+    "spider": ("sql_skeleton", 5, {"k": 5, "schema_text": _SPIDER_SCHEMA,
+                                   "task_name": "Spider", "template": "sql_schema"}),
+    "treedst": ("sexpr", 10, {"k": 10, "schema_text": None, "task_name": "TreeDST",
+                              "template": "conversational"}),
+}
+
+
+def test_shipped_configs_resolve_as_before(tmp_path):
+    assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(_SHIPPED)
+    (tmp_path / "train.jsonl").write_text("")
+    (tmp_path / "dev.jsonl").write_text("")
+    for name, (dialect, retrieval_k, prompt) in _SHIPPED.items():
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        raw["corpus"].update(train="train.jsonl", dev="dev.jsonl")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        resolved = load_config(path, env={}).to_dict()
+        expected = {**_SHARED, "retrieval": {"k": retrieval_k}, "prompt": prompt,
+                    "corpus": {"train": "train.jsonl", "dev": "dev.jsonl",
+                               "dialect": dialect}}
+        assert resolved == expected, name
+
+
+class TestOneMetric:
+    def test_mean_sim_at_k_by_hand(self):
+        bank = Corpus(BANK, "bracketed")
+        golds = retrieval.gold_trees([("q", BANK[0].parse), ("q", BANK[3].parse)], bank)
+        hits = [[("r0", 0.9), ("r1", 0.5)], [("r3", 0.7), ("r2", 0.1)]]
+        per_query = [[1.0, sim_struct(golds[0], bank.tree("r1"))],
+                     [1.0, sim_struct(golds[1], bank.tree("r2"))]]
+        expected = sum(sum(q) / 2 for q in per_query) / 2
+        assert retrieval.mean_sim_at_k(golds, hits, bank) == pytest.approx(expected, abs=1e-15)
+
+    def test_sweep_baseline_equals_evaluate(self, sweep_result, dev_queries, bank,
+                                            trained_params, enc_cfg):
+        index = retrieval.build_index(bank, trained_params, enc_cfg)
+        rank = retrieval.make_dense_ranker(index, trained_params, enc_cfg)
+        metrics = retrieval.evaluate(rank, dev_queries, bank, k=5)
+        assert metrics["mean_sim_struct_at_k"] == sweep_result.baseline_score

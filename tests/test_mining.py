@@ -4,8 +4,9 @@ from stare import bucketing
 from stare.corpus import Corpus, Record
 from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, UnknownId,
                           load_groups, mine_all, mine_group, save_groups)
-from stare.ted import ted_bruteforce
 from stare.trees import parse
+
+from oracles import ted_bruteforce
 
 
 def _corpus(parses, dialect="bracketed"):
