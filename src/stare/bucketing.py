@@ -228,8 +228,11 @@ class LshIndex:
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format_version") != cls.FORMAT_VERSION:
-            raise ValueError(f"unsupported index format: {payload.get('format_version')}")
+        if not isinstance(payload, dict) or payload.get("format_version") != cls.FORMAT_VERSION:
+            raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index")
+        missing = [key for key in ("P", "b", "r", "tau", "seed", "records") if key not in payload]
+        if missing:
+            raise ValueError(f"{path}: LSH index lacks key {missing[0]!r}")
         index = cls(num_hashes=payload["P"], tau=payload["tau"], seed=payload["seed"])
         if (index.bands, index.rows) != (payload["b"], payload["r"]):
             raise ValueError("band geometry mismatch in saved index")

@@ -191,6 +191,9 @@ def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) ->
     injection = _load_direction(out) if args.use_direction else None
     if args.index:
         index = retrieval.load_index(Path(args.index))
+        if index.ids != corpus.ids():
+            raise DataError(f"{args.index}: its ids are not those of the bank "
+                            f"{config.corpus['train']} ({len(index)} vs {len(corpus)} records)")
     else:
         index = retrieval.build_index(corpus, params, cfg, injection)
     k = config.prompt["k"] if args.k is None else args.k

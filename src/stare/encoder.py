@@ -211,7 +211,7 @@ def _ln_backward(dy: np.ndarray, cache):
 
 
 def _gelu_forward(x: np.ndarray):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), t
 
 
@@ -230,6 +230,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(tokens, heads * dh)
 
 
+def _attn_scale(cfg: EncoderConfig) -> float:
+    return 1.0 / np.sqrt(cfg.d // cfg.heads)
+
+
 def _validate_injection(injection: InjectionDirection | None, cfg: EncoderConfig) -> None:
     if injection is None:
         return
@@ -240,27 +244,20 @@ def _validate_injection(injection: InjectionDirection | None, cfg: EncoderConfig
             f"injection dimension {np.asarray(injection.u).shape} != ({cfg.d},)")
 
 
-def forward_ids(ids: Sequence[int], params: dict[str, np.ndarray], cfg: EncoderConfig,
-                injection: InjectionDirection | None = None, with_cache: bool = False):
-    """Run the encoder stack over token ids.
+def run_blocks(x: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
+               first: int = 0, injection: InjectionDirection | None = None,
+               caches: list[dict] | None = None) -> list[np.ndarray]:
+    """Run blocks first+1..L on ``x``, the residual state after block ``first``.
 
-    Returns HiddenStates, or (HiddenStates, cache) when with_cache is
-    set. The injection hook adds lam*u to every token row of layer N's
-    output before block N+1 (or pooling) consumes it; lam == 0 is
-    bit-identical to no injection.
+    Returns ``[x]`` followed by each block's output. The injection adds
+    lam*u after its block, so blocks up to and including that layer are
+    unaffected by it: resuming at ``first = layer`` from an uninjected
+    state plus lam*u gives the injected forward's states bit for bit.
+    Per-block caches for ``backward_ids`` are appended to ``caches``.
     """
-    _validate_injection(injection, cfg)
-    ids = list(ids)
-    if not ids:
-        raise EmptyInput("empty id sequence")
-    if len(ids) > cfg.max_len:
-        ids = ids[: cfg.max_len]
-    heads, scale = cfg.heads, 1.0 / np.sqrt(cfg.d // cfg.heads)
-
-    x = params["tok_emb"][ids] + params["pos_emb"][: len(ids)]
+    heads, scale = cfg.heads, _attn_scale(cfg)
     states = [x]
-    caches = []
-    for i in range(cfg.layers):
+    for i in range(first, cfg.layers):
         p = f"layers.{i}."
         a_in, ln1_cache = _ln_forward(x, params[p + "ln1.g"], params[p + "ln1.b"])
         q = a_in @ params[p + "wq"] + params[p + "bq"]
@@ -283,15 +280,35 @@ def forward_ids(ids: Sequence[int], params: dict[str, np.ndarray], cfg: EncoderC
         if injection is not None and injection.layer == i + 1:
             x = x + injection.lam * np.asarray(injection.u)
         states.append(x)
-        if with_cache:
+        if caches is not None:
             caches.append({
                 "ln1": ln1_cache, "a_in": a_in, "qh": qh, "kh": kh, "vh": vh,
                 "attn": attn, "oc": oc, "ln2": ln2_cache, "f_in": f_in,
                 "pre": pre, "h1": h1, "gelu_t": gelu_t,
             })
-    hidden = HiddenStates(states)
+    return states
+
+
+def forward_ids(ids: Sequence[int], params: dict[str, np.ndarray], cfg: EncoderConfig,
+                injection: InjectionDirection | None = None, with_cache: bool = False):
+    """Run the encoder stack over token ids.
+
+    Returns HiddenStates, or (HiddenStates, cache) when with_cache is
+    set. The injection hook adds lam*u to every token row of layer N's
+    output before block N+1 (or pooling) consumes it; lam == 0 is
+    bit-identical to no injection.
+    """
+    _validate_injection(injection, cfg)
+    ids = list(ids)
+    if not ids:
+        raise EmptyInput("empty id sequence")
+    if len(ids) > cfg.max_len:
+        ids = ids[: cfg.max_len]
+    x = params["tok_emb"][ids] + params["pos_emb"][: len(ids)]
+    caches: list[dict] | None = [] if with_cache else None
+    hidden = HiddenStates(run_blocks(x, params, cfg, 0, injection, caches))
     if with_cache:
-        return hidden, {"ids": ids, "layers": caches, "scale": scale}
+        return hidden, {"ids": ids, "layers": caches}
     return hidden
 
 
@@ -303,7 +320,7 @@ def backward_ids(d_final: np.ndarray, cache: dict, params: dict[str, np.ndarray]
     An additive injection is constant w.r.t. parameters, so caches from
     injected forwards backpropagate identically.
     """
-    heads, scale = cfg.heads, cache["scale"]
+    heads, scale = cfg.heads, _attn_scale(cfg)
     dx = d_final
     for i in reversed(range(cfg.layers)):
         p = f"layers.{i}."

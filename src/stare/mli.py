@@ -278,6 +278,14 @@ class SweepResult:
     probes: dict[tuple[str, int], Probe] = field(default_factory=dict)
 
 
+def resumed_embedding(states: list[np.ndarray], injection: InjectionDirection,
+                      params: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
+    """``enc.embed`` under ``injection``, from the uninjected layer states of
+    the same text: only the blocks after the injection layer run."""
+    x = states[injection.layer] + injection.lam * np.asarray(injection.u)
+    return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=0)
+
+
 def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
           params: dict[str, np.ndarray], cfg: EncoderConfig,
           label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid,
@@ -285,23 +293,38 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
           anonymize: bool = False) -> SweepResult:
     """Score every grid cell by mean structural similarity at k.
 
-    Probes are trained once per (property, layer); each cell rebuilds
-    the retrieval index under its injection. Cell failures are recorded
-    in the report rather than raised. The baseline row always comes
-    first and wins ties.
+    Probes are trained once per (property, layer). The baseline is scored
+    as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
+    An injection after layer L cannot change layers 0..L, so each bank
+    record's and dev query's uninjected states are computed once, and a
+    cell resumes every sequence from its layer-L state plus lam*u. The
+    cost is two forwards per sequence plus, per injected cell, the blocks
+    after L; the scores equal those of rebuilding the index per cell bit
+    for bit. Cell failures are recorded in the report rather than raised.
+    The baseline row always comes first and wins ties.
     """
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
     directions: dict[tuple[str, int], InjectionDirection] = {}
     golds = retrieval.gold_trees(dev_queries, bank, anonymize)
 
-    def score_cell(injection: InjectionDirection | None) -> float:
-        index = retrieval.build_index(bank, params, cfg, injection)
-        hits = [retrieval.topk(index, utterance, k, params, cfg, injection=injection)
-                for utterance, _ in dev_queries]
+    index = retrieval.build_index(bank, params, cfg)
+    baseline = retrieval.mean_sim_at_k(
+        golds, [retrieval.topk(index, utterance, k, params, cfg)
+                for utterance, _ in dev_queries], bank, anonymize)
+    bank_states = [enc.forward(rec.utterance, params, cfg).layers for rec in bank]
+    query_states = [enc.forward(utterance, params, cfg).layers
+                    for utterance, _ in dev_queries]
+
+    def score_cell(injection: InjectionDirection) -> float:
+        embeddings = retrieval._unit_rows(
+            index.ids, (resumed_embedding(states, injection, params, cfg)
+                        for states in bank_states), cfg.d)
+        hits = [retrieval._rank(index.ids, embeddings,
+                                resumed_embedding(states, injection, params, cfg), k)
+                for states in query_states]
         return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
 
-    baseline = score_cell(None)
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))
     best: InjectionDirection | None = None
     best_score = baseline
@@ -370,10 +393,13 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
 
 def load_direction(path: str | Path) -> InjectionDirection | None:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != DIRECTION_FORMAT_VERSION:
-        raise ValueError(f"unsupported direction format: {payload.get('format_version')}")
+    if not isinstance(payload, dict) or payload.get("format_version") != DIRECTION_FORMAT_VERSION:
+        raise ValueError(f"{path}: not a version {DIRECTION_FORMAT_VERSION} direction")
     if payload.get("baseline"):
         return None
+    missing = [key for key in ("u", "layer", "lambda", "property") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: direction lacks key {missing[0]!r}")
     return InjectionDirection(u=np.asarray(payload["u"], dtype=np.float64),
                               layer=int(payload["layer"]), lam=float(payload["lambda"]),
                               prop=payload["property"],

@@ -62,23 +62,58 @@ class RetrievalIndex:
         return len(self.ids)
 
 
+def _unit_rows(ids: list[str], vecs, d: int) -> np.ndarray:
+    """Stack the embeddings as unit rows; a zero embedding is named by its id."""
+    rows = []
+    for rid, vec in zip(ids, vecs):
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            raise enc.ZeroVector(f"record {rid!r} embeds to the zero vector")
+        rows.append(vec / norm)
+    return np.vstack(rows) if rows else np.zeros((0, d))
+
+
+def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
+          exclude: str | None = None) -> list[tuple[str, float]]:
+    """The k rows with the highest cosine to ``vec``, ties to lower index.
+
+    The one ranking implementation: ``topk``, ``make_dense_ranker`` and
+    the MLI sweep's injected cells all call it.
+    """
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise enc.ZeroVector("query embeds to the zero vector")
+    scores = embeddings @ (vec / norm)
+    order = [i for i in np.argsort(-scores, kind="stable")
+             if exclude is None or ids[i] != exclude]
+    if k > len(order):
+        raise KTooLarge(f"k={k} exceeds {len(order)} available records")
+    return [(ids[i], float(scores[i])) for i in order[:k]]
+
+
 def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
                 injection: InjectionDirection | None = None) -> RetrievalIndex:
     """One unit-normalized utterance embedding per record, in corpus order."""
-    rows = []
-    for rec in bank:
-        try:
-            vec = enc.embed(rec.utterance, params, cfg, injection)
-        except Exception as exc:
-            raise type(exc)(f"record {rec.id!r}: {exc}") from exc
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise enc.ZeroVector(f"record {rec.id!r} embeds to the zero vector")
-        rows.append(vec / norm)
-    embeddings = np.vstack(rows) if rows else np.zeros((0, cfg.d))
+    def embedded():
+        for rec in bank:
+            try:
+                yield enc.embed(rec.utterance, params, cfg, injection)
+            except Exception as exc:
+                raise type(exc)(f"record {rec.id!r}: {exc}") from exc
+
+    ids = bank.ids()
+    embeddings = _unit_rows(ids, embedded(), cfg.d)
     provenance = {"params_sha256": enc.params_fingerprint(params),
                   "injection": injection_provenance(injection)}
-    return RetrievalIndex(ids=bank.ids(), embeddings=embeddings, provenance=provenance)
+    return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)
+
+
+def _check_provenance(index: RetrievalIndex, params: dict[str, np.ndarray],
+                      injection: InjectionDirection | None) -> None:
+    if index.provenance["params_sha256"] != enc.params_fingerprint(params):
+        raise ProvenanceMismatch("query parameters differ from index parameters")
+    if index.provenance["injection"] != injection_provenance(injection):
+        raise ProvenanceMismatch("query injection differs from index injection")
 
 
 def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray],
@@ -91,20 +126,9 @@ def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray
     """
     if k < 1:
         raise KTooLarge("k must be >= 1")
-    if index.provenance["params_sha256"] != enc.params_fingerprint(params):
-        raise ProvenanceMismatch("query parameters differ from index parameters")
-    if index.provenance["injection"] != injection_provenance(injection):
-        raise ProvenanceMismatch("query injection differs from index injection")
-    vec = enc.embed(query, params, cfg, injection)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise enc.ZeroVector("query embeds to the zero vector")
-    scores = index.embeddings @ (vec / norm)
-    order = [i for i in np.argsort(-scores, kind="stable")
-             if exclude is None or index.ids[i] != exclude]
-    if k > len(order):
-        raise KTooLarge(f"k={k} exceeds {len(order)} available records")
-    return [(index.ids[i], float(scores[i])) for i in order[:k]]
+    _check_provenance(index, params, injection)
+    return _rank(index.ids, index.embeddings, enc.embed(query, params, cfg, injection),
+                 k, exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +235,12 @@ def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str)
 
 def make_dense_ranker(index: RetrievalIndex, params: dict[str, np.ndarray],
                       cfg: EncoderConfig, injection: InjectionDirection | None = None):
+    """Full-ranking function over ``index``; provenance is checked once, here."""
+    _check_provenance(index, params, injection)
+
     def rank(query: str) -> list[tuple[str, float]]:
-        return topk(index, query, len(index), params, cfg, injection=injection)
+        return _rank(index.ids, index.embeddings, enc.embed(query, params, cfg, injection),
+                     len(index))
 
     return rank
 

@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from stare import mli, retrieval
+from stare.encoder import InjectionDirection
 from stare.ted import UNIT_COSTS, EditCosts
 from stare.trees import ParseTree
 
@@ -172,3 +174,56 @@ def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
         for shape in shapes(n):
             trees.extend(label_all(shape))
     return trees
+
+
+def reference_sweep(dev_queries, bank, params, cfg, label_corpora, grid, k,
+                    probe_config=mli.ProbeConfig(), anonymize=False) -> mli.SweepResult:
+    """``mli.sweep`` by brute force: every cell rebuilds the retrieval index
+    under its injection and ranks each dev query with ``topk``."""
+    rows: list[mli.SweepRow] = []
+    probes: dict = {}
+    directions: dict = {}
+    golds = retrieval.gold_trees(dev_queries, bank, anonymize)
+
+    def score_cell(injection):
+        index = retrieval.build_index(bank, params, cfg, injection)
+        hits = [retrieval.topk(index, utterance, k, params, cfg, injection=injection)
+                for utterance, _ in dev_queries]
+        return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
+
+    baseline = score_cell(None)
+    rows.append(mli.SweepRow(prop="", layer=0, lam=0.0, score=baseline))
+    best, best_score = None, baseline
+    for prop in grid.properties:
+        corpus = label_corpora.get(prop)
+        if corpus is None:
+            rows.append(mli.SweepRow(prop=prop, layer=0, lam=0.0, score=float("nan"),
+                                     error="no label corpus"))
+            continue
+        for layer in grid.layers:
+            key = (prop, layer)
+            try:
+                if key not in directions:
+                    X, y = mli.collect_states(corpus, params, cfg, layer)
+                    probes[key] = mli.train_probe(X, y, layer, prop, len(corpus.label_set),
+                                                  probe_config)
+                    directions[key] = mli.extract_direction(probes[key])
+            except Exception as exc:
+                rows.append(mli.SweepRow(prop=prop, layer=layer, lam=0.0,
+                                         score=float("nan"), error=str(exc)))
+                continue
+            for lam in grid.lambdas:
+                injection = InjectionDirection(u=directions[key].u, layer=layer,
+                                               lam=float(lam), prop=prop,
+                                               converged=directions[key].converged)
+                try:
+                    score = baseline if lam == 0.0 else score_cell(injection)
+                except Exception as exc:
+                    rows.append(mli.SweepRow(prop=prop, layer=layer, lam=float(lam),
+                                             score=float("nan"), error=str(exc)))
+                    continue
+                rows.append(mli.SweepRow(prop=prop, layer=layer, lam=float(lam), score=score))
+                if score > best_score:
+                    best, best_score = injection, score
+    return mli.SweepResult(best=best, best_score=best_score, baseline_score=baseline,
+                           rows=rows, probes=probes)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ class TestLshIndex:
         for rid, sig in sigs.items():
             assert np.array_equal(loaded.signatures[rid], sig)  # bit-exact
             assert loaded.query(sig) == index.query(sig)
+
+    @pytest.mark.parametrize("key", ["P", "b", "r", "tau", "seed", "records"])
+    def test_load_names_missing_key(self, tmp_path, key):
+        path = tmp_path / "lsh_index.json"
+        LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"lsh_index.json.*'{key}'"):
+            LshIndex.load(path)
+
+    def test_load_rejects_non_object(self, tmp_path):
+        path = tmp_path / "lsh_index.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="lsh_index.json"):
+            LshIndex.load(path)
 
     def test_save_is_deterministic(self, tmp_path):
         def build():

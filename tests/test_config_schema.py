@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stare import cli, encoder as enc, retrieval
+from stare import cli, encoder as enc, mli, retrieval
 from stare.config import ConfigError, load_config
 from stare.corpus import Corpus, Record, save_corpus
 from stare.mli import ProbeConfig
@@ -154,6 +154,26 @@ class TestLoaders:
         with pytest.raises(ValueError, match="encoder.params"):
             enc.load_params(path)
         assert _retrieve(config, out) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "prompt"])
+    def test_index_of_another_bank(self, run_dir, tmp_path, caplog, capsys, fmt):
+        config, out = run_dir
+        params, cfg = enc.load_params(out / "encoder.params")
+        other = Corpus([Record("z0", "remind me to pack boxes", BANK[0].parse),
+                        Record("z1", "call ravi now", BANK[1].parse)], "bracketed")
+        path = tmp_path / "other.index"
+        retrieval.save_index(retrieval.build_index(other, params, cfg), path)
+        assert _retrieve(config, out, "--index", str(path), "--format", fmt) == 2
+        assert "other.index" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_direction_missing_key(self, run_dir, capsys):
+        config, out = run_dir
+        path = out / "direction.json"
+        path.write_text(json.dumps({"format_version": 1, "property": "POS"}))
+        with pytest.raises(ValueError, match="direction.json.*'u'"):
+            mli.load_direction(path)
+        assert _retrieve(config, out, "--use-direction") == 2
 
     def test_round_trip_unchanged(self, run_dir):
         _, out = run_dir

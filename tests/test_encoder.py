@@ -95,6 +95,21 @@ class TestForward:
                         enc.InjectionDirection(u=np.ones(3), layer=1, lam=1.0))
 
 
+    def test_gelu_cube_matches_power_formula(self):
+        x = np.linspace(-10.0, 10.0, 200001)
+        t = np.tanh(enc._GELU_C * (x + enc._GELU_A * x ** 3))
+        y, t_got = enc._gelu_forward(x)
+        assert np.max(np.abs(t_got - t)) <= 1e-12
+        assert np.max(np.abs(y - 0.5 * x * (1.0 + t))) <= 1e-12
+
+    def test_run_blocks_resumes_forward(self, small_cfg, small_params):
+        hidden = enc.forward("call ravi and mia", small_params, small_cfg)
+        for first in range(small_cfg.layers + 1):
+            resumed = enc.run_blocks(hidden.layers[first], small_params, small_cfg, first)
+            assert len(resumed) == small_cfg.layers + 1 - first
+            assert all(np.array_equal(a, b) for a, b in zip(resumed, hidden.layers[first:]))
+
+
 class TestEmbed:
     def test_single_token_equals_state(self, small_cfg, small_params):
         hidden = enc.forward("ravi", small_params, small_cfg)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from stare import encoder as enc
 from stare import mli
 from stare.corpus import Corpus, Record
 
-from oracles import jacobi_svd_top_right
+from oracles import jacobi_svd_top_right, reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +212,12 @@ def test_jacobi_oracle_self_check():
 
 
 class TestSweep:
-    def _setup(self):
+    def _setup(self, layers=2):
         records = [Record(f"r{i}", f"token{i} alpha beta", f"[A{i % 2} x{i} ]")
                    for i in range(8)]
         bank = Corpus(records, "bracketed")
         vocab = enc.build_vocab([r.utterance for r in records])
-        cfg = enc.EncoderConfig(vocab=vocab, d=8, layers=2, heads=2, max_len=8, seed=0)
+        cfg = enc.EncoderConfig(vocab=vocab, d=8, layers=layers, heads=2, max_len=8, seed=0)
         params = enc.init_params(cfg)
         sentences = [([f"token{i}", "alpha", "beta"], ["NOUN", "VERB", "NOUN"])
                      for i in range(8)]
@@ -248,9 +250,72 @@ class TestSweep:
         errors = [row for row in result.rows if row.error]
         assert any(row.prop == "PT" for row in errors)
 
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_resumed_embeddings_equal_injected_forward(self, layers):
+        dev, bank, params, cfg, _ = self._setup(layers)
+        texts = [rec.utterance for rec in bank] + [utterance for utterance, _ in dev]
+        states = [enc.forward(text, params, cfg).layers for text in texts]
+        u = np.random.default_rng(3).standard_normal(cfg.d)
+        u /= np.linalg.norm(u)
+        for layer in range(1, layers + 1):
+            for lam in (0.0, *mli.DEFAULT_LAMBDAS):
+                injection = enc.InjectionDirection(u=u, layer=layer, lam=lam)
+                for text, layer_states in zip(texts, states):
+                    assert np.array_equal(
+                        mli.resumed_embedding(layer_states, injection, params, cfg),
+                        enc.embed(text, params, cfg, injection)), (layer, lam, text)
+
+    def test_rows_equal_reference_sweep(self):
+        dev, bank, params, cfg, corpora = self._setup()
+        # Layer 3 is out of range and PT has no corpus: both give error rows.
+        grid = mli.SweepGrid(layers=[1, 2, 3], properties=["POS", "PT"],
+                             lambdas=[0.0, 0.5, 2.0, 6.0])
+        _assert_same_sweep(mli.sweep(dev, bank, params, cfg, corpora, grid, k=2),
+                           reference_sweep(dev, bank, params, cfg, corpora, grid, k=2))
+
+    def test_forward_calls_do_not_grow_with_lambdas(self, monkeypatch):
+        dev, bank, params, cfg, corpora = self._setup()
+        forward_ids = enc.forward_ids
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward_ids(*args, **kwargs)
+
+        monkeypatch.setattr(enc, "forward_ids", counting)
+        counts = []
+        for lambdas in ([1.0], [0.5, 1.0, 2.0, 4.0, 6.0]):
+            calls.clear()
+            grid = mli.SweepGrid(layers=[1, 2], properties=["POS"], lambdas=lambdas)
+            mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+            counts.append(len(calls))
+        # baseline + prefix states for each sequence, one probe corpus per layer
+        sequences = len(bank) + len(dev)
+        assert counts == [2 * sequences + 2 * len(corpora["POS"].sentences)] * 2
+
     def test_default_layers(self):
         assert mli.default_sweep_layers(4) == [2, 3, 4]
         assert mli.default_sweep_layers(12) == [4, 8, 12]
+
+
+def _assert_same_sweep(got, want):
+    def rows(result):
+        return [(r.prop, r.layer, r.lam, repr(r.score), r.error) for r in result.rows]
+
+    assert rows(got) == rows(want)
+    assert (got.best_score, got.baseline_score) == (want.best_score, want.baseline_score)
+    assert (got.best is None) == (want.best is None)
+    if got.best is not None:
+        assert (got.best.prop, got.best.layer, got.best.lam) == \
+            (want.best.prop, want.best.layer, want.best.lam)
+        assert np.array_equal(got.best.u, want.best.u)
+
+
+def test_fixture_sweep_equals_reference(dev_queries, bank, trained_params, enc_cfg,
+                                        label_corpora):
+    grid = mli.SweepGrid(layers=[2, 3, 4], properties=["POS"], lambdas=[0.0, 1.0, 5.0])
+    args = (dev_queries, bank, trained_params, enc_cfg, label_corpora, grid)
+    _assert_same_sweep(mli.sweep(*args, k=5), reference_sweep(*args, k=5))
 
 
 class TestDirectionPersistence:
@@ -264,6 +329,14 @@ class TestDirectionPersistence:
         loaded = mli.load_direction(path)
         assert np.array_equal(loaded.u, u)
         assert (loaded.layer, loaded.lam, loaded.prop) == (3, 2.5, "DEPS")
+
+    @pytest.mark.parametrize("payload", [[], {"format_version": 2},
+                                         {"format_version": 1, "property": "POS"}])
+    def test_malformed_file_named(self, tmp_path, payload):
+        path = tmp_path / "direction.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="direction.json"):
+            mli.load_direction(path)
 
 
 def test_fixture_sweep_rise_then_decline(sweep_result):
