@@ -128,7 +128,14 @@ def cmd_mine(config: PipelineConfig, out: Path) -> int:
 
 def cmd_train(config: PipelineConfig, out: Path) -> int:
     corpus = _load_corpus(config, "train")
-    groups = mining.load_groups(_upstream(out / "pairs.jsonl", "mine"))
+    pairs = _upstream(out / "pairs.jsonl", "mine")
+    groups = mining.load_groups(pairs)
+    unknown = next((rid for g in groups for rid in (g.anchor_id, g.positive_id,
+                                                    *g.negative_ids())
+                    if rid not in corpus), None)
+    if unknown is not None:
+        raise DataError(f"{pairs}: id {unknown!r} is not in the train corpus "
+                        f"{config.corpus['train']}")
     vocab = encoder.build_vocab([rec.utterance for rec in corpus])
     cfg = EncoderConfig(vocab=vocab, **config.encoder)
     train_cfg = TrainConfig(**config.training)

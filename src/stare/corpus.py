@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import trees
+from .ted import sim_struct
 from .trees import ParseDialect, ParseTree
 
 
@@ -23,7 +24,18 @@ class Record:
 
 
 class Corpus:
-    """Ordered record collection with cached parse trees."""
+    """Ordered record collection with cached parse trees and one
+    structural-similarity table.
+
+    The table gives every distinct tree (equal under ``ParseTree.__eq__``)
+    an integer id: a record's id is computed once per (record, anonymize),
+    and trees from outside the corpus, such as gold parses, are interned
+    into the same id space. ``sim`` memoizes ``sim_struct`` per unordered
+    id pair for the life of the corpus and holds only the pairs actually
+    compared. The unordered key is exact: under unit costs ``ted`` sums
+    integer costs, so ``ted(a, b)`` and ``ted(b, a)`` are the same float,
+    and ``max(size)`` is symmetric.
+    """
 
     def __init__(self, records: list[Record], dialect: ParseDialect):
         self.records = list(records)
@@ -34,6 +46,10 @@ class Corpus:
                 raise CorpusFormatError(f"duplicate record id {rec.id!r}")
             self.index_of[rec.id] = i
         self._tree_cache: dict[tuple[str, bool], ParseTree] = {}
+        self._tree_ids: dict[tuple[str, bool], int] = {}
+        self._interned: dict[ParseTree, int] = {}
+        self._trees: list[ParseTree] = []
+        self._sims: dict[tuple[int, int], float] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -60,6 +76,33 @@ class Corpus:
                 cached = trees.anonymize_leaves(cached)
             self._tree_cache[key] = cached
         return cached
+
+    def intern(self, tree: ParseTree) -> int:
+        """The table id of ``tree``; equal trees share one id."""
+        tid = self._interned.get(tree)
+        if tid is None:
+            tid = self._interned[tree] = len(self._trees)
+            self._trees.append(tree)
+        return tid
+
+    def tree_id(self, record_id: str, anonymize: bool = False) -> int:
+        """The table id of ``tree(record_id, anonymize)``."""
+        key = (record_id, anonymize)
+        tid = self._tree_ids.get(key)
+        if tid is None:
+            tid = self._tree_ids[key] = self.intern(self.tree(record_id, anonymize))
+        return tid
+
+    def sim(self, a: int, b: int) -> float:
+        """``sim_struct`` of the trees with ids ``a`` and ``b``, memoized.
+
+        A miss computes ``sim_struct(tree a, tree b)`` in the order asked.
+        """
+        key = (a, b) if a <= b else (b, a)
+        value = self._sims.get(key)
+        if value is None:
+            value = self._sims[key] = sim_struct(self._trees[a], self._trees[b])
+        return value
 
 
 def load_corpus(path: str | Path, dialect: ParseDialect | str) -> Corpus:

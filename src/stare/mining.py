@@ -17,7 +17,6 @@ import numpy as np
 
 from .bucketing import LshIndex
 from .corpus import Corpus
-from .ted import sim_struct
 
 
 class UnknownId(ValueError):
@@ -68,6 +67,22 @@ def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
+def _outside_positions(ranks: list[int], excluded: list[int]) -> list[int]:
+    """Corpus positions of the ``ranks``-th records outside ``excluded``.
+
+    Both lists ascend. Each rank steps over the excluded positions at or
+    below it, so the positions equal indexing the explicit complement.
+    """
+    out, skipped = [], 0
+    for r in ranks:
+        pos = r + skipped
+        while skipped < len(excluded) and excluded[skipped] <= pos:
+            skipped += 1
+            pos += 1
+        out.append(pos)
+    return out
+
+
 def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
                config: MiningConfig) -> ContrastiveGroup | None:
     """Build one contrastive group, or None when the pool is empty.
@@ -76,34 +91,49 @@ def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
     corpus index). Hard negatives: the lowest-similarity pool members,
     positive excluded. Random negatives: seeded uniform draws from the
     rest of the corpus; shortage is flagged, not fatal.
+
+    Similarities come from the corpus's table, asked once per distinct
+    pool tree, anchor first. The table keeps every pair for the life of
+    the corpus under one unordered key, exact because unit-cost TED is
+    symmetric to the bit (see ``Corpus``), so across ``mine_all`` each
+    distinct unordered tree pair costs one TED. Random negatives draw
+    ``rng.choice(n_outside, take)`` ranks among the records outside
+    anchor and pool, in corpus order, and each rank becomes a corpus
+    position by stepping over the sorted excluded positions. That equals
+    indexing the explicit outside list without building it, so an anchor
+    costs O(pool log pool), not O(N).
     """
     if anchor_id not in corpus:
         raise UnknownId(anchor_id)
-    for pid in pool:
-        if pid not in corpus:
-            raise UnknownId(pid)
-    if not pool:
+    try:
+        members = sorted(pool, key=corpus.index_of.__getitem__)  # corpus order
+    except KeyError as exc:
+        raise UnknownId(exc.args[0]) from None
+    if not members:
         return None
 
-    anchor_tree = corpus.tree(anchor_id, config.anonymize)
-    ranked = sorted(
-        ((sim_struct(anchor_tree, corpus.tree(pid, config.anonymize)), corpus.index_of[pid], pid)
-         for pid in pool),
-        key=lambda t: (-t[0], t[1]))
-    positive_sim, _, positive_id = ranked[0]
+    anchor = corpus.tree_id(anchor_id, config.anonymize)
+    tree_ids = [corpus.tree_id(pid, config.anonymize) for pid in members]
+    sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tree_ids)}
+    sims = [sim_of[tid] for tid in tree_ids]
+    # Members are in corpus order, so the first maximum breaks ties to the
+    # smallest index, and a stable sort by sim orders by (sim, index).
+    positive_sim = max(sims)
+    best = sims.index(positive_sim)
+    positive_id = members[best]
 
     flags: list[str] = []
-    ascending = [pid for _, _, pid in sorted(ranked[1:], key=lambda t: (t[0], t[1]))]
-    hard = ascending[: config.n_hard]
+    ascending = sorted(range(len(members)), key=sims.__getitem__)
+    hard = [members[i] for i in ascending if i != best][: config.n_hard]
     if len(hard) < config.n_hard:
         flags.append("short_hard_negatives")
 
-    outside = [rec.id for rec in corpus
-               if rec.id != anchor_id and rec.id not in pool]
+    excluded = sorted({corpus.index_of[anchor_id], *map(corpus.index_of.__getitem__, members)})
+    n_outside = len(corpus) - len(excluded)
     rng = _anchor_rng(config.seed, anchor_id)
-    take = min(config.n_rand, len(outside))
-    rand = [outside[i] for i in sorted(rng.choice(len(outside), size=take, replace=False))] \
-        if take else []
+    take = min(config.n_rand, n_outside)
+    ranks = sorted(rng.choice(n_outside, size=take, replace=False)) if take else []
+    rand = [corpus.records[pos].id for pos in _outside_positions(ranks, excluded)]
     if take < config.n_rand:
         flags.append("short_random_negatives")
 
@@ -148,7 +178,23 @@ def save_groups(groups: list[ContrastiveGroup], path: str | Path) -> None:
             }, sort_keys=True) + "\n")
 
 
+def _ids(obj: dict, key: str) -> list[str]:
+    value = obj[key]
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise TypeError(f"{key!r} must be a list of ids (strings), got {value!r}")
+    return value
+
+
+def _id(obj: dict, key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be an id (string), got {value!r}")
+    return value
+
+
 def load_groups(path: str | Path) -> list[ContrastiveGroup]:
+    """Read ``save_groups`` output; a malformed line is a ValueError naming
+    ``path:line``."""
     groups = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -158,9 +204,9 @@ def load_groups(path: str | Path) -> list[ContrastiveGroup]:
             try:
                 obj = json.loads(line)
                 groups.append(ContrastiveGroup(
-                    obj["anchor"], obj["positive"], list(obj["hard_negatives"]),
-                    list(obj["random_negatives"]), float(obj["positive_sim"]),
+                    _id(obj, "anchor"), _id(obj, "positive"), _ids(obj, "hard_negatives"),
+                    _ids(obj, "random_negatives"), float(obj["positive_sim"]),
                     list(obj.get("flags", []))))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad group record ({exc})") from exc
     return groups

@@ -20,7 +20,6 @@ import numpy as np
 from . import encoder as enc
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
-from .ted import sim_struct
 from .trees import ParseTree, anonymize_leaves, parse
 
 BM25_K1 = 1.2
@@ -264,10 +263,11 @@ def gold_trees(dev_queries: list[tuple[str, str]], bank: Corpus,
 def mean_sim_at_k(golds: list[ParseTree], hits: list[list[tuple[str, float]]],
                   bank: Corpus, anonymize: bool = False) -> float:
     """Mean over queries of the mean structural similarity between the
-    gold tree and the parses of that query's retrieved bank ids."""
+    gold tree and the parses of that query's retrieved bank ids, read
+    from the bank's similarity table."""
     return float(np.mean([
-        float(np.mean([sim_struct(gold, bank.tree(rid, anonymize)) for rid, _ in head]))
-        for gold, head in zip(golds, hits)]))
+        float(np.mean([bank.sim(gold_id, bank.tree_id(rid, anonymize)) for rid, _ in head]))
+        for gold_id, head in zip(map(bank.intern, golds), hits)]))
 
 
 def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
@@ -277,19 +277,21 @@ def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
     mean_sim_struct_at_k: ``mean_sim_at_k`` of the top-k hits.
     mrr_structural_nn: reciprocal rank of the first bank item tied for
     the globally best structural similarity. mean_top1_sim: the ranker's
-    own top-1 score.
+    own top-1 score. Similarities come from the bank's table, so rankers
+    evaluated against one bank share each gold-vs-bank-tree TED.
     """
     golds = gold_trees(dev_queries, bank, anonymize)
+    bank_ids = [bank.tree_id(rec.id, anonymize) for rec in bank]
     heads = []
     mrrs = []
     top1 = []
-    for (utterance, _), gold in zip(dev_queries, golds):
+    for (utterance, _), gold_id in zip(dev_queries, map(bank.intern, golds)):
         ranking = rank_fn(utterance)
         if k > len(ranking):
             raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
         heads.append(ranking[:k])
         top1.append(ranking[0][1])
-        bank_sims = {rec.id: sim_struct(gold, bank.tree(rec.id, anonymize)) for rec in bank}
+        bank_sims = {rec.id: bank.sim(gold_id, tid) for rec, tid in zip(bank, bank_ids)}
         best_sim = max(bank_sims.values())
         best_ids = {rid for rid, s in bank_sims.items() if s == best_sim}
         rank_of_best = next(pos for pos, (rid, _) in enumerate(ranking, start=1)

@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from stare import mli, retrieval
+from stare import mining, mli, retrieval
 from stare.encoder import InjectionDirection
-from stare.ted import UNIT_COSTS, EditCosts
+from stare.ted import UNIT_COSTS, EditCosts, sim_struct
 from stare.trees import ParseTree
 
 
@@ -227,3 +227,40 @@ def reference_sweep(dev_queries, bank, params, cfg, label_corpora, grid, k,
                     best, best_score = injection, score
     return mli.SweepResult(best=best, best_score=best_score, baseline_score=baseline,
                            rows=rows, probes=probes)
+
+
+def reference_mine_group(anchor_id: str, pool: set[str], corpus,
+                         config: mining.MiningConfig) -> mining.ContrastiveGroup | None:
+    """``mining.mine_group`` by brute force: one ``sim_struct`` per pool
+    member and random negatives indexed from the explicit outside list."""
+    if anchor_id not in corpus:
+        raise mining.UnknownId(anchor_id)
+    for pid in pool:
+        if pid not in corpus:
+            raise mining.UnknownId(pid)
+    if not pool:
+        return None
+
+    anchor_tree = corpus.tree(anchor_id, config.anonymize)
+    ranked = sorted(
+        ((sim_struct(anchor_tree, corpus.tree(pid, config.anonymize)), corpus.index_of[pid], pid)
+         for pid in pool),
+        key=lambda t: (-t[0], t[1]))
+    positive_sim, _, positive_id = ranked[0]
+
+    flags: list[str] = []
+    ascending = [pid for _, _, pid in sorted(ranked[1:], key=lambda t: (t[0], t[1]))]
+    hard = ascending[: config.n_hard]
+    if len(hard) < config.n_hard:
+        flags.append("short_hard_negatives")
+
+    outside = [rec.id for rec in corpus
+               if rec.id != anchor_id and rec.id not in pool]
+    rng = mining._anchor_rng(config.seed, anchor_id)
+    take = min(config.n_rand, len(outside))
+    rand = [outside[i] for i in sorted(rng.choice(len(outside), size=take, replace=False))] \
+        if take else []
+    if take < config.n_rand:
+        flags.append("short_random_negatives")
+
+    return mining.ContrastiveGroup(anchor_id, positive_id, hard, rand, positive_sim, flags)

@@ -184,6 +184,31 @@ class TestLoaders:
         assert again.read_bytes() == path.read_bytes()
 
 
+
+class TestTrainPairs:
+    """``train`` refuses a pairs file that does not fit the train corpus."""
+
+    @staticmethod
+    def _train(tmp_path: Path, group: dict) -> int:
+        config = _write_config(tmp_path, training={"epochs": 1, "batch": 1})
+        out = tmp_path / "out"
+        out.mkdir()
+        record = {"anchor": "r0", "positive": "r2", "hard_negatives": ["r1"],
+                  "random_negatives": ["r3"], "positive_sim": 0.8, "flags": []}
+        (out / "pairs.jsonl").write_text(json.dumps({**record, **group}) + "\n",
+                                         encoding="utf-8")
+        return cli.main(["train", "--config", str(config), "--out", str(out)])
+
+    def test_unknown_id_is_data_error(self, tmp_path, caplog):
+        assert self._train(tmp_path, {"random_negatives": ["r3", "zz_999"]}) == 2
+        assert "pairs.jsonl" in caplog.text and "'zz_999'" in caplog.text
+        assert not (tmp_path / "out" / "encoder.params").exists()
+
+    def test_string_valued_id_list_is_data_error(self, tmp_path, caplog):
+        assert self._train(tmp_path, {"hard_negatives": "r1"}) == 2
+        assert "pairs.jsonl:1" in caplog.text and "hard_negatives" in caplog.text
+
+
 # Every shipped config resolves to these sections, as before the dataclasses
 # became the schema; only corpus, retrieval and prompt differ between them.
 _SHARED = {

@@ -1,4 +1,8 @@
+import importlib
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stare import bucketing
 from stare.corpus import Corpus, Record
@@ -6,7 +10,10 @@ from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, U
                           load_groups, mine_all, mine_group, save_groups)
 from stare.trees import parse
 
-from oracles import ted_bruteforce
+from oracles import reference_mine_group, ted_bruteforce
+
+# The package re-exports a function named ``ted``; this is the module.
+ted_module = importlib.import_module("stare.ted")
 
 
 def _corpus(parses, dialect="bracketed"):
@@ -167,3 +174,85 @@ class TestPersistence:
         path.write_text('{"anchor": "a"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="1"):
             load_groups(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("anchor", 7), ("positive", ["r1"]), ("hard_negatives", "c0_011"),
+        ("random_negatives", ["r1", 2]), ("hard_negatives", None)])
+    def test_rejects_non_string_ids(self, tmp_path, field, value):
+        record = {"anchor": "r0", "positive": "r1", "hard_negatives": ["r2"],
+                  "random_negatives": [], "positive_sim": 1.0, "flags": []}
+        record[field] = value
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"pairs\.jsonl:2: .*{field}"):
+            load_groups(path)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the brute-force reference, and one TED per distinct pair
+# ---------------------------------------------------------------------------
+
+# Few shapes and leaves, so random corpora repeat trees, and anonymizing
+# merges trees that differ only in their leaves.
+_PALETTE = ["[F [X p ] ]", "[F [X q ] ]", "[F p q ]", "[G [Y a ] ]", "[H b ]", "[F [X p ] r ]"]
+
+
+@st.composite
+def _mining_case(draw):
+    n = draw(st.integers(1, 9))
+    corpus_parses = [draw(st.sampled_from(_PALETTE)) for _ in range(n)]
+    ids = [f"r{i}" for i in range(n)]
+    anchor = draw(st.sampled_from(ids))
+    mode = draw(st.sampled_from(["subset", "subset_with_anchor", "all_others", "empty"]))
+    others = [rid for rid in ids if rid != anchor]
+    if mode == "all_others":
+        pool = set(others)
+    elif mode == "empty":
+        pool = set()
+    else:
+        pool = set(draw(st.lists(st.sampled_from(others), unique=True))) if others else set()
+        if mode == "subset_with_anchor":
+            pool.add(anchor)
+    cfg = MiningConfig(n_hard=draw(st.integers(0, 4)), n_rand=draw(st.integers(0, 12)),
+                       seed=draw(st.integers(0, 2**31)), anonymize=draw(st.booleans()))
+    return corpus_parses, anchor, pool, cfg
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mining_case())
+def test_mine_group_equals_reference(case):
+    parses, anchor, pool, cfg = case
+    corpus, fresh = _corpus(parses), _corpus(parses)
+    # Warm the table with every other anchor first, so hits are exercised.
+    for rec in corpus:
+        if rec.id != anchor:
+            mine_group(rec.id, set(corpus.ids()) - {rec.id}, corpus, cfg)
+    assert mine_group(anchor, pool, corpus, cfg) == reference_mine_group(anchor, pool, fresh, cfg)
+
+
+@pytest.mark.parametrize("anonymize", [False, True])
+@pytest.mark.parametrize("pool,n_rand,flag", [
+    ({"r0", "r1", "r2"}, 2, None),                          # pool contains the anchor
+    ({"r1", "r2", "r3", "r4", "r5"}, 1, "short_random_negatives"),  # nothing outside
+    ({"r1"}, 9, "short_random_negatives"),                  # n_rand > outside set
+])
+def test_edge_pools_equal_reference(pool, n_rand, flag, anonymize):
+    cfg = MiningConfig(n_hard=2, n_rand=n_rand, seed=5, anonymize=anonymize)
+    group = mine_group("r0", pool, _corpus(SIX), cfg)
+    assert group == reference_mine_group("r0", pool, _corpus(SIX), cfg)
+    assert (flag in group.flags) if flag else "short_random_negatives" not in group.flags
+
+
+def test_mine_all_one_ted_per_distinct_unordered_pair(fixture_data, lsh_index, mined,
+                                                       monkeypatch):
+    bank = Corpus(fixture_data.train, "bracketed")  # a fresh, empty table
+    compared = {frozenset((bank.tree(rec.id), bank.tree(pid)))
+                for rec in bank
+                for pid in lsh_index.query(lsh_index.signatures[rec.id], exclude=rec.id)}
+    real, calls = ted_module.ted, []
+    monkeypatch.setattr(ted_module, "ted",
+                        lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+    groups, report = mine_all(bank, lsh_index, MiningConfig())
+    assert len(calls) == len(compared)
+    assert {frozenset(pair) for pair in calls} == compared
+    assert (groups, report) == mined

@@ -1,5 +1,7 @@
+import importlib
 import importlib.resources
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -254,3 +256,30 @@ class TestIndexPersistence:
         save_index(build_index(tiny_bank, tiny_params, tiny_cfg), p1)
         save_index(build_index(tiny_bank, tiny_params, tiny_cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_eval_one_ted_per_distinct_gold_bank_pair(pipeline_runs, tmp_path, monkeypatch):
+    """The four rankers of ``eval`` share one set of gold-vs-bank similarities."""
+    from stare import cli
+    from stare.config import load_config
+    from stare.corpus import load_corpus
+
+    fix_dir, run_a, _ = pipeline_runs
+    out = tmp_path / "run"
+    shutil.copytree(run_a, out)
+    config = load_config(fix_dir / "config.json", env={})
+    dialect, anonymize = config.corpus["dialect"], config.mining["anonymize"]
+    bank = load_corpus(config.path(config.corpus["train"]), dialect)
+    dev = load_corpus(config.path(config.corpus["dev"]), dialect)
+    golds = [dev.tree(rec.id, anonymize) for rec in dev]
+    pairs = {frozenset((gold, bank.tree(rec.id, anonymize))) for gold in golds for rec in bank}
+    assert len({rec.parse for rec in dev}) > 1 and len(pairs) < len(golds) * len(bank)
+
+    ted_module = importlib.import_module("stare.ted")
+    real, calls = ted_module.ted, []
+    monkeypatch.setattr(ted_module, "ted",
+                        lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+    assert cli.main(["eval", "--config", str(fix_dir / "config.json"), "--out", str(out)]) == 0
+    assert len(calls) <= len(pairs)
+    assert {frozenset(pair) for pair in calls} == pairs
+    assert (out / "eval_metrics.json").read_bytes() == (run_a / "eval_metrics.json").read_bytes()

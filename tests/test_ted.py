@@ -159,3 +159,34 @@ def test_hundred_node_smoke():
     start = time.time()
     ted(a, b)
     assert time.time() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# symmetry: the similarity table keys each pair unordered
+# ---------------------------------------------------------------------------
+
+def _trees():
+    labels = st.sampled_from(["a", "b", "c", "IN:X"])
+    return st.recursive(labels.map(ParseTree),
+                        lambda kids: st.builds(ParseTree, labels,
+                                               st.lists(kids, min_size=1, max_size=3)),
+                        max_leaves=12)
+
+
+def _assert_symmetric(a: ParseTree, b: ParseTree) -> None:
+    assert ted(a, b).hex() == ted(b, a).hex(), (a, b)
+    assert sim_struct(a, b).hex() == sim_struct(b, a).hex(), (a, b)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_trees(), _trees())
+def test_ted_symmetric_bit_for_bit(a, b):
+    _assert_symmetric(a, b)
+
+
+@pytest.mark.parametrize("max_nodes,alphabet", [(3, ("A", "B", "C")), (4, ("A", "B"))])
+def test_ted_symmetric_exhaustive(max_nodes, alphabet):
+    trees = all_trees(max_nodes, alphabet)
+    for i, a in enumerate(trees):
+        for b in trees[i:]:
+            _assert_symmetric(a, b)
