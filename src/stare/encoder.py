@@ -18,7 +18,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,11 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+# Token budget of one forward_batch chunk: enough rows per numpy call to
+# amortise its overhead on short sequences, small enough that a chunk's
+# states stay a few hundred kilobytes.
+CHUNK_TOKENS = 64
 
 
 class EmptyInput(ValueError):
@@ -190,22 +195,33 @@ def zerolike_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # forward / backward
 # ---------------------------------------------------------------------------
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` bit for bit (np.mean sums, then
+    divides by the count), without np.mean's per-call overhead."""
+    return x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Every token row of a (..., tokens, width) array as one (n, width) matrix."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def _ln_backward(dy: np.ndarray, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
+    dg = _rows(dy * xhat).sum(axis=0)
+    db = _rows(dy).sum(axis=0)
     dxhat = dy * g
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    mean_dxhat = _mean_last(dxhat)
+    mean_dxhat_xhat = _mean_last(dxhat * xhat)
     dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dg, db
 
@@ -221,13 +237,15 @@ def _gelu_backward(dy: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    tokens, d = x.shape
-    return x.reshape(tokens, heads, d // heads).transpose(1, 0, 2)
+    """(..., tokens, d) -> (..., heads, tokens, d // heads)."""
+    *lead, tokens, d = x.shape
+    return x.reshape(*lead, tokens, heads, d // heads).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, tokens, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(tokens, heads * dh)
+    """(..., heads, tokens, dh) -> (..., tokens, heads * dh)."""
+    *lead, heads, tokens, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, tokens, heads * dh)
 
 
 def _attn_scale(cfg: EncoderConfig) -> float:
@@ -249,6 +267,11 @@ def run_blocks(x: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
                caches: list[dict] | None = None) -> list[np.ndarray]:
     """Run blocks first+1..L on ``x``, the residual state after block ``first``.
 
+    ``x`` is one sequence, (tokens, d), or a chunk of equal-length
+    sequences, (batch, tokens, d). Every operation acts per token row or
+    per (sequence, head) matrix, so a chunk's states equal the states of
+    its sequences run one at a time bit for bit.
+
     Returns ``[x]`` followed by each block's output. The injection adds
     lam*u after its block, so blocks up to and including that layer are
     unaffected by it: resuming at ``first = layer`` from an uninjected
@@ -264,7 +287,7 @@ def run_blocks(x: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
         k = a_in @ params[p + "wk"] + params[p + "bk"]
         v = a_in @ params[p + "wv"] + params[p + "bv"]
         qh, kh, vh = (_split_heads(m, heads) for m in (q, k, v))
-        scores = qh @ kh.transpose(0, 2, 1) * scale
+        scores = qh @ kh.swapaxes(-1, -2) * scale
         scores -= scores.max(axis=-1, keepdims=True)
         expw = np.exp(scores)
         attn = expw / expw.sum(axis=-1, keepdims=True)
@@ -290,35 +313,77 @@ def run_blocks(x: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
 
 
 def forward_ids(ids: Sequence[int], params: dict[str, np.ndarray], cfg: EncoderConfig,
-                injection: InjectionDirection | None = None, with_cache: bool = False):
-    """Run the encoder stack over token ids.
+                injection: InjectionDirection | None = None) -> HiddenStates:
+    """Run the encoder stack over one sequence of token ids: ``forward_batch``
+    with a batch of one.
 
-    Returns HiddenStates, or (HiddenStates, cache) when with_cache is
-    set. The injection hook adds lam*u to every token row of layer N's
-    output before block N+1 (or pooling) consumes it; lam == 0 is
-    bit-identical to no injection.
+    The injection hook adds lam*u to every token row of layer N's output
+    before block N+1 (or pooling) consumes it; lam == 0 is bit-identical
+    to no injection.
+    """
+    [(_, states, _)] = forward_batch([ids], params, cfg, injection)
+    return HiddenStates([state[0] for state in states])
+
+
+def length_chunks(lengths: Sequence[int], max_tokens: int = CHUNK_TOKENS) -> list[list[int]]:
+    """Positions grouped by exact length, lengths in order of first use.
+
+    A length's positions are split, in order, into chunks of at most
+    ``max_tokens`` tokens; a chunk holds at least one sequence.
+    """
+    by_length: dict[int, list[int]] = {}
+    for pos, n in enumerate(lengths):
+        by_length.setdefault(n, []).append(pos)
+    chunks = []
+    for n, positions in by_length.items():
+        per = max(1, max_tokens // n)
+        chunks += [positions[i : i + per] for i in range(0, len(positions), per)]
+    return chunks
+
+
+def forward_batch(id_lists: Sequence[Sequence[int]], params: dict[str, np.ndarray],
+                  cfg: EncoderConfig, injection: InjectionDirection | None = None,
+                  max_tokens: int = CHUNK_TOKENS, with_cache: bool = False
+                  ) -> Iterator[tuple[list[int], list[np.ndarray], dict | None]]:
+    """Run many sequences, one ``length_chunks`` chunk at a time.
+
+    Yields ``(positions, states, cache)`` per chunk: ``states[l][b]`` is
+    layer l of sequence ``positions[b]``, bit-identical to running that
+    sequence alone; there is no padding, so no mask. ``cache`` is the
+    chunk's input to ``backward_ids`` when ``with_cache`` is set, else
+    None. Sequences are truncated at max_len.
     """
     _validate_injection(injection, cfg)
-    ids = list(ids)
-    if not ids:
+    id_lists = [list(ids)[: cfg.max_len] for ids in id_lists]
+    if not all(id_lists):
         raise EmptyInput("empty id sequence")
-    if len(ids) > cfg.max_len:
-        ids = ids[: cfg.max_len]
-    x = params["tok_emb"][ids] + params["pos_emb"][: len(ids)]
-    caches: list[dict] | None = [] if with_cache else None
-    hidden = HiddenStates(run_blocks(x, params, cfg, 0, injection, caches))
-    if with_cache:
-        return hidden, {"ids": ids, "layers": caches}
-    return hidden
+    for positions in length_chunks([len(ids) for ids in id_lists], max_tokens):
+        ids = np.array([id_lists[pos] for pos in positions])
+        x = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]]
+        caches: list[dict] | None = [] if with_cache else None
+        states = run_blocks(x, params, cfg, 0, injection, caches)
+        yield positions, states, {"ids": ids, "layers": caches} if with_cache else None
+
+
+def embed_batch(id_lists: Sequence[Sequence[int]], params: dict[str, np.ndarray],
+                cfg: EncoderConfig, injection: InjectionDirection | None = None) -> np.ndarray:
+    """(n, d) sentence embeddings; row i equals ``embed`` of sequence i bit for bit."""
+    out = np.empty((len(id_lists), cfg.d))
+    for positions, states, _ in forward_batch(id_lists, params, cfg, injection):
+        out[positions] = states[-1].mean(axis=-2)
+    return out
 
 
 def backward_ids(d_final: np.ndarray, cache: dict, params: dict[str, np.ndarray],
                  cfg: EncoderConfig, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for one sequence into ``grads``.
+    """Accumulate parameter gradients for one ``forward_batch`` chunk into ``grads``.
 
-    ``d_final`` is the loss gradient w.r.t. the last block's output.
-    An additive injection is constant w.r.t. parameters, so caches from
-    injected forwards backpropagate identically.
+    ``d_final`` is the loss gradient w.r.t. the last block's output,
+    (batch, tokens, d). Token-level gradients are computed per sequence
+    as in a batch of one; only the weight-gradient sums over the chunk's
+    rows are grouped differently. An additive injection is constant
+    w.r.t. parameters, so caches from injected forwards backpropagate
+    identically.
     """
     heads, scale = cfg.heads, _attn_scale(cfg)
     dx = d_final
@@ -327,42 +392,40 @@ def backward_ids(d_final: np.ndarray, cache: dict, params: dict[str, np.ndarray]
         c = cache["layers"][i]
         # feed-forward sublayer
         dh1 = dx @ params[p + "w2"].T
-        grads[p + "w2"] += c["h1"].T @ dx
-        grads[p + "b2"] += dx.sum(axis=0)
+        grads[p + "w2"] += _rows(c["h1"]).T @ _rows(dx)
+        grads[p + "b2"] += _rows(dx).sum(axis=0)
         dpre = _gelu_backward(dh1, c["pre"], c["gelu_t"])
         df_in = dpre @ params[p + "w1"].T
-        grads[p + "w1"] += c["f_in"].T @ dpre
-        grads[p + "b1"] += dpre.sum(axis=0)
+        grads[p + "w1"] += _rows(c["f_in"]).T @ _rows(dpre)
+        grads[p + "b1"] += _rows(dpre).sum(axis=0)
         dres, dg2, db2 = _ln_backward(df_in, c["ln2"])
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
         dx_mid = dx + dres
         # attention sublayer
         doc = dx_mid @ params[p + "wo"].T
-        grads[p + "wo"] += c["oc"].T @ dx_mid
-        grads[p + "bo"] += dx_mid.sum(axis=0)
+        grads[p + "wo"] += _rows(c["oc"]).T @ _rows(dx_mid)
+        grads[p + "bo"] += _rows(dx_mid).sum(axis=0)
         doh = _split_heads(doc, heads)
-        dattn = doh @ c["vh"].transpose(0, 2, 1)
-        dvh = c["attn"].transpose(0, 2, 1) @ doh
+        dattn = doh @ c["vh"].swapaxes(-1, -2)
+        dvh = c["attn"].swapaxes(-1, -2) @ doh
         a = c["attn"]
         dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
         dqh = dscores @ c["kh"] * scale
-        dkh = dscores.transpose(0, 2, 1) @ c["qh"] * scale
+        dkh = dscores.swapaxes(-1, -2) @ c["qh"] * scale
         dq, dk, dv = (_merge_heads(m) for m in (dqh, dkh, dvh))
         da_in = dq @ params[p + "wq"].T + dk @ params[p + "wk"].T + dv @ params[p + "wv"].T
-        grads[p + "wq"] += c["a_in"].T @ dq
-        grads[p + "bq"] += dq.sum(axis=0)
-        grads[p + "wk"] += c["a_in"].T @ dk
-        grads[p + "bk"] += dk.sum(axis=0)
-        grads[p + "wv"] += c["a_in"].T @ dv
-        grads[p + "bv"] += dv.sum(axis=0)
+        a_in = _rows(c["a_in"]).T
+        for name, dm in (("q", dq), ("k", dk), ("v", dv)):
+            grads[p + "w" + name] += a_in @ _rows(dm)
+            grads[p + "b" + name] += _rows(dm).sum(axis=0)
         dres, dg1, db1 = _ln_backward(da_in, c["ln1"])
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
         dx = dx_mid + dres
     ids = cache["ids"]
     np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][: len(ids)] += dx
+    grads["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
 
 
 def forward(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
@@ -431,20 +494,28 @@ def _infonce_embedding_grads(anchor: np.ndarray, others: list[np.ndarray],
 def group_loss_and_grads(texts: list[str], params: dict[str, np.ndarray],
                          cfg: EncoderConfig, temperature: float,
                          grads: dict[str, np.ndarray]) -> float:
-    """InfoNCE over [anchor, positive, *negatives]; grads accumulate in place."""
-    runs = []
-    embs = []
-    for text in texts:
-        hidden, cache = forward_ids(tokenize(text, cfg.vocab, cfg.max_len), params, cfg,
-                                    with_cache=True)
-        runs.append((hidden, cache))
-        embs.append(hidden.final.mean(axis=0))
+    """InfoNCE over [anchor, positive, *negatives]; grads accumulate in place.
+
+    The group's texts run as one chunk per distinct token length, so
+    there is one ``backward_ids`` call per length; the loss and the
+    embeddings are those of a batch of one bit for bit.
+    """
+    id_lists = [tokenize(text, cfg.vocab, cfg.max_len) for text in texts]
+    embs: list[np.ndarray] = [np.empty(0)] * len(texts)
+    chunks = []
+    for positions, states, cache in forward_batch(id_lists, params, cfg,
+                                                  max_tokens=sum(map(len, id_lists)),
+                                                  with_cache=True):
+        pooled = states[-1].mean(axis=-2)
+        for b, pos in enumerate(positions):
+            embs[pos] = pooled[b]
+        chunks.append((positions, cache))
     loss, d_anchor, d_others = _infonce_embedding_grads(embs[0], embs[1:], temperature)
     dembs = [d_anchor] + d_others
-    for (hidden, cache), demb in zip(runs, dembs):
-        tokens = hidden.final.shape[0]
-        d_final = np.tile(demb / tokens, (tokens, 1))
-        backward_ids(d_final, cache, params, cfg, grads)
+    for positions, cache in chunks:
+        tokens = cache["ids"].shape[1]
+        d_pooled = np.stack([dembs[pos] / tokens for pos in positions])
+        backward_ids(np.repeat(d_pooled[:, None, :], tokens, axis=1), cache, params, cfg, grads)
     return loss
 
 
@@ -511,8 +582,8 @@ def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: EncoderC
     """Mean InfoNCE over groups at fixed parameters (no updates)."""
     total = 0.0
     for group in groups:
-        texts = group_texts(group, corpus)
-        embs = [embed(t, params, cfg) for t in texts]
+        embs = embed_batch([tokenize(text, cfg.vocab, cfg.max_len)
+                            for text in group_texts(group, corpus)], params, cfg)
         total += infonce_loss(embs[0], embs[1], embs[2:], temperature)
     return total / len(groups)
 
@@ -567,13 +638,35 @@ def save_params(path: str | Path, params: dict[str, np.ndarray], cfg: EncoderCon
         "config": cfg.to_dict(),
         "arrays": [{"name": name, "shape": list(shape)} for name, shape in shapes],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name, shape in shapes:
-            arr = np.ascontiguousarray(params[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise DimensionMismatch(f"{name}: {arr.shape} != {shape}")
-            fh.write(arr.tobytes())
+    write_header_blob(path, header, [(name, params[name], shape) for name, shape in shapes])
+
+
+def write_header_blob(path: str | Path, header: dict,
+                      arrays: Sequence[tuple[str, np.ndarray, tuple[int, ...]]]) -> None:
+    """Write a params or index file: the JSON header line, then each
+    (name, array, shape) array as raw float64, in order.
+
+    Every shape is checked before anything is written (DimensionMismatch
+    naming the array), and the bytes go to a temporary file in the target
+    directory that then replaces ``path``, so a failed or killed write
+    leaves any existing file as it was.
+    """
+    blobs = []
+    for name, arr, shape in arrays:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        if arr.shape != tuple(shape):
+            raise DimensionMismatch(f"{name}: {arr.shape} != {tuple(shape)}")
+        blobs.append(arr)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for arr in blobs:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_header_blob(path: str | Path, version: int,

@@ -127,19 +127,19 @@ def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
 
     Corpus tokens are fed to the encoder one id per token (no
     re-tokenization), so rows align with labels; both are truncated at
-    max_len together.
+    max_len together. Sentences run in ``enc.forward_batch`` chunks.
     """
     if not 1 <= layer <= cfg.layers:
         raise enc.LayerOutOfRange(f"layer {layer} outside [1, {cfg.layers}]")
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
-    xs: list[np.ndarray] = []
-    ys: list[int] = []
-    for tokens, labels in corpus.sentences:
-        ids = enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
-        hidden = enc.forward_ids(ids, params, cfg)
-        rows = hidden.layers[layer]
-        xs.append(rows)
-        ys.extend(label_index[lab] for lab in labels[: len(ids)])
+    id_lists = [enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
+                for tokens, _ in corpus.sentences]
+    xs: list[np.ndarray] = [np.empty(0)] * len(id_lists)
+    for positions, states, _ in enc.forward_batch(id_lists, params, cfg):
+        for b, pos in enumerate(positions):
+            xs[pos] = states[layer][b]
+    ys = [label_index[lab] for ids, (_, labels) in zip(id_lists, corpus.sentences)
+          for lab in labels[: len(ids)]]
     return np.vstack(xs), np.asarray(ys, dtype=np.int64)
 
 
@@ -281,9 +281,10 @@ class SweepResult:
 def resumed_embedding(states: list[np.ndarray], injection: InjectionDirection,
                       params: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
     """``enc.embed`` under ``injection``, from the uninjected layer states of
-    the same text: only the blocks after the injection layer run."""
+    the same text (one sequence, or a ``forward_batch`` chunk giving one row
+    per sequence): only the blocks after the injection layer run."""
     x = states[injection.layer] + injection.lam * np.asarray(injection.u)
-    return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=0)
+    return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=-2)
 
 
 def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
@@ -295,13 +296,14 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
 
     Probes are trained once per (property, layer). The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
-    An injection after layer L cannot change layers 0..L, so each bank
-    record's and dev query's uninjected states are computed once, and a
-    cell resumes every sequence from its layer-L state plus lam*u. The
-    cost is two forwards per sequence plus, per injected cell, the blocks
-    after L; the scores equal those of rebuilding the index per cell bit
-    for bit. Cell failures are recorded in the report rather than raised.
-    The baseline row always comes first and wins ties.
+    An injection after layer L cannot change layers 0..L, so the bank's
+    and the dev queries' uninjected states are computed once, in
+    ``enc.forward_batch`` chunks, and a cell resumes every chunk from its
+    layer-L states plus lam*u. The cost is two forwards per sequence
+    plus, per injected cell, the blocks after L; the scores equal those
+    of rebuilding the index per cell bit for bit. Cell failures are
+    recorded in the report rather than raised. The baseline row always
+    comes first and wins ties.
     """
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
@@ -312,17 +314,22 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     baseline = retrieval.mean_sim_at_k(
         golds, [retrieval.topk(index, utterance, k, params, cfg)
                 for utterance, _ in dev_queries], bank, anonymize)
-    bank_states = [enc.forward(rec.utterance, params, cfg).layers for rec in bank]
-    query_states = [enc.forward(utterance, params, cfg).layers
-                    for utterance, _ in dev_queries]
+    bank_chunks = list(enc.forward_batch(
+        [enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len) for rec in bank], params, cfg))
+    query_chunks = list(enc.forward_batch(
+        [enc.tokenize(utterance, cfg.vocab, cfg.max_len) for utterance, _ in dev_queries],
+        params, cfg))
+
+    def resumed(chunks, n: int, injection: InjectionDirection) -> np.ndarray:
+        out = np.empty((n, cfg.d))
+        for positions, states, _ in chunks:
+            out[positions] = resumed_embedding(states, injection, params, cfg)
+        return out
 
     def score_cell(injection: InjectionDirection) -> float:
-        embeddings = retrieval._unit_rows(
-            index.ids, (resumed_embedding(states, injection, params, cfg)
-                        for states in bank_states), cfg.d)
-        hits = [retrieval._rank(index.ids, embeddings,
-                                resumed_embedding(states, injection, params, cfg), k)
-                for states in query_states]
+        embeddings = retrieval._unit_rows(index.ids, resumed(bank_chunks, len(bank), injection))
+        hits = [retrieval._rank(index.ids, embeddings, vec, k)
+                for vec in resumed(query_chunks, len(dev_queries), injection)]
         return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
 
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))

@@ -9,7 +9,6 @@ geometry than the bank.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -61,15 +60,15 @@ class RetrievalIndex:
         return len(self.ids)
 
 
-def _unit_rows(ids: list[str], vecs, d: int) -> np.ndarray:
-    """Stack the embeddings as unit rows; a zero embedding is named by its id."""
-    rows = []
-    for rid, vec in zip(ids, vecs):
+def _unit_rows(ids: list[str], embeddings: np.ndarray) -> np.ndarray:
+    """Scale each embedding row to unit norm in place; a zero embedding is
+    named by its id."""
+    for rid, vec in zip(ids, embeddings):
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise enc.ZeroVector(f"record {rid!r} embeds to the zero vector")
-        rows.append(vec / norm)
-    return np.vstack(rows) if rows else np.zeros((0, d))
+        vec /= norm
+    return embeddings
 
 
 def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
@@ -83,25 +82,33 @@ def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
     if norm == 0.0:
         raise enc.ZeroVector("query embeds to the zero vector")
     scores = embeddings @ (vec / norm)
-    order = [i for i in np.argsort(-scores, kind="stable")
-             if exclude is None or ids[i] != exclude]
-    if k > len(order):
-        raise KTooLarge(f"k={k} exceeds {len(order)} available records")
-    return [(ids[i], float(scores[i])) for i in order[:k]]
+    head = []
+    for i in np.argsort(-scores, kind="stable"):
+        if len(head) == k:
+            break
+        if exclude is None or ids[i] != exclude:
+            head.append(i)
+    if len(head) < k:  # the scan ran out: head holds every available record
+        raise KTooLarge(f"k={k} exceeds {len(head)} available records")
+    return [(ids[i], float(scores[i])) for i in head]
 
 
 def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
                 injection: InjectionDirection | None = None) -> RetrievalIndex:
-    """One unit-normalized utterance embedding per record, in corpus order."""
-    def embedded():
-        for rec in bank:
-            try:
-                yield enc.embed(rec.utterance, params, cfg, injection)
-            except Exception as exc:
-                raise type(exc)(f"record {rec.id!r}: {exc}") from exc
+    """One unit-normalized utterance embedding per record, in corpus order.
+
+    Records run in ``enc.forward_batch`` chunks; each row equals the
+    record's ``enc.embed`` bit for bit.
+    """
+    def tokens(rec):
+        try:
+            return enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len)
+        except enc.EmptyInput as exc:
+            raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
 
     ids = bank.ids()
-    embeddings = _unit_rows(ids, embedded(), cfg.d)
+    embeddings = _unit_rows(ids, enc.embed_batch([tokens(rec) for rec in bank], params, cfg,
+                                                 injection))
     provenance = {"params_sha256": enc.params_fingerprint(params),
                   "injection": injection_provenance(injection)}
     return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)
@@ -312,16 +319,16 @@ INDEX_FORMAT_VERSION = 1
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
+    embeddings = index.embeddings
     header = {
         "format_version": INDEX_FORMAT_VERSION,
         "n": len(index.ids),
-        "d": int(index.embeddings.shape[1]) if index.embeddings.size else 0,
+        "d": int(embeddings.shape[-1]) if embeddings.size else 0,
         "ids": index.ids,
         "provenance": index.provenance,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(index.embeddings, dtype=np.float64).tobytes())
+    enc.write_header_blob(path, header,
+                          [("embeddings", embeddings, (len(index.ids), embeddings.shape[-1]))])
 
 
 def load_index(path: str | Path) -> RetrievalIndex:

@@ -54,9 +54,13 @@ class ParseDialect(str, Enum):
 
 
 class ParseTree:
-    """Ordered labeled tree; ``size`` counts every node in the subtree."""
+    """Ordered labeled tree; ``size`` counts every node in the subtree.
 
-    __slots__ = ("label", "children", "size")
+    Trees are not mutated after construction, so the hash is computed on
+    first use and kept.
+    """
+
+    __slots__ = ("label", "children", "size", "_hash")
 
     def __init__(self, label: str, children: tuple[ParseTree, ...] | list[ParseTree] = ()):
         if not label:
@@ -64,6 +68,7 @@ class ParseTree:
         self.label = label
         self.children = tuple(children)
         self.size = 1 + sum(c.size for c in self.children)
+        self._hash: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -89,7 +94,9 @@ class ParseTree:
         return self.label == other.label and self.children == other.children
 
     def __hash__(self) -> int:
-        return hash((self.label, self.children))
+        if self._hash is None:
+            self._hash = hash((self.label, self.children))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ParseTree({self.to_compact()})"

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from stare import encoder as enc
 from stare import mining, mli, retrieval
 from stare.encoder import InjectionDirection
 from stare.ted import UNIT_COSTS, EditCosts, sim_struct
@@ -264,3 +265,20 @@ def reference_mine_group(anchor_id: str, pool: set[str], corpus,
         flags.append("short_random_negatives")
 
     return mining.ContrastiveGroup(anchor_id, positive_id, hard, rand, positive_sim, flags)
+
+
+def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> float:
+    """``encoder.group_loss_and_grads`` one sequence at a time: each text is
+    its own batch of one, with its own ``backward_ids`` call."""
+    runs = []
+    embs = []
+    for text in texts:
+        ids = enc.tokenize(text, cfg.vocab, cfg.max_len)
+        [(_, states, cache)] = enc.forward_batch([ids], params, cfg, with_cache=True)
+        runs.append(cache)
+        embs.append(states[-1][0].mean(axis=0))
+    loss, d_anchor, d_others = enc._infonce_embedding_grads(embs[0], embs[1:], temperature)
+    for cache, demb in zip(runs, [d_anchor] + d_others):
+        tokens = cache["ids"].shape[1]
+        enc.backward_ids(np.tile(demb / tokens, (1, tokens, 1)), cache, params, cfg, grads)
+    return loss

@@ -8,6 +8,8 @@ from stare import encoder as enc
 from stare.corpus import Corpus, Record
 from stare.mining import ContrastiveGroup
 
+from oracles import reference_group_loss_and_grads
+
 
 @pytest.fixture(scope="module")
 def small_cfg():
@@ -108,6 +110,43 @@ class TestForward:
             resumed = enc.run_blocks(hidden.layers[first], small_params, small_cfg, first)
             assert len(resumed) == small_cfg.layers + 1 - first
             assert all(np.array_equal(a, b) for a, b in zip(resumed, hidden.layers[first:]))
+
+
+class TestForwardBatch:
+    def test_length_chunks(self):
+        lengths = [3, 5, 3, 3, 5, 64, 70, 3]
+        assert enc.length_chunks(lengths, max_tokens=6) == [[0, 2], [3, 7], [1], [4], [5], [6]]
+        assert enc.length_chunks(lengths, max_tokens=sum(lengths)) == \
+            [[0, 2, 3, 7], [1, 4], [5], [6]]
+        assert enc.length_chunks([]) == []
+
+    def test_states_equal_one_sequence_run(self, small_cfg, small_params):
+        rng = np.random.default_rng(4)
+        vocab_size = len(small_cfg.vocab)
+        # lengths 1..max_len+3 (the last ones truncate) and 40 sequences of
+        # length 2, more than one CHUNK_TOKENS chunk holds
+        id_lists = [list(rng.integers(0, vocab_size, size=n))
+                    for n in [*range(1, small_cfg.max_len + 4), *[2] * 40]]
+        u = rng.standard_normal(small_cfg.d)
+        for injection in (None, enc.InjectionDirection(u=u, layer=1, lam=2.0)):
+            seen = []
+            for positions, states, cache in enc.forward_batch(id_lists, small_params,
+                                                              small_cfg, injection):
+                assert cache is None
+                assert len(positions) * states[0].shape[1] <= enc.CHUNK_TOKENS
+                for b, pos in enumerate(positions):
+                    ids = id_lists[pos][: small_cfg.max_len]  # one (tokens, d) sequence
+                    x = small_params["tok_emb"][ids] + small_params["pos_emb"][: len(ids)]
+                    want = enc.run_blocks(x, small_params, small_cfg, 0, injection)
+                    assert all(np.array_equal(got[b], w) for got, w in zip(states, want)), pos
+                seen += positions
+            assert sorted(seen) == list(range(len(id_lists)))
+            assert len({len(p) for p, _, _ in enc.forward_batch(
+                id_lists, small_params, small_cfg)}) > 1
+
+    def test_empty_sequence_rejected(self, small_cfg, small_params):
+        with pytest.raises(enc.EmptyInput):
+            list(enc.forward_batch([[1], []], small_params, small_cfg))
 
 
 class TestEmbed:
@@ -232,6 +271,24 @@ def test_gradients_match_finite_differences(small_cfg, small_params):
     assert worst <= 1e-3
 
 
+MIXED_GROUPS = [
+    ["remind me to pack boxes", "remind me to pack", "play golden hour",
+     "call ravi and mia", "how cold is oslo", "start a timer", "call mia"],
+    ["call mia", "call ravi", "play golden hour now", "how cold is oslo in spring",
+     "start a timer !", "pack boxes", "mia"],
+]
+
+
+@pytest.mark.parametrize("texts", MIXED_GROUPS)
+def test_grouped_grads_match_batch_of_one(small_cfg, small_params, texts):
+    grads = enc.zerolike_params(small_params)
+    want = enc.zerolike_params(small_params)
+    loss = enc.group_loss_and_grads(texts, small_params, small_cfg, 0.07, grads)
+    assert loss == reference_group_loss_and_grads(texts, small_params, small_cfg, 0.07, want)
+    for name in grads:
+        assert np.max(np.abs(grads[name] - want[name])) <= 1e-12, name
+
+
 class TestTrain:
     def _toy(self):
         records = [Record("a1", "red apple fruit", "[A x ]"),
@@ -276,6 +333,28 @@ class TestTrain:
         with pytest.raises(enc.NonFiniteLoss, match="a1"):
             enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=1), params=params)
 
+    def test_one_backward_per_group_and_length(self, monkeypatch):
+        corpus, _, cfg = self._toy()
+        corpus = Corpus(list(corpus) + [Record("c1", "drum", "[B z ]"),
+                                        Record("c2", "a red apple fruit", "[A z ]")],
+                        "bracketed")
+        groups = [ContrastiveGroup("a1", "a2", ["b1", "c1"], ["c2"], 0.9),
+                  ContrastiveGroup("b1", "b2", ["a1"], ["a2", "c2"], 0.9),
+                  ContrastiveGroup("c1", "b2", ["c2"], [], 0.9)]
+        backward_ids, calls = enc.backward_ids, []
+
+        def counting(d_final, cache, *args):
+            calls.append(cache["ids"].shape)
+            return backward_ids(d_final, cache, *args)
+
+        monkeypatch.setattr(enc, "backward_ids", counting)
+        enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=2, batch=2))
+        lengths = [{len(enc.tokenize(text, cfg.vocab, cfg.max_len))
+                    for text in enc.group_texts(group, corpus)} for group in groups]
+        assert len(calls) == 2 * sum(map(len, lengths)) == 2 * (3 + 2 + 3)
+        assert sum(batch for batch, _ in calls) == 2 * sum(
+            2 + len(group.negative_ids()) for group in groups)
+
     def test_epoch_cap(self):
         with pytest.raises(ValueError):
             enc.TrainConfig(epochs=4)
@@ -295,6 +374,17 @@ class TestPersistence:
         enc.save_params(p1, small_params, small_cfg)
         enc.save_params(p2, small_params, small_cfg)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_misshaped_array_leaves_file_untouched(self, small_cfg, small_params, tmp_path):
+        path = tmp_path / "enc.params"
+        enc.save_params(path, small_params, small_cfg)
+        before = path.read_bytes()
+        bad = dict(small_params)
+        bad["layers.1.b2"] = np.zeros(small_cfg.d + 1)  # the last array written
+        with pytest.raises(enc.DimensionMismatch, match="layers.1.b2"):
+            enc.save_params(path, bad, small_cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.params"]
 
     def test_fingerprint_tracks_values(self, small_cfg, small_params):
         fp1 = enc.params_fingerprint(small_params)

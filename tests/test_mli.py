@@ -91,6 +91,23 @@ class TestCollectStates:
         with pytest.raises(enc.LayerOutOfRange):
             mli.collect_states(corpus, params, cfg, 0)
 
+    def test_rows_equal_per_sentence_forward(self):
+        cfg = self._cfg()
+        params = enc.init_params(cfg)
+        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+        sentences = [(words[i % 3 : i % 3 + n], [("NOUN", "VERB")[j % 2] for j in range(n)])
+                     for i, n in enumerate([2, 1, 3, 2, 5, 1, 2, 3, 4, 2])]
+        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")
+        for layer in (1, 3):
+            X, y = mli.collect_states(corpus, params, cfg, layer)
+            want_x, want_y = [], []
+            for tokens, labels in sentences:
+                ids = enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
+                want_x.append(enc.forward_ids(ids, params, cfg).layers[layer])
+                want_y += [labels[j] == "VERB" for j in range(len(ids))]
+            assert np.array_equal(X, np.vstack(want_x))
+            assert list(y) == want_y
+
 
 class TestTrainProbe:
     def test_separable_blobs(self, probe_cfg):
@@ -275,14 +292,14 @@ class TestSweep:
 
     def test_forward_calls_do_not_grow_with_lambdas(self, monkeypatch):
         dev, bank, params, cfg, corpora = self._setup()
-        forward_ids = enc.forward_ids
-        calls = []
+        forward_batch = enc.forward_batch
+        calls = []  # one entry per sequence forwarded from layer 0
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return forward_ids(*args, **kwargs)
+        def counting(id_lists, *args, **kwargs):
+            calls.extend([1] * len(id_lists))
+            return forward_batch(id_lists, *args, **kwargs)
 
-        monkeypatch.setattr(enc, "forward_ids", counting)
+        monkeypatch.setattr(enc, "forward_batch", counting)
         counts = []
         for lambdas in ([1.0], [0.5, 1.0, 2.0, 4.0, 6.0]):
             calls.clear()

@@ -60,6 +60,70 @@ class TestBuildIndex:
         assert i1.provenance == i2.provenance
 
 
+def _assert_rows_equal_embed(index, bank, params, cfg, injection):
+    for rec, row in zip(bank, index.embeddings):
+        vec = enc.embed(rec.utterance, params, cfg, injection)
+        assert np.array_equal(row, vec / np.linalg.norm(vec)), rec.id
+
+
+def _direction(cfg, layer):
+    u = np.random.default_rng(layer).standard_normal(cfg.d)
+    return enc.InjectionDirection(u=u / np.linalg.norm(u), layer=layer, lam=2.0, prop="POS")
+
+
+@pytest.mark.parametrize("layer", [None, 2, 4])
+def test_fixture_index_rows_equal_embed(bank, trained_params, enc_cfg, layer):
+    injection = None if layer is None else _direction(enc_cfg, layer)
+    index = build_index(bank, trained_params, enc_cfg, injection)
+    assert index.ids == bank.ids()
+    _assert_rows_equal_embed(index, bank, trained_params, enc_cfg, injection)
+
+
+@pytest.mark.parametrize("layer", [None, 1, 2])
+def test_mixed_length_index_rows_equal_embed(tiny_bank, tiny_cfg, tiny_params, layer):
+    words = [w for rec in tiny_bank for w in enc.word_tokens(rec.utterance)]
+    # every length 1..max_len+3 (the last three truncate to max_len), then
+    # more same-length records than one chunk of CHUNK_TOKENS tokens holds
+    lengths = [*range(1, tiny_cfg.max_len + 4), *[3] * (enc.CHUNK_TOKENS // 3 + 5),
+               *[tiny_cfg.max_len] * 6]
+    bank = Corpus([Record(f"m{i}", " ".join(words[(i + j) % len(words)] for j in range(n)),
+                          "[A x ]") for i, n in enumerate(lengths)], "bracketed")
+    injection = None if layer is None else _direction(tiny_cfg, layer)
+    index = build_index(bank, tiny_params, tiny_cfg, injection)
+    _assert_rows_equal_embed(index, bank, tiny_params, tiny_cfg, injection)
+
+
+def test_build_index_names_empty_record(tiny_cfg, tiny_params):
+    bank = Corpus([Record("ok", "call mia", "[A x ]"), Record("blank", "   ", "[A x ]")],
+                  "bracketed")
+    with pytest.raises(enc.EmptyInput, match="'blank'"):
+        build_index(bank, tiny_params, tiny_cfg)
+
+
+class TestRankHead:
+    """``_rank`` stops at k kept rows; results equal the full stable sort."""
+
+    @staticmethod
+    def _full(index, vec, exclude):
+        scores = index.embeddings @ (vec / np.linalg.norm(vec))
+        return [(index.ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")
+                if index.ids[i] != exclude]
+
+    @pytest.mark.parametrize("exclude", [None, "head", "tail", "absent"])
+    def test_k_up_to_available(self, tiny_bank, tiny_params, tiny_cfg, exclude):
+        index = build_index(tiny_bank, tiny_params, tiny_cfg)
+        vec = enc.embed("remind me to call", tiny_params, tiny_cfg)
+        order = [rid for rid, _ in self._full(index, vec, None)]
+        exclude = {"head": order[0], "tail": order[-1], "absent": "zz"}.get(exclude)
+        full = self._full(index, vec, exclude)
+        available = len(tiny_bank) - (exclude in tiny_bank.ids())
+        assert len(full) == available
+        for k in range(1, available + 1):
+            assert retrieval._rank(index.ids, index.embeddings, vec, k, exclude) == full[:k]
+        with pytest.raises(KTooLarge, match=f"k={available + 1} exceeds {available} available"):
+            retrieval._rank(index.ids, index.embeddings, vec, available + 1, exclude)
+
+
 class TestTopk:
     def test_self_query_first_with_unit_score(self, tiny_bank, tiny_params, tiny_cfg):
         index = build_index(tiny_bank, tiny_params, tiny_cfg)
@@ -250,6 +314,18 @@ class TestIndexPersistence:
         q = "weather forecast today"
         assert (topk(loaded, q, 3, tiny_params, tiny_cfg)
                 == topk(index, q, 3, tiny_params, tiny_cfg))
+
+    def test_misshaped_index_leaves_file_untouched(self, tiny_bank, tiny_params, tiny_cfg,
+                                                  tmp_path):
+        index = build_index(tiny_bank, tiny_params, tiny_cfg)
+        path = tmp_path / "bank.index"
+        save_index(index, path)
+        before = path.read_bytes()
+        short = retrieval.RetrievalIndex(index.ids, index.embeddings[:-1], index.provenance)
+        with pytest.raises(enc.DimensionMismatch, match="embeddings"):
+            save_index(short, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["bank.index"]
 
     def test_save_deterministic(self, tiny_bank, tiny_params, tiny_cfg, tmp_path):
         p1, p2 = tmp_path / "a.index", tmp_path / "b.index"

@@ -278,6 +278,18 @@ def test_dialect_dispatch():
     assert parse("SELECT a FROM t", "sql_skeleton").label == "SELECT_STMT"
 
 
+def test_hash_cached_and_consistent_with_equality():
+    a = parse_bracketed("[IN:X [SL:A me ] tell Angie [SL:B Friday ] ]")
+    b = parse_bracketed("[IN:X [SL:A me ] tell Angie [SL:B Friday ] ]")
+    c = parse_bracketed("[IN:X [SL:A me ] tell Angie [SL:B monday ] ]")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c
+    assert hash(a) == hash((a.label, a.children))
+    assert {a: 1, c: 2}[b] == 1
+    a.label = "IN:Y"  # trees are immutable by convention: the first hash is kept
+    assert hash(a) == hash(b)
+
+
 def test_invalid_label_rejected():
     with pytest.raises(ValueError):
         ParseTree("")
