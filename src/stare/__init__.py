@@ -5,18 +5,18 @@ from .corpus import Corpus, Record, load_corpus, save_corpus
 from .encoder import EncoderConfig, InjectionDirection, TrainConfig, embed, forward, train
 from .mining import ContrastiveGroup, MiningConfig, mine_all, mine_group
 from .mli import Probe, SweepGrid, TokenLabelCorpus, extract_direction, sweep, train_probe
-from .retrieval import PromptSpec, RetrievalIndex, bm25_topk, build_index, build_prompt, topk
-from .ted import EditCosts, sim_struct, ted
+from .retrieval import PromptSpec, RetrievalIndex, build_index, build_prompt, topk
+from .ted import sim_struct, ted
 from .trees import (ParseDialect, ParseTree, anonymize_leaves, parse, parse_bracketed,
                     parse_sexpr, parse_sql_skeleton)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "ContrastiveGroup", "EditCosts", "EncoderConfig", "InjectionDirection",
+    "Corpus", "ContrastiveGroup", "EncoderConfig", "InjectionDirection",
     "LshIndex", "MiningConfig", "ParseDialect", "ParseTree", "Probe", "PromptSpec",
     "Record", "RetrievalIndex", "SweepGrid", "TokenLabelCorpus", "TrainConfig",
-    "anonymize_leaves", "bm25_topk", "build_index", "build_prompt", "embed",
+    "anonymize_leaves", "build_index", "build_prompt", "embed",
     "exact_jaccard", "extract_direction", "extract_features", "forward", "load_corpus",
     "lsh_params", "mine_all", "mine_group", "minhash", "parse", "parse_bracketed",
     "parse_sexpr", "parse_sql_skeleton", "save_corpus", "sim_struct", "sweep", "ted",

@@ -32,9 +32,9 @@ class Corpus:
     and trees from outside the corpus, such as gold parses, are interned
     into the same id space. ``sim`` memoizes ``sim_struct`` per unordered
     id pair for the life of the corpus and holds only the pairs actually
-    compared. The unordered key is exact: under unit costs ``ted`` sums
-    integer costs, so ``ted(a, b)`` and ``ted(b, a)`` are the same float,
-    and ``max(size)`` is symmetric.
+    compared. The unordered key is exact: ``ted`` sums integer unit costs,
+    so ``ted(a, b)`` and ``ted(b, a)`` are the same float, and
+    ``max(size)`` is symmetric.
     """
 
     def __init__(self, records: list[Record], dialect: ParseDialect):

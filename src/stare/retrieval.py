@@ -185,10 +185,6 @@ class Bm25:
         return [(self.ids[i], float(scores[i])) for i in order[:k]]
 
 
-def bm25_topk(bank: Corpus, query: str, k: int) -> list[tuple[str, float]]:
-    return Bm25(bank).topk(query, k)
-
-
 # ---------------------------------------------------------------------------
 # prompt rendering
 # ---------------------------------------------------------------------------

@@ -56,11 +56,12 @@ class ParseDialect(str, Enum):
 class ParseTree:
     """Ordered labeled tree; ``size`` counts every node in the subtree.
 
-    Trees are not mutated after construction, so the hash is computed on
-    first use and kept.
+    Trees are not mutated after construction, so the hash and the tree
+    edit distance decomposition (``stare.ted``) are computed on first use
+    and kept.
     """
 
-    __slots__ = ("label", "children", "size", "_hash")
+    __slots__ = ("label", "children", "size", "_hash", "_ted")
 
     def __init__(self, label: str, children: tuple[ParseTree, ...] | list[ParseTree] = ()):
         if not label:
@@ -69,6 +70,7 @@ class ParseTree:
         self.children = tuple(children)
         self.size = 1 + sum(c.size for c in self.children)
         self._hash: int | None = None
+        self._ted: tuple | None = None
 
     @property
     def is_leaf(self) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 from stare import encoder as enc
 from stare import mining, mli, retrieval
 from stare.encoder import InjectionDirection
-from stare.ted import UNIT_COSTS, EditCosts, sim_struct
+from stare.ted import sim_struct
 from stare.trees import ParseTree
 
 
@@ -92,12 +92,13 @@ def _relations(tree: ParseTree) -> tuple[tuple[str, ...], tuple[tuple[bool, ...]
     return tuple(labels), tuple(tuple(r) for r in anc), tuple(tuple(r) for r in left)
 
 
-def ted_bruteforce(a: ParseTree, b: ParseTree, costs: EditCosts = UNIT_COSTS) -> float:
-    """Exact edit cost by enumerating every valid ordered-tree mapping.
+def ted_bruteforce(a: ParseTree, b: ParseTree) -> float:
+    """Exact unit-cost edit distance by enumerating every valid ordered-tree
+    mapping.
 
     A mapping is valid when it is one-to-one and preserves both the
-    ancestor relation and left-to-right order; its cost is the relabel
-    cost of mapped pairs plus deletions/insertions for unmapped nodes.
+    ancestor relation and left-to-right order; its cost is one per mapped
+    pair with differing labels plus one per unmapped node.
     Only feasible for tiny trees (TooLarge above 4 nodes); serves as the
     independent oracle for ted().
     """
@@ -106,19 +107,18 @@ def ted_bruteforce(a: ParseTree, b: ParseTree, costs: EditCosts = UNIT_COSTS) ->
     lab_a, anc_a, left_a = _relations(a)
     lab_b, anc_b, left_b = _relations(b)
     n_a, n_b = len(lab_a), len(lab_b)
-    best = costs.delete * n_a + costs.insert * n_b
-    delc, insc, relc = costs.delete, costs.insert, costs.relabel
+    best = float(n_a + n_b)
 
     def search(i: int, used_b: int, pairs: list[tuple[int, int]], cost: float) -> None:
         nonlocal best
         if cost >= best:
             return
         if i == n_a:
-            total = cost + insc * (n_b - len(pairs))
+            total = cost + (n_b - len(pairs))
             if total < best:
                 best = total
             return
-        search(i + 1, used_b, pairs, cost + delc)
+        search(i + 1, used_b, pairs, cost + 1.0)
         anc_ai = anc_a[i]
         left_ai = left_a[i]
         for j in range(n_b):
@@ -132,13 +132,117 @@ def ted_bruteforce(a: ParseTree, b: ParseTree, costs: EditCosts = UNIT_COSTS) ->
                     break
             if not ok:
                 continue
-            rel = 0.0 if lab_a[i] == lab_b[j] else relc
+            rel = 0.0 if lab_a[i] == lab_b[j] else 1.0
             pairs.append((i, j))
             search(i + 1, used_b | (1 << j), pairs, cost + rel)
             pairs.pop()
 
     search(0, 0, [], 0.0)
     return best
+
+
+def mirror(tree: ParseTree) -> ParseTree:
+    """``tree`` with every child list reversed."""
+    return ParseTree(tree.label, tuple(mirror(c) for c in reversed(tree.children)))
+
+
+def _left_path_decompose(tree: ParseTree) -> tuple[tuple[str, ...], tuple[int, ...],
+                                                   tuple[int, ...]]:
+    """Postorder labels, leftmost-leaf indices, and keyroots (all 1-based)."""
+    labels: list[str] = [""]
+    lml = [0]
+
+    def visit(node: ParseTree) -> int:
+        first = 0
+        for child in node.children:
+            idx = visit(child)
+            if not first:
+                first = idx
+        labels.append(node.label)
+        my = len(labels) - 1
+        lml.append(first if first else my)
+        return lml[my]
+
+    visit(tree)
+    n = len(labels) - 1
+    seen: set[int] = set()
+    keyroots = []
+    for i in range(n, 0, -1):
+        if lml[i] not in seen:
+            keyroots.append(i)
+            seen.add(lml[i])
+    keyroots.reverse()
+    return tuple(labels), tuple(lml), tuple(keyroots)
+
+
+def ted_left_path(a: ParseTree, b: ParseTree) -> float:
+    """Unit-cost Zhang–Shasha along the leftmost paths only.
+
+    The reference for ``stare.ted.ted``, which runs a pair on the mirrored
+    trees when that side is cheaper and keeps each tree's decomposition.
+    """
+    labels_a, lml_a, kr_a = _left_path_decompose(a)
+    labels_b, lml_b, kr_b = _left_path_decompose(b)
+    n_a, n_b = len(labels_a) - 1, len(labels_b) - 1
+
+    symbols: dict[str, int] = {}
+    la = [symbols.setdefault(s, len(symbols)) for s in labels_a]
+    lb = [symbols.setdefault(s, len(symbols)) for s in labels_b]
+
+    delc = insc = relc = 1.0
+    td = [[0.0] * (n_b + 1) for _ in range(n_a + 1)]
+
+    for i in kr_a:
+        li = lml_a[i]
+        rows = i - li + 1
+        for j in kr_b:
+            lj = lml_b[j]
+            cols = j - lj + 1
+
+            fd = [[0.0] * (cols + 1) for _ in range(rows + 1)]
+            row0 = fd[0]
+            for c in range(1, cols + 1):
+                row0[c] = row0[c - 1] + insc
+            for r in range(1, rows + 1):
+                di = li + r - 1
+                prev = fd[r - 1]
+                cur = fd[r]
+                cur[0] = prev[0] + delc
+                ldi = lml_a[di]
+                lab_di = la[di]
+                td_di = td[di]
+                if ldi == li:
+                    for c in range(1, cols + 1):
+                        dj = lj + c - 1
+                        best = prev[c] + delc
+                        t = cur[c - 1] + insc
+                        if t < best:
+                            best = t
+                        if lml_b[dj] == lj:
+                            t = prev[c - 1] + (relc if lab_di != lb[dj] else 0.0)
+                            if t < best:
+                                best = t
+                            cur[c] = best
+                            td_di[dj] = best
+                        else:
+                            t = fd[0][lml_b[dj] - lj] + td_di[dj]
+                            if t < best:
+                                best = t
+                            cur[c] = best
+                else:
+                    fd_sub = fd[ldi - li]
+                    for c in range(1, cols + 1):
+                        dj = lj + c - 1
+                        best = prev[c] + delc
+                        t = cur[c - 1] + insc
+                        if t < best:
+                            best = t
+                        t = fd_sub[lml_b[dj] - lj] + td_di[dj]
+                        if t < best:
+                            best = t
+                        cur[c] = best
+
+    return td[n_a][n_b]
 
 
 def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
@@ -282,3 +386,8 @@ def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> fl
         tokens = cache["ids"].shape[1]
         enc.backward_ids(np.tile(demb / tokens, (1, tokens, 1)), cache, params, cfg, grads)
     return loss
+
+
+def bm25_topk(bank, query: str, k: int) -> list[tuple[str, float]]:
+    """BM25's top ``k`` over the whole bank: (id, score) best first."""
+    return retrieval.Bm25(bank).topk(query, k)

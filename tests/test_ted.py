@@ -1,13 +1,17 @@
+import importlib
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stare.ted import EditCosts, sim_struct, sim_struct_raw, ted
+from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree
 
-from oracles import TooLarge, all_trees, ted_bruteforce
+from oracles import TooLarge, all_trees, mirror, ted_bruteforce, ted_left_path
+
+# The module, not the function that ``stare`` re-exports under its name.
+ted_module = importlib.import_module("stare.ted")
 
 
 def t(label, *children):
@@ -41,17 +45,6 @@ class TestTed:
         # cost (6) exceeds both tree sizes (4).
         assert ted(CHAIN, STAR) == 6.0
         assert ted_bruteforce(CHAIN, STAR) == 6.0
-
-    def test_custom_costs(self):
-        costs = EditCosts(insert=2.0, delete=3.0, relabel=5.0)
-        assert ted(t("a"), t("a", t("b")), costs) == 2.0
-        assert ted(t("a", t("b")), t("a"), costs) == 3.0
-        assert ted(t("a"), t("b"), costs) == 5.0
-        assert ted(t("a"), t("b"), costs) == ted_bruteforce(t("a"), t("b"), costs)
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            EditCosts(insert=-1.0)
 
 
 class TestSimStruct:
@@ -148,7 +141,14 @@ def test_sim_struct_self_is_one(seed):
     assert sim_struct(tree, tree) == 1.0
 
 
-def test_hundred_node_smoke():
+def test_matches_left_path_reference(random_tree_pool):
+    for a in random_tree_pool:
+        for b in random_tree_pool:
+            assert ted(a, b).hex() == ted_left_path(a, b).hex(), (a, b)
+
+
+@pytest.fixture(scope="module")
+def hundred_node_pair():
     rng = np.random.default_rng(7)
     a = _random_tree(rng, 100)
     b = _random_tree(rng, 100)
@@ -156,9 +156,65 @@ def test_hundred_node_smoke():
         a = ParseTree("r", (a, _random_tree(rng, 40)))
     while b.size < 80:
         b = ParseTree("r", (b, _random_tree(rng, 40)))
+    return a, b
+
+
+def test_hundred_node_smoke(hundred_node_pair):
+    a, b = hundred_node_pair
     start = time.time()
     ted(a, b)
     assert time.time() - start < 1.0
+
+
+def test_hundred_node_matches_left_path_reference(hundred_node_pair):
+    a, b = hundred_node_pair
+    assert ted(a, b).hex() == ted_left_path(a, b).hex()
+    assert ted(b, a).hex() == ted_left_path(a, b).hex()
+
+
+# ---------------------------------------------------------------------------
+# the side ted runs on: left paths, or the mirrored trees when cheaper
+# ---------------------------------------------------------------------------
+
+def _left_comb(spine: int) -> ParseTree:
+    """Every inner node has its subtree first and one leaf after it."""
+    node = t("x")
+    for k in range(spine):
+        node = t(f"s{k % 3}", node, t(f"l{k % 2}"))
+    return node
+
+
+@pytest.mark.parametrize("left_spine,right_spine,side",
+                         [(12, 4, 0), (4, 12, 1), (9, 9, 0)])
+def test_comb_pair_runs_on_cheaper_side(left_spine, right_spine, side):
+    a, b = _left_comb(left_spine), mirror(_left_comb(right_spine))
+    sides_a, sides_b = ted_module._decompose(a), ted_module._decompose(b)
+    products = [sides_a[k][3] * sides_b[k][3] for k in (0, 1)]
+    assert products[side] <= products[1 - side]
+    for x, y, sx, sy in ((a, b, sides_a, sides_b), (b, a, sides_b, sides_a)):
+        picked = ted_module._cheaper_sides(x, y)
+        assert picked[0] is sx[side] and picked[1] is sy[side]
+        assert ted(x, y).hex() == ted_left_path(x, y).hex()
+
+
+def test_mirrored_side_is_left_side_of_mirror(random_tree_pool):
+    for tree in random_tree_pool + [_left_comb(10)]:
+        left, right = ted_module._decompose(tree)
+        assert (right, left) == ted_module._decompose(mirror(tree))
+
+
+def test_decomposition_computed_once_per_tree(monkeypatch):
+    built = []
+    side = ted_module._side
+    monkeypatch.setattr(ted_module, "_side",
+                        lambda tree, mirrored: built.append(tree) or side(tree, mirrored))
+    tree = t("f", t("a"), t("b", t("c")))
+    ted(tree, t("g"))
+    sides = tree._ted
+    for i in range(4100):
+        ted(tree, t(f"x{i}", t("y")))
+    assert sum(x is tree for x in built) == 2
+    assert ted_module._decompose(tree) is sides
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +238,8 @@ def _assert_symmetric(a: ParseTree, b: ParseTree) -> None:
 @given(_trees(), _trees())
 def test_ted_symmetric_bit_for_bit(a, b):
     _assert_symmetric(a, b)
+    d = ted(a, b).hex()
+    assert d == ted(mirror(a), mirror(b)).hex() == ted_left_path(a, b).hex(), (a, b)
 
 
 @pytest.mark.parametrize("max_nodes,alphabet", [(3, ("A", "B", "C")), (4, ("A", "B"))])
