@@ -1,6 +1,6 @@
 """Structure-aware exemplar retrieval for semantic-parsing prompts."""
 
-from .bucketing import LshIndex, exact_jaccard, extract_features, lsh_params, minhash
+from .bucketing import LshIndex, extract_features, lsh_params, minhash
 from .corpus import Corpus, Record, load_corpus, save_corpus
 from .encoder import EncoderConfig, InjectionDirection, TrainConfig, embed, forward, train
 from .mining import ContrastiveGroup, MiningConfig, mine_all, mine_group
@@ -17,7 +17,7 @@ __all__ = [
     "LshIndex", "MiningConfig", "ParseDialect", "ParseTree", "Probe", "PromptSpec",
     "Record", "RetrievalIndex", "SweepGrid", "TokenLabelCorpus", "TrainConfig",
     "anonymize_leaves", "build_index", "build_prompt", "embed",
-    "exact_jaccard", "extract_direction", "extract_features", "forward", "load_corpus",
+    "extract_direction", "extract_features", "forward", "load_corpus",
     "lsh_params", "mine_all", "mine_group", "minhash", "parse", "parse_bracketed",
     "parse_sexpr", "parse_sql_skeleton", "save_corpus", "sim_struct", "sweep", "ted",
     "topk", "train", "train_probe",

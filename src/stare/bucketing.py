@@ -11,6 +11,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -93,23 +94,20 @@ def extract_features(parse: str, dialect: ParseDialect | str) -> frozenset[str]:
     return frozenset(feats)
 
 
-def exact_jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
-    """|a ∩ b| / |a ∪ b|, with 1.0 for two empty sets."""
-    union = len(a | b)
-    if union == 0:
-        return 1.0
-    return len(a & b) / union
-
-
 def _feature_hash(feature: str) -> int:
     return int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+@lru_cache(maxsize=8)
 def _hash_family(num_hashes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply-add parameters (a odd, b) derived deterministically from seed."""
+    """Multiply-add parameters (a odd, b) derived deterministically from seed.
+
+    Computed once per (num_hashes, seed); the arrays are shared, so read-only.
+    """
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2**64, size=num_hashes, dtype=_U64) | _U64(1)
     b = rng.integers(0, 2**64, size=num_hashes, dtype=_U64)
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
@@ -128,13 +126,6 @@ def minhash(features: frozenset[str] | set[str], num_hashes: int = DEFAULT_NUM_H
     base = np.fromiter((_feature_hash(f) for f in sorted(features)), dtype=_U64)
     hashed = a[:, None] * base[None, :] + b[:, None]  # uint64 wraparound intended
     return hashed.min(axis=1)
-
-
-def signature_agreement(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    """Fraction of matching positions; unbiased Jaccard estimate."""
-    if sig_a.shape != sig_b.shape:
-        raise SignatureLengthMismatch(f"{sig_a.shape} vs {sig_b.shape}")
-    return float(np.mean(sig_a == sig_b))
 
 
 def lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
@@ -161,20 +152,20 @@ def lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _band_digest(band: np.ndarray) -> int:
-    return int.from_bytes(hashlib.blake2b(band.tobytes(), digest_size=8).digest(), "big")
-
-
 @dataclass
 class LshIndex:
-    """Banded MinHash index; ids collide when any band digest matches."""
+    """Banded MinHash index; ids collide when any band's values are equal.
+
+    A band's bucket key is the raw bytes of its values, so a key match is
+    exact equality, and a signature's keys are slices of one ``tobytes``.
+    """
 
     num_hashes: int = DEFAULT_NUM_HASHES
     tau: float = DEFAULT_TAU
     seed: int = 0
     bands: int = field(init=False)
     rows: int = field(init=False)
-    buckets: list[dict[int, list[str]]] = field(init=False, repr=False)
+    buckets: list[dict[bytes, list[str]]] = field(init=False, repr=False)
     signatures: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -190,22 +181,25 @@ class LshIndex:
             raise SignatureLengthMismatch(
                 f"signature length {sig.shape} does not match index P={self.num_hashes}")
 
+    def _band_keys(self, sig: np.ndarray) -> list[bytes]:
+        raw = sig.tobytes()
+        width = len(raw) // self.bands
+        return [raw[start : start + width] for start in range(0, len(raw), width)]
+
     def insert(self, record_id: str, sig: np.ndarray) -> None:
         self._check_signature(sig)
         if record_id in self.signatures:
             raise DuplicateId(record_id)
         self.signatures[record_id] = sig
-        for band_idx in range(self.bands):
-            band = sig[band_idx * self.rows : (band_idx + 1) * self.rows]
-            self.buckets[band_idx].setdefault(_band_digest(band), []).append(record_id)
+        for bucket, key in zip(self.buckets, self._band_keys(sig)):
+            bucket.setdefault(key, []).append(record_id)
 
     def query(self, sig: np.ndarray, exclude: str | None = None) -> set[str]:
         """Union of bucket members colliding in at least one band."""
         self._check_signature(sig)
         pool: set[str] = set()
-        for band_idx in range(self.bands):
-            band = sig[band_idx * self.rows : (band_idx + 1) * self.rows]
-            pool.update(self.buckets[band_idx].get(_band_digest(band), ()))
+        for bucket, key in zip(self.buckets, self._band_keys(sig)):
+            pool.update(bucket.get(key, ()))
         pool.discard(exclude)
         return pool
 
@@ -214,28 +208,117 @@ class LshIndex:
     FORMAT_VERSION = 1
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format_version": self.FORMAT_VERSION,
-            "P": self.num_hashes,
-            "b": self.bands,
-            "r": self.rows,
-            "tau": self.tau,
-            "seed": self.seed,
-            "records": [[rid, [int(v) for v in sig]] for rid, sig in self.signatures.items()],
-        }
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one
+        record at a time, so no string of the whole file is built."""
+        fields = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
+                  "b": self.bands, "r": self.rows, "tau": self.tau, "seed": self.seed,
+                  "records": None}
+        with open(path, "w", encoding="utf-8") as fh:
+            for n, key in enumerate(sorted(fields)):
+                fh.write(("{" if n == 0 else ", ") + json.dumps(key) + ": ")
+                if key != "records":
+                    fh.write(json.dumps(fields[key]))
+                    continue
+                fh.write("[")
+                for i, (rid, sig) in enumerate(self.signatures.items()):
+                    fh.write((", " if i else "") + json.dumps([rid, sig.tolist()]))
+                fh.write("]")
+            fh.write("}")
 
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict) or payload.get("format_version") != cls.FORMAT_VERSION:
+        """Read ``save`` output, decoding one top-level value and one record
+        at a time; anything malformed is a ValueError naming ``path``."""
+        try:
+            fields, records = _decode_index(Path(path).read_bytes().decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index "
+                             f"({exc})") from None
+        if fields.get("format_version") != cls.FORMAT_VERSION:
             raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index")
-        missing = [key for key in ("P", "b", "r", "tau", "seed", "records") if key not in payload]
+        missing = [key for key in ("P", "b", "r", "tau", "seed", "records") if key not in fields]
         if missing:
             raise ValueError(f"{path}: LSH index lacks key {missing[0]!r}")
-        index = cls(num_hashes=payload["P"], tau=payload["tau"], seed=payload["seed"])
-        if (index.bands, index.rows) != (payload["b"], payload["r"]):
-            raise ValueError("band geometry mismatch in saved index")
-        for rid, values in payload["records"]:
-            index.insert(rid, np.asarray(values, dtype=_U64))
+        if not (all(type(fields[key]) is int for key in ("P", "b", "r", "seed"))
+                and type(fields["tau"]) in (int, float)):
+            raise ValueError(f"{path}: LSH index P, b, r and seed must be integers and "
+                             "tau a number")
+        index = cls(num_hashes=fields["P"], tau=fields["tau"], seed=fields["seed"])
+        if (index.bands, index.rows) != (fields["b"], fields["r"]):
+            raise ValueError(f"{path}: band geometry mismatch in saved index")
+        for n, (rid, sig) in enumerate(records):
+            try:
+                index.insert(rid, sig)
+            except DuplicateId:
+                raise DuplicateId(f"{path}: record {n}: duplicate id {rid!r}") from None
+            except SignatureLengthMismatch as exc:
+                raise SignatureLengthMismatch(f"{path}: record {n} ({rid!r}): {exc}") from None
         return index
+
+
+_WS = json.decoder.WHITESPACE
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _punct(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """The first of ``chars`` after whitespace at ``pos``, and the position after it."""
+    pos = _WS.match(text, pos).end()
+    if pos >= len(text) or text[pos] not in chars:
+        raise ValueError(f"expected one of {chars!r} at char {pos}")
+    return text[pos], pos + 1
+
+
+def _read_container(text: str, pos: int, brackets: str, read_item) -> int:
+    """Read the JSON array or object at ``pos`` (``brackets`` "[]" or "{}");
+    ``read_item(start)`` decodes one element and returns the position after it."""
+    pos = _WS.match(text, _punct(text, pos, brackets[0])[1]).end()
+    if text.startswith(brackets[1], pos):
+        return pos + 1
+    while True:
+        pos = read_item(_WS.match(text, pos).end())
+        char, pos = _punct(text, pos, "," + brackets[1])
+        if char == brackets[1]:
+            return pos
+
+
+def _decode_index(text: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The top-level values of an index file other than ``records``, and its
+    records as (id, uint64 array), decoded one value at a time."""
+    fields: dict = {}
+    records: list[tuple[str, np.ndarray]] = []
+
+    def read_record(pos: int) -> int:
+        value, pos = _DECODE(text, pos)
+        records.append(_signature_record(value, len(records)))
+        return pos
+
+    def read_member(pos: int) -> int:
+        key, pos = _DECODE(text, pos)
+        if not isinstance(key, str):
+            raise ValueError(f"object key at char {pos} is not a string")
+        pos = _punct(text, pos, ":")[1]
+        if key == "records":
+            fields[key] = None
+            return _read_container(text, pos, "[]", read_record)
+        fields[key], pos = _DECODE(text, _WS.match(text, pos).end())
+        return pos
+
+    end = _read_container(text, 0, "{}", read_member)
+    if _WS.match(text, end).end() != len(text):
+        raise ValueError(f"extra data at char {end}")
+    return fields, records
+
+
+def _signature_record(value, n: int) -> tuple[str, np.ndarray]:
+    """One ``[id, [v, ...]]`` element of ``records`` as (id, uint64 array)."""
+    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+            and isinstance(value[1], list)):
+        raise ValueError(f"record {n} is not [id, [values]]: {json.dumps(value)[:80]}")
+    rid, values = value
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"record {n} ({rid!r}) has a non-integer signature value")
+    try:
+        return rid, np.array(values, dtype=_U64)
+    except OverflowError:
+        raise ValueError(f"record {n} ({rid!r}) has a signature value outside "
+                         "[0, 2**64)") from None

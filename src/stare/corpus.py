@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from . import trees
 from .ted import sim_struct
 from .trees import ParseDialect, ParseTree
@@ -47,9 +49,10 @@ class Corpus:
             self.index_of[rec.id] = i
         self._tree_cache: dict[tuple[str, bool], ParseTree] = {}
         self._tree_ids: dict[tuple[str, bool], int] = {}
+        self._tree_id_arrays: dict[bool, np.ndarray] = {}
         self._interned: dict[ParseTree, int] = {}
         self._trees: list[ParseTree] = []
-        self._sims: dict[tuple[int, int], float] = {}
+        self._sims: dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -93,12 +96,23 @@ class Corpus:
             tid = self._tree_ids[key] = self.intern(self.tree(record_id, anonymize))
         return tid
 
+    def tree_ids(self, anonymize: bool = False) -> np.ndarray:
+        """``tree_id`` of every record in corpus order, as a read-only array
+        kept for the life of the corpus."""
+        ids = self._tree_id_arrays.get(anonymize)
+        if ids is None:
+            ids = np.fromiter((self.tree_id(rec.id, anonymize) for rec in self.records),
+                              dtype=np.intp, count=len(self.records))
+            ids.flags.writeable = False
+            self._tree_id_arrays[anonymize] = ids
+        return ids
+
     def sim(self, a: int, b: int) -> float:
         """``sim_struct`` of the trees with ids ``a`` and ``b``, memoized.
 
         A miss computes ``sim_struct(tree a, tree b)`` in the order asked.
         """
-        key = (a, b) if a <= b else (b, a)
+        key = a << 32 | b if a <= b else b << 32 | a  # one int per pair: smaller than a tuple
         value = self._sims.get(key)
         if value is None:
             value = self._sims[key] = sim_struct(self._trees[a], self._trees[b])

@@ -577,17 +577,6 @@ def group_texts(group, corpus) -> list[str]:
         corpus.get(nid).utterance for nid in group.negative_ids()]
 
 
-def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
-                    temperature: float) -> float:
-    """Mean InfoNCE over groups at fixed parameters (no updates)."""
-    total = 0.0
-    for group in groups:
-        embs = embed_batch([tokenize(text, cfg.vocab, cfg.max_len)
-                            for text in group_texts(group, corpus)], params, cfg)
-        total += infonce_loss(embs[0], embs[1], embs[2:], temperature)
-    return total / len(groups)
-
-
 def train(groups, corpus, cfg: EncoderConfig, train_cfg: TrainConfig,
           params: dict[str, np.ndarray] | None = None
           ) -> tuple[dict[str, np.ndarray], list[float]]:

@@ -67,22 +67,6 @@ def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def _outside_positions(ranks: list[int], excluded: list[int]) -> list[int]:
-    """Corpus positions of the ``ranks``-th records outside ``excluded``.
-
-    Both lists ascend. Each rank steps over the excluded positions at or
-    below it, so the positions equal indexing the explicit complement.
-    """
-    out, skipped = [], 0
-    for r in ranks:
-        pos = r + skipped
-        while skipped < len(excluded) and excluded[skipped] <= pos:
-            skipped += 1
-            pos += 1
-        out.append(pos)
-    return out
-
-
 def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
                config: MiningConfig) -> ContrastiveGroup | None:
     """Build one contrastive group, or None when the pool is empty.
@@ -92,52 +76,61 @@ def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
     positive excluded. Random negatives: seeded uniform draws from the
     rest of the corpus; shortage is flagged, not fatal.
 
-    Similarities come from the corpus's table, asked once per distinct
+    The pool is mined as an ascending array of corpus positions. Its
+    similarities come from the corpus's table, asked once per distinct
     pool tree, anchor first. The table keeps every pair for the life of
     the corpus under one unordered key, exact because unit-cost TED is
     symmetric to the bit (see ``Corpus``), so across ``mine_all`` each
     distinct unordered tree pair costs one TED. Random negatives draw
     ``rng.choice(n_outside, take)`` ranks among the records outside
-    anchor and pool, in corpus order, and each rank becomes a corpus
-    position by stepping over the sorted excluded positions. That equals
-    indexing the explicit outside list without building it, so an anchor
-    costs O(pool log pool), not O(N).
+    anchor and pool, in corpus order. The rank-r outside record sits at
+    r plus the number of excluded positions e_i with e_i - i <= r, which
+    a ``searchsorted`` finds, so an anchor costs O(pool log pool), not O(N).
     """
     if anchor_id not in corpus:
         raise UnknownId(anchor_id)
     try:
-        members = sorted(pool, key=corpus.index_of.__getitem__)  # corpus order
+        positions = np.fromiter(map(corpus.index_of.__getitem__, pool), dtype=np.intp,
+                                count=len(pool))
     except KeyError as exc:
         raise UnknownId(exc.args[0]) from None
-    if not members:
+    if not len(positions):
         return None
+    positions.sort()
+    records = corpus.records
 
-    anchor = corpus.tree_id(anchor_id, config.anonymize)
-    tree_ids = [corpus.tree_id(pid, config.anonymize) for pid in members]
-    sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tree_ids)}
-    sims = [sim_of[tid] for tid in tree_ids]
-    # Members are in corpus order, so the first maximum breaks ties to the
-    # smallest index, and a stable sort by sim orders by (sim, index).
-    positive_sim = max(sims)
-    best = sims.index(positive_sim)
-    positive_id = members[best]
+    table = corpus.tree_ids(config.anonymize)
+    anchor_pos = corpus.index_of[anchor_id]
+    anchor = int(table[anchor_pos])
+    tids = table[positions].tolist()
+    sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tids)}
+    sims = np.fromiter(map(sim_of.__getitem__, tids), dtype=np.float64, count=len(tids))
+    # Positions ascend, so argmax's first maximum breaks ties to the smallest
+    # index, and a stable sort by sim orders by (sim, index).
+    best = int(np.argmax(sims))
+    positive_id = records[positions[best]].id
 
     flags: list[str] = []
-    ascending = sorted(range(len(members)), key=sims.__getitem__)
-    hard = [members[i] for i in ascending if i != best][: config.n_hard]
+    ascending = np.argsort(sims, kind="stable")
+    hard = [records[positions[i]].id
+            for i in ascending[: config.n_hard + 1] if i != best][: config.n_hard]
     if len(hard) < config.n_hard:
         flags.append("short_hard_negatives")
 
-    excluded = sorted({corpus.index_of[anchor_id], *map(corpus.index_of.__getitem__, members)})
+    excluded = positions if anchor_id in pool else np.sort(np.append(positions, anchor_pos))
     n_outside = len(corpus) - len(excluded)
     rng = _anchor_rng(config.seed, anchor_id)
     take = min(config.n_rand, n_outside)
-    ranks = sorted(rng.choice(n_outside, size=take, replace=False)) if take else []
-    rand = [corpus.records[pos].id for pos in _outside_positions(ranks, excluded)]
+    rand: list[str] = []
+    if take:
+        ranks = np.sort(rng.choice(n_outside, size=take, replace=False))
+        shifted = excluded - np.arange(len(excluded))
+        rand = [records[pos].id for pos in
+                (ranks + np.searchsorted(shifted, ranks, side="right")).tolist()]
     if take < config.n_rand:
         flags.append("short_random_negatives")
 
-    return ContrastiveGroup(anchor_id, positive_id, hard, rand, positive_sim, flags)
+    return ContrastiveGroup(anchor_id, positive_id, hard, rand, float(sims[best]), flags)
 
 
 def mine_all(corpus: Corpus, index: LshIndex,

@@ -284,7 +284,7 @@ def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
     evaluated against one bank share each gold-vs-bank-tree TED.
     """
     golds = gold_trees(dev_queries, bank, anonymize)
-    bank_ids = [bank.tree_id(rec.id, anonymize) for rec in bank]
+    bank_ids = bank.tree_ids(anonymize).tolist()
     heads = []
     mrrs = []
     top1 = []

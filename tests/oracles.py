@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from stare import encoder as enc
 from stare import mining, mli, retrieval
+from stare.bucketing import LshIndex, SignatureLengthMismatch
 from stare.encoder import InjectionDirection
 from stare.ted import sim_struct
 from stare.trees import ParseTree
@@ -391,3 +393,49 @@ def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> fl
 def bm25_topk(bank, query: str, k: int) -> list[tuple[str, float]]:
     """BM25's top ``k`` over the whole bank: (id, score) best first."""
     return retrieval.Bm25(bank).topk(query, k)
+
+
+def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: enc.EncoderConfig,
+                    temperature: float) -> float:
+    """Mean InfoNCE over groups at fixed parameters (no updates)."""
+    total = 0.0
+    for group in groups:
+        embs = enc.embed_batch([enc.tokenize(text, cfg.vocab, cfg.max_len)
+                                for text in enc.group_texts(group, corpus)], params, cfg)
+        total += enc.infonce_loss(embs[0], embs[1], embs[2:], temperature)
+    return total / len(groups)
+
+
+def exact_jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) -> float:
+    """|a ∩ b| / |a ∪ b|, with 1.0 for two empty sets."""
+    union = len(a | b)
+    if union == 0:
+        return 1.0
+    return len(a & b) / union
+
+
+def signature_agreement(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
+    """Fraction of matching positions; unbiased Jaccard estimate."""
+    if sig_a.shape != sig_b.shape:
+        raise SignatureLengthMismatch(f"{sig_a.shape} vs {sig_b.shape}")
+    return float(np.mean(sig_a == sig_b))
+
+
+def _band_digest(band: np.ndarray) -> int:
+    return int.from_bytes(hashlib.blake2b(band.tobytes(), digest_size=8).digest(), "big")
+
+
+def reference_lsh_query(index: LshIndex, sig: np.ndarray, exclude: str | None = None) -> set[str]:
+    """``LshIndex.query`` with buckets keyed by one 64-bit blake2b digest per
+    band, rebuilt from ``index.signatures`` in insertion order."""
+    def digests(s: np.ndarray) -> list[int]:
+        return [_band_digest(s[i * index.rows:(i + 1) * index.rows])
+                for i in range(index.bands)]
+
+    buckets: list[dict[int, list[str]]] = [{} for _ in range(index.bands)]
+    for rid, s in index.signatures.items():
+        for bucket, key in zip(buckets, digests(s)):
+            bucket.setdefault(key, []).append(rid)
+    pool = {rid for bucket, key in zip(buckets, digests(sig)) for rid in bucket.get(key, ())}
+    pool.discard(exclude)
+    return pool

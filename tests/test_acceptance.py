@@ -7,14 +7,15 @@ import time
 import numpy as np
 
 from stare import bucketing, encoder as enc, mining, mli, retrieval
-from stare.bucketing import LshIndex, exact_jaccard, minhash, signature_agreement
+from stare.bucketing import LshIndex, minhash
 from stare.corpus import Corpus, Record
 from stare.mining import MiningConfig, mine_group
 from stare.retrieval import PromptSpec, build_prompt
 from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree
 
-from oracles import all_trees, jacobi_svd_top_right, ted_bruteforce
+from oracles import (all_trees, exact_jaccard, jacobi_svd_top_right, mean_group_loss,
+                     signature_agreement, ted_bruteforce)
 
 
 def _report(criterion: int, ok: bool, detail: str, started: float) -> None:
@@ -244,8 +245,8 @@ def test_criterion_07_infonce_analytics():
 def test_criterion_08_training_efficacy(bank, mined, enc_cfg, init_params, trained):
     started = time.time()
     groups, _ = mined
-    initial = enc.mean_group_loss(groups, bank, init_params, enc_cfg, 0.07)
-    final = enc.mean_group_loss(groups, bank, trained[0], enc_cfg, 0.07)
+    initial = mean_group_loss(groups, bank, init_params, enc_cfg, 0.07)
+    final = mean_group_loss(groups, bank, trained[0], enc_cfg, 0.07)
     reduction = 1.0 - final / initial
     _report(8, reduction >= 0.5 and time.time() - started < 300.0,
             f"3-epoch training cut mean InfoNCE {initial:.3f} -> {final:.3f} "

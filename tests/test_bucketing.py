@@ -1,13 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stare import fixtures
 from stare.bucketing import (DuplicateId, EmptyFeatureSet, LshIndex,
-                             SignatureLengthMismatch, exact_jaccard, extract_features,
-                             lsh_params, minhash, signature_agreement, _feature_hash,
+                             SignatureLengthMismatch, extract_features,
+                             lsh_params, minhash, _feature_hash,
                              _hash_family)
 from stare.trees import UnbalancedBrackets
+
+from oracles import exact_jaccard, reference_lsh_query, signature_agreement
 
 
 class TestExtractFeatures:
@@ -190,9 +195,31 @@ class TestLshIndex:
         with pytest.raises(ValueError, match=f"lsh_index.json.*'{key}'"):
             LshIndex.load(path)
 
+    @pytest.mark.parametrize("key,value", [("P", "32"), ("b", 8.0), ("seed", None),
+                                           ("tau", "0.5"), ("r", True)])
+    def test_load_rejects_bad_header_value(self, tmp_path, key, value):
+        path = tmp_path / "lsh_index.json"
+        LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="lsh_index.json"):
+            LshIndex.load(path)
+
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "lsh_index.json"
         path.write_text("[]")
+        with pytest.raises(ValueError, match="lsh_index.json"):
+            LshIndex.load(path)
+
+    @pytest.mark.parametrize("mangle", [lambda b: b[:-1], lambda b: b + b" {}",
+                                        lambda b: b[:40], lambda b: b"\xff" + b])
+    def test_load_rejects_malformed_text(self, tmp_path, mangle):
+        path = tmp_path / "lsh_index.json"
+        index = LshIndex(num_hashes=32, tau=0.5, seed=2)
+        index.insert("r0", self._sig({"a", "b"}, index))
+        index.save(path)
+        path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(ValueError, match="lsh_index.json"):
             LshIndex.load(path)
 
@@ -232,3 +259,108 @@ def test_recall_and_pool_size_on_synthetic_sets():
                 collide += f"s{j}" in pool
     assert eligible > 100
     assert collide / eligible >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# persistence format and band keys against the one-shot and blake2b references
+# ---------------------------------------------------------------------------
+
+def _payload(index):
+    return {"format_version": 1, "P": index.num_hashes, "b": index.bands, "r": index.rows,
+            "tau": index.tau, "seed": index.seed,
+            "records": [[rid, [int(v) for v in sig]] for rid, sig in index.signatures.items()]}
+
+
+def _assert_same_index(loaded, index):
+    assert (loaded.num_hashes, loaded.tau, loaded.seed, loaded.bands, loaded.rows) == (
+        index.num_hashes, index.tau, index.seed, index.bands, index.rows)
+    assert list(loaded.signatures) == list(index.signatures)
+    for rid, sig in index.signatures.items():
+        assert loaded.signatures[rid].dtype == np.uint64
+        assert np.array_equal(loaded.signatures[rid], sig)
+    assert loaded.buckets == index.buckets
+
+
+def _check_save_and_load(index, path):
+    index.save(path)
+    assert path.read_bytes() == json.dumps(_payload(index), sort_keys=True).encode("utf-8")
+    _assert_same_index(LshIndex.load(path), index)
+    payload = _payload(index)
+    records_first = {"records": payload.pop("records"), **payload}
+    path.write_text(json.dumps(records_first, indent=1), encoding="utf-8")
+    _assert_same_index(LshIndex.load(path), index)
+
+
+def test_save_and_load_fixture_index(lsh_index, tmp_path):
+    _check_save_and_load(lsh_index, tmp_path / "lsh_index.json")
+
+
+def test_save_and_load_empty_index(tmp_path):
+    _check_save_and_load(LshIndex(num_hashes=16, tau=0.5, seed=1), tmp_path / "empty.json")
+
+
+_AWKWARD_IDS = st.lists(
+    st.one_of(st.text(alphabet=st.sampled_from(['"', "\\", "é", "☃", "\n", ",", " ", "]", "a"]),
+                      max_size=6),
+              st.sampled_from(['", "', "]]", '"]], ["', "\\\"", "\u2028"])),
+    unique=True, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ids=_AWKWARD_IDS, values=st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8))
+def test_save_and_load_awkward_ids(tmp_path_factory, ids, values):
+    index = LshIndex(num_hashes=8, tau=0.5, seed=3)
+    for i, rid in enumerate(ids):
+        index.insert(rid, np.roll(np.array(values, dtype=np.uint64), i))
+    _check_save_and_load(index, tmp_path_factory.mktemp("ids") / "index.json")
+
+
+@st.composite
+def _planted_signatures(draw):
+    """Signatures over a tiny value range, with some bands copied between them."""
+    n = draw(st.integers(1, 8))
+    sigs = [np.array(draw(st.lists(st.integers(0, 3), min_size=12, max_size=12)),
+                     dtype=np.uint64) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        band = draw(st.integers(0, 5))  # P=12, tau=0.5 gives 6 bands of 2 rows
+        sigs[dst][2 * band:2 * band + 2] = sigs[src][2 * band:2 * band + 2]
+    probe = np.array(draw(st.lists(st.sampled_from([0, 1, 2, 3, 2**63, 2**64 - 1]),
+                                   min_size=12, max_size=12)), dtype=np.uint64)
+    return sigs, probe
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_planted_signatures())
+def test_query_equals_blake2b_reference(case):
+    sigs, probe = case
+    index = LshIndex(num_hashes=12, tau=0.5, seed=0)
+    for i, sig in enumerate(sigs):
+        index.insert(f"s{i}", sig)
+    for i, sig in enumerate(sigs):
+        assert index.query(sig, exclude=f"s{i}") == reference_lsh_query(index, sig, f"s{i}")
+        assert index.query(sig) == reference_lsh_query(index, sig)
+    assert index.query(probe) == reference_lsh_query(index, probe)
+
+
+def test_save_and_load_memory(tmp_path):
+    """On the fixture bank at N = 2,000, saving holds one record at a time
+    and loading holds the file's text, then its arrays."""
+    bank = fixtures.generate(fixtures.FixtureSpec(per_cluster=400, seed=0)).train
+    index = LshIndex(num_hashes=128, tau=0.5, seed=7)
+    for rec in bank:
+        index.insert(rec.id, minhash(extract_features(rec.parse, "bracketed"), 128, 7))
+    path = tmp_path / "lsh_index.json"
+    tracemalloc.start()
+    try:
+        index.save(path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = LshIndex.load(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 1_000_000
+    assert load_peak < 2.5 * path.stat().st_size
+    _assert_same_index(loaded, index)

@@ -202,6 +202,39 @@ def _hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Each way an lsh_index.json's records can be malformed, applied in place.
+_CORRUPTIONS = {
+    "not_an_id_list_pair": lambda records: records.__setitem__(0, 7),
+    "negative_value": lambda records: records[0][1].__setitem__(0, -1),
+    "value_of_2_to_the_64": lambda records: records[0][1].__setitem__(0, 2**64),
+    "non_integer_value": lambda records: records[0][1].__setitem__(0, 1.5),
+    "wrong_length": lambda records: records[0][1].pop(),
+    "duplicate_id": lambda records: records[1].__setitem__(0, records[0][0]),
+}
+
+
+@pytest.fixture(scope="module")
+def bucketed(fixture_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("bucketed")
+    assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out)]) == 0
+    return (out / "lsh_index.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS))
+def test_mine_refuses_bad_lsh_index(fixture_dir, bucketed, tmp_path, caplog, case):
+    payload = json.loads(bucketed)
+    _CORRUPTIONS[case](payload["records"])
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "lsh_index.json").write_text(json.dumps(payload, sort_keys=True),
+                                        encoding="utf-8")
+    assert cli.main(["mine", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out)]) == 2
+    assert "lsh_index.json" in caplog.text and "record " in caplog.text
+    assert not (out / "pairs.jsonl").exists()
+
+
 class TestPipeline:
     def test_stage_artifacts_exist(self, pipeline_runs):
         _, run_a, _ = pipeline_runs

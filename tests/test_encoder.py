@@ -8,7 +8,7 @@ from stare import encoder as enc
 from stare.corpus import Corpus, Record
 from stare.mining import ContrastiveGroup
 
-from oracles import reference_group_loss_and_grads
+from oracles import mean_group_loss, reference_group_loss_and_grads
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +320,10 @@ class TestTrain:
 
     def test_loss_decreases_on_toy(self):
         corpus, groups, cfg = self._toy()
-        initial = enc.mean_group_loss(groups, corpus, enc.init_params(cfg), cfg, 0.07)
+        initial = mean_group_loss(groups, corpus, enc.init_params(cfg), cfg, 0.07)
         params, _ = enc.train(groups, corpus, cfg,
                               enc.TrainConfig(epochs=3, lr=3e-4, batch=1))
-        final = enc.mean_group_loss(groups, corpus, params, cfg, 0.07)
+        final = mean_group_loss(groups, corpus, params, cfg, 0.07)
         assert final < initial
 
     def test_nonfinite_loss_names_group(self):
