@@ -2,11 +2,14 @@
 
 The index serves high-recall candidate pools: two parses whose feature
 sets have Jaccard similarity above the configured threshold are very
-likely to collide in at least one band.
+likely to collide in at least one band. The index persists as JSON with
+each signature as one base64 string, so stock ``json`` reads it without a
+Python int per signature value.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
@@ -205,11 +208,12 @@ class LshIndex:
 
     # -- persistence --------------------------------------------------------
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def save(self, path: str | Path) -> None:
         """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one
-        record at a time, so no string of the whole file is built."""
+        record at a time, so no string of the whole file is built. A record
+        is ``[id, base64 of the signature's P little-endian uint64s]``."""
         fields = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
                   "b": self.bands, "r": self.rows, "tau": self.tau, "seed": self.seed,
                   "records": None}
@@ -221,20 +225,21 @@ class LshIndex:
                     continue
                 fh.write("[")
                 for i, (rid, sig) in enumerate(self.signatures.items()):
-                    fh.write((", " if i else "") + json.dumps([rid, sig.tolist()]))
+                    text = base64.b64encode(sig.astype("<u8", copy=False).tobytes())
+                    fh.write((", " if i else "") + json.dumps([rid, text.decode("ascii")]))
                 fh.write("]")
             fh.write("}")
 
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
-        """Read ``save`` output, decoding one top-level value and one record
-        at a time; anything malformed is a ValueError naming ``path``."""
+        """Read ``save`` output with one ``json`` call, then decode and drop
+        one record at a time; anything malformed is a ValueError naming ``path``."""
         try:
-            fields, records = _decode_index(Path(path).read_bytes().decode("utf-8"))
+            fields = json.loads(Path(path).read_bytes().decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index "
                              f"({exc})") from None
-        if fields.get("format_version") != cls.FORMAT_VERSION:
+        if not isinstance(fields, dict) or fields.get("format_version") != cls.FORMAT_VERSION:
             raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index")
         missing = [key for key in ("P", "b", "r", "tau", "seed", "records") if key not in fields]
         if missing:
@@ -243,82 +248,30 @@ class LshIndex:
                 and type(fields["tau"]) in (int, float)):
             raise ValueError(f"{path}: LSH index P, b, r and seed must be integers and "
                              "tau a number")
+        records = fields["records"]
+        if not isinstance(records, list):
+            raise ValueError(f"{path}: LSH index records must be a list")
         index = cls(num_hashes=fields["P"], tau=fields["tau"], seed=fields["seed"])
         if (index.bands, index.rows) != (fields["b"], fields["r"]):
             raise ValueError(f"{path}: band geometry mismatch in saved index")
-        for n, (rid, sig) in enumerate(records):
+        width = 8 * index.num_hashes
+        for n, record in enumerate(records):
+            if not (isinstance(record, list) and len(record) == 2
+                    and all(isinstance(value, str) for value in record)):
+                raise ValueError(f"{path}: record {n} is not [id, base64 signature]: "
+                                 f"{json.dumps(record)[:80]}")
+            rid = record[0]
             try:
-                index.insert(rid, sig)
+                raw = base64.b64decode(record[1], validate=True)
+            except ValueError:  # binascii.Error, or a non-ASCII string
+                raise ValueError(f"{path}: record {n} ({rid!r}): signature is not "
+                                 "base64") from None
+            if len(raw) != width:
+                raise SignatureLengthMismatch(f"{path}: record {n} ({rid!r}): signature "
+                                              f"has {len(raw)} bytes, not 8 * P = {width}")
+            records[n] = None
+            try:
+                index.insert(rid, np.frombuffer(raw, "<u8").astype(_U64, copy=False))
             except DuplicateId:
                 raise DuplicateId(f"{path}: record {n}: duplicate id {rid!r}") from None
-            except SignatureLengthMismatch as exc:
-                raise SignatureLengthMismatch(f"{path}: record {n} ({rid!r}): {exc}") from None
         return index
-
-
-_WS = json.decoder.WHITESPACE
-_DECODE = json.JSONDecoder().raw_decode
-
-
-def _punct(text: str, pos: int, chars: str) -> tuple[str, int]:
-    """The first of ``chars`` after whitespace at ``pos``, and the position after it."""
-    pos = _WS.match(text, pos).end()
-    if pos >= len(text) or text[pos] not in chars:
-        raise ValueError(f"expected one of {chars!r} at char {pos}")
-    return text[pos], pos + 1
-
-
-def _read_container(text: str, pos: int, brackets: str, read_item) -> int:
-    """Read the JSON array or object at ``pos`` (``brackets`` "[]" or "{}");
-    ``read_item(start)`` decodes one element and returns the position after it."""
-    pos = _WS.match(text, _punct(text, pos, brackets[0])[1]).end()
-    if text.startswith(brackets[1], pos):
-        return pos + 1
-    while True:
-        pos = read_item(_WS.match(text, pos).end())
-        char, pos = _punct(text, pos, "," + brackets[1])
-        if char == brackets[1]:
-            return pos
-
-
-def _decode_index(text: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    """The top-level values of an index file other than ``records``, and its
-    records as (id, uint64 array), decoded one value at a time."""
-    fields: dict = {}
-    records: list[tuple[str, np.ndarray]] = []
-
-    def read_record(pos: int) -> int:
-        value, pos = _DECODE(text, pos)
-        records.append(_signature_record(value, len(records)))
-        return pos
-
-    def read_member(pos: int) -> int:
-        key, pos = _DECODE(text, pos)
-        if not isinstance(key, str):
-            raise ValueError(f"object key at char {pos} is not a string")
-        pos = _punct(text, pos, ":")[1]
-        if key == "records":
-            fields[key] = None
-            return _read_container(text, pos, "[]", read_record)
-        fields[key], pos = _DECODE(text, _WS.match(text, pos).end())
-        return pos
-
-    end = _read_container(text, 0, "{}", read_member)
-    if _WS.match(text, end).end() != len(text):
-        raise ValueError(f"extra data at char {end}")
-    return fields, records
-
-
-def _signature_record(value, n: int) -> tuple[str, np.ndarray]:
-    """One ``[id, [v, ...]]`` element of ``records`` as (id, uint64 array)."""
-    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-            and isinstance(value[1], list)):
-        raise ValueError(f"record {n} is not [id, [values]]: {json.dumps(value)[:80]}")
-    rid, values = value
-    if not all(type(v) is int for v in values):
-        raise ValueError(f"record {n} ({rid!r}) has a non-integer signature value")
-    try:
-        return rid, np.array(values, dtype=_U64)
-    except OverflowError:
-        raise ValueError(f"record {n} ({rid!r}) has a signature value outside "
-                         "[0, 2**64)") from None

@@ -450,25 +450,6 @@ def _checked_norm(vec: np.ndarray, role: str) -> float:
     return norm
 
 
-def infonce_loss(anchor: np.ndarray, positive: np.ndarray,
-                 negatives: Sequence[np.ndarray], temperature: float) -> float:
-    """Temperature-scaled contrastive loss over cosine similarities.
-
-    -log( exp(cos(a,p)/T) / (exp(cos(a,p)/T) + sum_i exp(cos(a,n_i)/T)) ),
-    evaluated with log-sum-exp stabilization. Zero with no negatives.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    na = _checked_norm(anchor, "anchor")
-    sims = []
-    for role, other in [("positive", positive)] + [("negative", n) for n in negatives]:
-        no = _checked_norm(other, role)
-        sims.append(float(anchor @ other) / (na * no))
-    z = np.asarray(sims) / temperature
-    m = z.max()
-    return float(-z[0] + m + np.log(np.exp(z - m).sum()))
-
-
 def _infonce_embedding_grads(anchor: np.ndarray, others: list[np.ndarray],
                              temperature: float) -> tuple[float, np.ndarray, list[np.ndarray]]:
     """Loss plus gradients w.r.t. the anchor and each other embedding."""

