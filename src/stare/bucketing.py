@@ -45,10 +45,6 @@ class SignatureLengthMismatch(ValueError):
     pass
 
 
-class NoFactorization(ValueError):
-    pass
-
-
 def _norm_terminal(token: str) -> str:
     return _DIGITS.sub("<d>", token.lower())
 
@@ -150,8 +146,6 @@ def lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
         err = abs((1.0 / b) ** (1.0 / r) - tau)
         if best is None or err < best[0] - 1e-15 or (abs(err - best[0]) <= 1e-15 and r > best[2]):
             best = (err, b, r)
-    if best is None:  # unreachable: b=1 always divides
-        raise NoFactorization(str(num_hashes))
     return best[1], best[2]
 
 

@@ -90,7 +90,6 @@ class InjectionDirection:
     layer: int
     lam: float = 0.0
     prop: str | None = None
-    converged: bool = True
 
 
 @dataclass

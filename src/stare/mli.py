@@ -2,7 +2,7 @@
 
 A logistic-regression probe is trained on one layer's token states for a
 linguistic property (POS, DEPS, or PT); the top right singular vector of
-its weight matrix, found by power iteration, becomes a unit steering
+its weight matrix, taken from ``np.linalg.svd``, becomes a unit steering
 direction. The sweep scores (layer, property, intensity) cells by the
 structural similarity of what the injected retriever fetches for dev
 queries, with the uninjected retriever always included as baseline.
@@ -199,45 +199,19 @@ def train_probe(X: np.ndarray, y: np.ndarray, layer: int, prop: str,
                  loss_curve=curve)
 
 
-def extract_direction(probe: Probe, tol: float = 1e-10,
-                      max_iters: int | None = None) -> InjectionDirection:
-    """Top right singular vector of the probe weights, by power iteration.
+def extract_direction(probe: Probe) -> InjectionDirection:
+    """Top right singular vector of the probe weights, from ``np.linalg.svd``.
 
-    Iterates v <- W'Wv / ||W'Wv|| until successive iterates differ by
-    less than tol in norm (up to sign), budgeted at 10*d iterations with
-    a floor of 640 so narrow-gap spectra on small matrices still
-    converge; the sign is fixed so the first nonzero component is
-    positive. Non-convergence returns the best iterate, flagged.
+    The sign is fixed so the first nonzero component is positive.
     """
     W = np.asarray(probe.W, dtype=np.float64)
     if not np.any(W):
         raise ZeroMatrix("probe weight matrix is all zeros")
-    d = W.shape[1]
-    if max_iters is None:
-        max_iters = 10 * max(d, 64)
-    A = W.T @ W
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    converged = False
-    for _ in range(max_iters):
-        w = A @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break  # started in the null space; keep current iterate
-        w /= norm
-        step = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
-        if step < tol:
-            v = w
-            converged = True
-            break
-        v = w
-    v = v / np.linalg.norm(v)
+    v = np.linalg.svd(W, full_matrices=False)[2][0]
     nonzero = np.flatnonzero(v)
     if nonzero.size and v[nonzero[0]] < 0:
         v = -v
-    return InjectionDirection(u=v, layer=probe.layer, lam=0.0, prop=probe.prop,
-                              converged=converged)
+    return InjectionDirection(u=v, layer=probe.layer, lam=0.0, prop=probe.prop)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +330,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
                 continue
             for lam in grid.lambdas:
                 injection = InjectionDirection(u=directions[key].u, layer=layer,
-                                               lam=float(lam), prop=prop,
-                                               converged=directions[key].converged)
+                                               lam=float(lam), prop=prop)
                 try:
                     score = baseline if lam == 0.0 else score_cell(injection)
                 except Exception as exc:
@@ -393,8 +366,7 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
         payload["baseline"] = True
     else:
         payload.update({"property": direction.prop, "layer": direction.layer,
-                        "lambda": direction.lam, "converged": direction.converged,
-                        "u": [float(x) for x in direction.u]})
+                        "lambda": direction.lam, "u": [float(x) for x in direction.u]})
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
@@ -407,7 +379,10 @@ def load_direction(path: str | Path) -> InjectionDirection | None:
     missing = [key for key in ("u", "layer", "lambda", "property") if key not in payload]
     if missing:
         raise ValueError(f"{path}: direction lacks key {missing[0]!r}")
-    return InjectionDirection(u=np.asarray(payload["u"], dtype=np.float64),
-                              layer=int(payload["layer"]), lam=float(payload["lambda"]),
-                              prop=payload["property"],
-                              converged=bool(payload.get("converged", True)))
+    u, layer, lam, prop = (payload[key] for key in ("u", "layer", "lambda", "property"))
+    if not (isinstance(u, list) and all(type(x) in (int, float) for x in u)
+            and type(layer) is int and type(lam) in (int, float) and isinstance(prop, str)):
+        raise ValueError(f"{path}: direction u must be a list of numbers, layer an integer, "
+                         "lambda a number and property a string")
+    return InjectionDirection(u=np.asarray(u, dtype=np.float64), layer=layer, lam=float(lam),
+                              prop=prop)

@@ -334,5 +334,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
     if not (isinstance(n, int) and isinstance(d, int) and isinstance(ids, list)
             and len(ids) == n and len(blob) == 8 * n * d):
         raise ValueError(f"{path}: embeddings do not match the header ({len(blob)} bytes)")
+    provenance = header["provenance"]
+    if not (isinstance(provenance, dict) and isinstance(provenance.get("params_sha256"), str)
+            and "injection" in provenance
+            and isinstance(provenance["injection"], (dict, type(None)))):
+        raise ValueError(f"{path}: provenance needs a params_sha256 string and an "
+                         "injection object or null")
     embeddings = np.frombuffer(blob, dtype=np.float64).reshape(n, d)
-    return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=header["provenance"])
+    return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)

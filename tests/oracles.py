@@ -321,8 +321,7 @@ def reference_sweep(dev_queries, bank, params, cfg, label_corpora, grid, k,
                 continue
             for lam in grid.lambdas:
                 injection = InjectionDirection(u=directions[key].u, layer=layer,
-                                               lam=float(lam), prop=prop,
-                                               converged=directions[key].converged)
+                                               lam=float(lam), prop=prop)
                 try:
                     score = baseline if lam == 0.0 else score_cell(injection)
                 except Exception as exc:

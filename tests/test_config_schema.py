@@ -175,6 +175,29 @@ class TestLoaders:
             mli.load_direction(path)
         assert _retrieve(config, out, "--use-direction") == 2
 
+    def test_direction_wrong_type(self, run_dir, caplog):
+        config, out = run_dir
+        (out / "direction.json").write_text(json.dumps(
+            {"format_version": 1, "property": "POS", "layer": 1, "lambda": None,
+             "u": [0.0] * 16}))
+        assert _retrieve(config, out, "--use-direction") == 2
+        assert "direction.json" in caplog.text and "lambda" in caplog.text
+
+    @pytest.mark.parametrize("provenance", [
+        None, {"injection": None}, {"params_sha256": 7, "injection": None},
+        {"params_sha256": "ab"}, {"params_sha256": "ab", "injection": "POS"}])
+    def test_index_provenance_checked(self, run_dir, tmp_path, caplog, provenance):
+        config, out = run_dir
+        params, cfg = enc.load_params(out / "encoder.params")
+        index = retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg)
+        path = tmp_path / "bad.index"
+        retrieval.save_index(retrieval.RetrievalIndex(index.ids, index.embeddings, provenance),
+                             path)
+        with pytest.raises(ValueError, match="bad.index"):
+            retrieval.load_index(path)
+        assert _retrieve(config, out, "--index", str(path)) == 2
+        assert "bad.index" in caplog.text
+
     def test_round_trip_unchanged(self, run_dir):
         _, out = run_dir
         path = out / "encoder.params"

@@ -212,6 +212,15 @@ class TestExtractDirection:
         with pytest.raises(mli.ZeroMatrix):
             mli.extract_direction(self._probe(np.zeros((3, 4))))
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6])
+    def test_narrow_gap(self, gap):
+        rng = np.random.default_rng(10)
+        left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+        W = left @ np.diag([1.0, 1.0 - gap, 0.5]) @ right.T
+        u = mli.extract_direction(self._probe(W)).u
+        assert abs(float(u @ right[:, 0])) >= 1 - 1e-12
+
     def test_layer_and_property_carried(self):
         rng = np.random.default_rng(7)
         direction = mli.extract_direction(self._probe(rng.standard_normal((3, 6))))
@@ -335,6 +344,11 @@ def test_fixture_sweep_equals_reference(dev_queries, bank, trained_params, enc_c
     _assert_same_sweep(mli.sweep(*args, k=5), reference_sweep(*args, k=5))
 
 
+# A direction.json as ``save_direction`` writes it.
+_SAVED_DIRECTION = {"format_version": 1, "property": "POS", "layer": 2, "lambda": 5.0,
+                    "u": [0.6, 0.8]}
+
+
 class TestDirectionPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -347,8 +361,27 @@ class TestDirectionPersistence:
         assert np.array_equal(loaded.u, u)
         assert (loaded.layer, loaded.lam, loaded.prop) == (3, 2.5, "DEPS")
 
-    @pytest.mark.parametrize("payload", [[], {"format_version": 2},
-                                         {"format_version": 1, "property": "POS"}])
+    def test_saved_keys(self, tmp_path):
+        direction = enc.InjectionDirection(u=np.array([0.6, 0.8]), layer=2, lam=5.0,
+                                           prop="POS")
+        path = tmp_path / "direction.json"
+        mli.save_direction(direction, path)
+        assert json.loads(path.read_text()) == _SAVED_DIRECTION
+
+    def test_reads_file_with_converged_key(self, tmp_path):
+        path = tmp_path / "direction.json"
+        path.write_text(json.dumps({**_SAVED_DIRECTION, "converged": True}))
+        loaded = mli.load_direction(path)
+        assert np.array_equal(loaded.u, [0.6, 0.8])
+        assert (loaded.layer, loaded.lam, loaded.prop) == (2, 5.0, "POS")
+
+    @pytest.mark.parametrize("payload", [
+        [], {"format_version": 2}, {"format_version": 1, "property": "POS"},
+        {**_SAVED_DIRECTION, "lambda": None}, {**_SAVED_DIRECTION, "lambda": True},
+        {**_SAVED_DIRECTION, "layer": [2]}, {**_SAVED_DIRECTION, "layer": 2.7},
+        {**_SAVED_DIRECTION, "layer": True}, {**_SAVED_DIRECTION, "property": 3},
+        {**_SAVED_DIRECTION, "u": ["a"]}, {**_SAVED_DIRECTION, "u": 0.6},
+        {**_SAVED_DIRECTION, "u": [0.6, False]}])
     def test_malformed_file_named(self, tmp_path, payload):
         path = tmp_path / "direction.json"
         path.write_text(json.dumps(payload))
