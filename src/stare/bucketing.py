@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trees
+from .artifacts import atomic_write, fields, fits
 from .trees import ParseDialect
 
 DEFAULT_NUM_HASHES = 128
@@ -208,14 +209,14 @@ class LshIndex:
         """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one
         record at a time, so no string of the whole file is built. A record
         is ``[id, base64 of the signature's P little-endian uint64s]``."""
-        fields = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
+        header = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
                   "b": self.bands, "r": self.rows, "tau": self.tau, "seed": self.seed,
                   "records": None}
-        with open(path, "w", encoding="utf-8") as fh:
-            for n, key in enumerate(sorted(fields)):
+        with atomic_write(path) as fh:
+            for n, key in enumerate(sorted(header)):
                 fh.write(("{" if n == 0 else ", ") + json.dumps(key) + ": ")
                 if key != "records":
-                    fh.write(json.dumps(fields[key]))
+                    fh.write(json.dumps(header[key]))
                     continue
                 fh.write("[")
                 for i, (rid, sig) in enumerate(self.signatures.items()):
@@ -229,29 +230,20 @@ class LshIndex:
         """Read ``save`` output with one ``json`` call, then decode and drop
         one record at a time; anything malformed is a ValueError naming ``path``."""
         try:
-            fields = json.loads(Path(path).read_bytes().decode("utf-8"))
+            payload = json.loads(Path(path).read_bytes().decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index "
                              f"({exc})") from None
-        if not isinstance(fields, dict) or fields.get("format_version") != cls.FORMAT_VERSION:
+        if not isinstance(payload, dict) or payload.get("format_version") != cls.FORMAT_VERSION:
             raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index")
-        missing = [key for key in ("P", "b", "r", "tau", "seed", "records") if key not in fields]
-        if missing:
-            raise ValueError(f"{path}: LSH index lacks key {missing[0]!r}")
-        if not (all(type(fields[key]) is int for key in ("P", "b", "r", "seed"))
-                and type(fields["tau"]) in (int, float)):
-            raise ValueError(f"{path}: LSH index P, b, r and seed must be integers and "
-                             "tau a number")
-        records = fields["records"]
-        if not isinstance(records, list):
-            raise ValueError(f"{path}: LSH index records must be a list")
-        index = cls(num_hashes=fields["P"], tau=fields["tau"], seed=fields["seed"])
-        if (index.bands, index.rows) != (fields["b"], fields["r"]):
+        num_hashes, bands, rows, tau, seed, records = fields(f"{path}: LSH index", payload, {
+            "P": int, "b": int, "r": int, "tau": float, "seed": int, "records": list})
+        index = cls(num_hashes=num_hashes, tau=tau, seed=seed)
+        if (index.bands, index.rows) != (bands, rows):
             raise ValueError(f"{path}: band geometry mismatch in saved index")
         width = 8 * index.num_hashes
         for n, record in enumerate(records):
-            if not (isinstance(record, list) and len(record) == 2
-                    and all(isinstance(value, str) for value in record)):
+            if not (fits(record, list[str]) and len(record) == 2):
                 raise ValueError(f"{path}: record {n} is not [id, base64 signature]: "
                                  f"{json.dumps(record)[:80]}")
             rid = record[0]

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import logging
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bucketing, encoder, fixtures, mining, mli, retrieval
+from .artifacts import atomic_write, write_json
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import Corpus, load_corpus
 from .encoder import EncoderConfig, TrainConfig
@@ -53,21 +53,15 @@ def _locked_out_dir(out: Path):
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        lock.touch(exist_ok=False)
     except FileExistsError:
         raise DataError(f"output directory {out} is locked by another run "
                         f"(remove {lock} if stale)")
     try:
-        os.close(fd)
         yield out
     finally:
         with contextlib.suppress(FileNotFoundError):
             lock.unlink()
-
-
-def _archive_config(config: PipelineConfig, out: Path) -> None:
-    (out / "config_used.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
 
 
 def _load_corpus(config: PipelineConfig, split: str) -> Corpus:
@@ -108,8 +102,7 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> int:
         "pool_size_histogram": Counter(str(size) for size in pool_sizes),
         "mean_pool_size": float(np.mean(pool_sizes)),
     }
-    (out / "bucket_report.json").write_text(json.dumps(report, indent=2, sort_keys=True),
-                                            encoding="utf-8")
+    write_json(out / "bucket_report.json", report, indent=2)
     logger.info("bucketed %d records (mean pool %.2f)", len(corpus),
                 report["mean_pool_size"])
     return EXIT_OK
@@ -120,8 +113,7 @@ def cmd_mine(config: PipelineConfig, out: Path) -> int:
     index = bucketing.LshIndex.load(_upstream(out / "lsh_index.json", "bucket"))
     groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     mining.save_groups(groups, out / "pairs.jsonl")
-    (out / "mining_report.json").write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True), encoding="utf-8")
+    write_json(out / "mining_report.json", asdict(report), indent=2)
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
     return EXIT_OK
 
@@ -144,7 +136,7 @@ def cmd_train(config: PipelineConfig, out: Path) -> int:
     else:
         params, curve = encoder.train(groups, corpus, cfg, train_cfg)
     encoder.save_params(out / "encoder.params", params, cfg)
-    with open(out / "loss_curve.csv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "loss_curve.csv") as fh:
         fh.write("epoch,mean_loss\n")
         for epoch, loss in enumerate(curve, start=1):
             fh.write(f"{epoch},{loss!r}\n")
@@ -186,16 +178,21 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_direction(out: Path):
+def _load_direction(out: Path, cfg: EncoderConfig):
     path = out / "direction.json"
-    return mli.load_direction(path) if path.exists() else None
+    direction = mli.load_direction(path) if path.exists() else None
+    try:  # against the params it is injected into
+        encoder._validate_injection(direction, cfg)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return direction
 
 
 def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
     corpus = _load_corpus(config, "train")
     params_path = Path(args.params) if args.params else out / "encoder.params"
     params, cfg = encoder.load_params(_upstream(params_path, "train"))
-    injection = _load_direction(out) if args.use_direction else None
+    injection = _load_direction(out, cfg) if args.use_direction else None
     if args.index:
         index = retrieval.load_index(Path(args.index))
         if index.ids != corpus.ids():
@@ -223,7 +220,7 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
     dev = _load_corpus(config, "dev")
     trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     untrained_params = encoder.init_params(cfg)
-    injection = _load_direction(out)
+    injection = _load_direction(out, cfg)
     k = config.retrieval["k"]
     anonymize = config.mining["anonymize"]
     dev_queries = [(rec.utterance, rec.parse) for rec in dev]
@@ -245,8 +242,7 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
     metrics = {name: retrieval.evaluate(rank, dev_queries, corpus, k, anonymize)
                for name, rank in rankers.items()}
     payload = {"k": k, "metrics": metrics}
-    (out / "eval_metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True),
-                                           encoding="utf-8")
+    write_json(out / "eval_metrics.json", payload, indent=2)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -333,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "retrieve":
             return cmd_retrieve(config, Path(args.out), args)
         with _locked_out_dir(Path(args.out)) as out:
-            _archive_config(config, out)
+            write_json(out / "config_used.json", config.to_dict(), indent=2)
             return _STAGES[args.command](config, out)
     except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:
         logger.error("%s", exc)

@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .artifacts import fits
 from .bucketing import LshIndex
 from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
@@ -88,17 +89,6 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value matches a scalar or ``X | None`` annotation;
-    bools are not numbers, and ints pass as floats."""
-    options = typing.get_args(hint) or (hint,)
-    if isinstance(value, bool):
-        return bool in options
-    if isinstance(value, int) and float in options:
-        return True
-    return isinstance(value, options)
-
-
 def _merge(name: str, defaults: dict, given: dict) -> dict:
     for key in given:
         _require(key in defaults, f"{name}.{key}", "unknown key")
@@ -113,7 +103,7 @@ def _section(name: str, given: dict, cls) -> dict:
     values = _merge(name, {f.name: f.default for f in fields(cls)
                            if f.init and f.name not in extra}, given)
     for key, value in values.items():
-        _require(_fits(value, hints[key]), f"{name}.{key}",
+        _require(fits(value, hints[key]), f"{name}.{key}",
                  f"expected {getattr(hints[key], '__name__', hints[key])}, got {value!r}")
     try:
         cls(**extra, **values)
@@ -153,12 +143,12 @@ def validate(config: PipelineConfig) -> PipelineConfig:
     layers = sections["encoder"]["layers"]
     if mli.get("layers") is not None:
         for n in mli["layers"]:
-            _require(isinstance(n, int) and 1 <= n <= layers, "mli.layers",
+            _require(fits(n, int) and 1 <= n <= layers, "mli.layers",
                      f"layer {n!r} outside [1, {layers}]")
     for prop in mli.get("properties", ()):
         _require(prop in PROPERTIES, "mli.properties", f"unknown property {prop!r}")
     for lam in mli.get("lambdas", ()):
-        _require(_fits(lam, float), "mli.lambdas", f"expected a number, got {lam!r}")
+        _require(fits(lam, float), "mli.lambdas", f"expected a number, got {lam!r}")
     for prop, path in mli.get("label_corpora", {}).items():
         _require(prop in PROPERTIES, "mli.label_corpora", f"unknown property {prop!r}")
         _require(config.path(path).exists(), "mli.label_corpora",
@@ -166,7 +156,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
 
     for name in ("mli", "retrieval"):
         k = sections[name]["k"]
-        _require(_fits(k, int) and k >= 1, f"{name}.k", f"expected an int >= 1, got {k!r}")
+        _require(fits(k, int) and k >= 1, f"{name}.k", f"expected an int >= 1, got {k!r}")
     return config
 
 

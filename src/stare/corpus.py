@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -10,6 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from . import trees
+from .artifacts import fields, read_jsonl, write_jsonl
 from .ted import sim_struct
 from .trees import ParseDialect, ParseTree
 
@@ -120,27 +120,14 @@ class Corpus:
 
 
 def load_corpus(path: str | Path, dialect: ParseDialect | str) -> Corpus:
-    """Read one JSON object per line; errors name the offending line."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict) or not {"id", "utterance", "parse"} <= obj.keys():
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected object with id/utterance/parse fields")
-            records.append(Record(str(obj["id"]), str(obj["utterance"]), str(obj["parse"])))
+    """Read one JSON object per line; errors name the offending line. An
+    integer id is read as its decimal string."""
+    records = [Record(str(rid), utterance, parse) for rid, utterance, parse in (
+        fields(where, obj, {"id": str | int, "utterance": str, "parse": str})
+        for where, obj in read_jsonl(path))]
     return Corpus(records, ParseDialect(dialect))
 
 
 def save_corpus(records: list[Record], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(
-                {"id": rec.id, "utterance": rec.utterance, "parse": rec.parse},
-                sort_keys=True) + "\n")
+    write_jsonl(path, ({"id": rec.id, "utterance": rec.utterance, "parse": rec.parse}
+                       for rec in records))

@@ -22,6 +22,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write, fields
+
 logger = logging.getLogger(__name__)
 
 UNK_TOKEN = "<unk>"
@@ -616,9 +618,7 @@ def write_header_blob(path: str | Path, header: dict,
     (name, array, shape) array as raw float64, in order.
 
     Every shape is checked before anything is written (DimensionMismatch
-    naming the array), and the bytes go to a temporary file in the target
-    directory that then replaces ``path``, so a failed or killed write
-    leaves any existing file as it was.
+    naming the array); ``atomic_write`` writes the file whole.
     """
     blobs = []
     for name, arr, shape in arrays:
@@ -626,46 +626,42 @@ def write_header_blob(path: str | Path, header: dict,
         if arr.shape != tuple(shape):
             raise DimensionMismatch(f"{name}: {arr.shape} != {tuple(shape)}")
         blobs.append(arr)
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for arr in blobs:
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, binary=True) as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for arr in blobs:
+            fh.write(arr.tobytes())
 
 
 def read_header_blob(path: str | Path, version: int,
-                     keys: tuple[str, ...]) -> tuple[dict, bytearray]:
-    """Header and blob of a params or index file; ValueError naming the file
-    if the header is unreadable, of another version, or lacks a key. The
-    loaded arrays view the one blob buffer, so each value is held once."""
+                     hints: dict[str, object]) -> tuple[list, bytearray]:
+    """The values of ``hints``' header keys, and the blob, of a params or index
+    file; ValueError naming the file if the header is unreadable, of another
+    version, or fails ``hints``. Loaded arrays view the one blob buffer, so
+    each value is held once."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
-            ok = header.get("format_version") == version and all(key in header for key in keys)
-        except (ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: unreadable header ({exc})") from exc
-        if not ok:
-            raise ValueError(f"{path}: not a version {version} file with keys {list(keys)}")
+        if not isinstance(header, dict) or header.get("format_version") != version:
+            raise ValueError(f"{path}: not a version {version} file")
+        values = fields(str(path), header, hints)
         blob = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
         if fh.readinto(blob) != len(blob):
             raise ValueError(f"{path}: file changed while it was read")
-    return header, blob
+    return values, blob
 
 
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
-    header, blob = read_header_blob(path, FORMAT_VERSION, ("config", "arrays"))
+    (config, arrays), blob = read_header_blob(path, FORMAT_VERSION,
+                                              {"config": dict, "arrays": list})
     try:
-        cfg = EncoderConfig(**header["config"])
+        cfg = EncoderConfig(**config)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad encoder config ({exc})") from exc
     shapes = param_shapes(cfg)
     sizes = [int(np.prod(shape)) for _, shape in shapes]
-    if (header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in shapes]
+    if (arrays != [{"name": name, "shape": list(shape)} for name, shape in shapes]
             or len(blob) != 8 * sum(sizes)):
         raise ValueError(f"{path}: arrays do not match its encoder config ({len(blob)} bytes)")
     params, offset = {}, 0

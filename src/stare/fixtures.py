@@ -10,12 +10,12 @@ token carries POS/DEPS/PT tags for the probing corpora.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write, write_json
 from .corpus import Record, save_corpus
 
 Tagged = list[tuple[str, str]]  # (word, POS tag)
@@ -275,7 +275,8 @@ def write_token_label_file(tagged: list[Tagged], path: Path, prop: str) -> None:
             raise ValueError(f"unknown property {prop!r}")
         lines.extend(f"{word}\t{label}" for (word, _), label in zip(words, labels))
         lines.append("")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_fixture(out_dir: str | Path, spec: FixtureSpec = FixtureSpec()) -> dict:
@@ -301,6 +302,5 @@ def write_fixture(out_dir: str | Path, spec: FixtureSpec = FixtureSpec()) -> dic
         "retrieval": {"k": 5},
         "prompt": {"task_name": "Fixture", "k": 1, "template": "conversational"},
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    write_json(out / "config.json", config, indent=2)
     return config

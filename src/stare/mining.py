@@ -9,12 +9,12 @@ pool.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import fields, read_jsonl, write_jsonl
 from .bucketing import LshIndex
 from .corpus import Corpus
 
@@ -159,47 +159,20 @@ def mine_all(corpus: Corpus, index: LshIndex,
 
 
 def save_groups(groups: list[ContrastiveGroup], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in groups:
-            fh.write(json.dumps({
-                "anchor": g.anchor_id,
-                "positive": g.positive_id,
-                "hard_negatives": g.hard_negative_ids,
-                "random_negatives": g.random_negative_ids,
-                "positive_sim": g.positive_sim,
-                "flags": g.flags,
-            }, sort_keys=True) + "\n")
-
-
-def _ids(obj: dict, key: str) -> list[str]:
-    value = obj[key]
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise TypeError(f"{key!r} must be a list of ids (strings), got {value!r}")
-    return value
-
-
-def _id(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key!r} must be an id (string), got {value!r}")
-    return value
+    write_jsonl(path, ({"anchor": g.anchor_id, "positive": g.positive_id,
+                        "hard_negatives": g.hard_negative_ids,
+                        "random_negatives": g.random_negative_ids,
+                        "positive_sim": g.positive_sim, "flags": g.flags} for g in groups))
 
 
 def load_groups(path: str | Path) -> list[ContrastiveGroup]:
     """Read ``save_groups`` output; a malformed line is a ValueError naming
-    ``path:line``."""
+    ``path:line``. ``flags`` may be absent."""
     groups = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                groups.append(ContrastiveGroup(
-                    _id(obj, "anchor"), _id(obj, "positive"), _ids(obj, "hard_negatives"),
-                    _ids(obj, "random_negatives"), float(obj["positive_sim"]),
-                    list(obj.get("flags", []))))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad group record ({exc})") from exc
+    for where, obj in read_jsonl(path):
+        anchor, positive, hard, rand, sim = fields(where, obj, {
+            "anchor": str, "positive": str, "hard_negatives": list[str],
+            "random_negatives": list[str], "positive_sim": float})
+        (flags,) = fields(where, {"flags": [], **obj}, {"flags": list[str]})
+        groups.append(ContrastiveGroup(anchor, positive, hard, rand, float(sim), flags))
     return groups

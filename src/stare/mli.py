@@ -20,6 +20,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import retrieval
+from .artifacts import atomic_write, fields, write_json
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
 
@@ -345,7 +346,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
 
 
 def write_sweep_report(result: SweepResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["property", "layer", "lambda", "score", "error"])
         for row in result.rows:
@@ -367,7 +368,7 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
     else:
         payload.update({"property": direction.prop, "layer": direction.layer,
                         "lambda": direction.lam, "u": [float(x) for x in direction.u]})
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    write_json(path, payload)
 
 
 def load_direction(path: str | Path) -> InjectionDirection | None:
@@ -376,13 +377,7 @@ def load_direction(path: str | Path) -> InjectionDirection | None:
         raise ValueError(f"{path}: not a version {DIRECTION_FORMAT_VERSION} direction")
     if payload.get("baseline"):
         return None
-    missing = [key for key in ("u", "layer", "lambda", "property") if key not in payload]
-    if missing:
-        raise ValueError(f"{path}: direction lacks key {missing[0]!r}")
-    u, layer, lam, prop = (payload[key] for key in ("u", "layer", "lambda", "property"))
-    if not (isinstance(u, list) and all(type(x) in (int, float) for x in u)
-            and type(layer) is int and type(lam) in (int, float) and isinstance(prop, str)):
-        raise ValueError(f"{path}: direction u must be a list of numbers, layer an integer, "
-                         "lambda a number and property a string")
+    u, layer, lam, prop = fields(str(path), payload, {"u": list[float], "layer": int,
+                                                      "lambda": float, "property": str})
     return InjectionDirection(u=np.asarray(u, dtype=np.float64), layer=layer, lam=float(lam),
                               prop=prop)

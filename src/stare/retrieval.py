@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
+from .artifacts import fields
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
 from .trees import ParseTree, anonymize_leaves, parse
@@ -328,17 +329,10 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    header, blob = enc.read_header_blob(path, INDEX_FORMAT_VERSION,
-                                        ("n", "d", "ids", "provenance"))
-    n, d, ids = header["n"], header["d"], header["ids"]
-    if not (isinstance(n, int) and isinstance(d, int) and isinstance(ids, list)
-            and len(ids) == n and len(blob) == 8 * n * d):
+    (n, d, ids, provenance), blob = enc.read_header_blob(path, INDEX_FORMAT_VERSION, {
+        "n": int, "d": int, "ids": list[str], "provenance": dict})
+    fields(f"{path}: provenance", provenance, {"params_sha256": str, "injection": dict | None})
+    if len(ids) != n or len(blob) != 8 * n * d:
         raise ValueError(f"{path}: embeddings do not match the header ({len(blob)} bytes)")
-    provenance = header["provenance"]
-    if not (isinstance(provenance, dict) and isinstance(provenance.get("params_sha256"), str)
-            and "injection" in provenance
-            and isinstance(provenance["injection"], (dict, type(None)))):
-        raise ValueError(f"{path}: provenance needs a params_sha256 string and an "
-                         "injection object or null")
     embeddings = np.frombuffer(blob, dtype=np.float64).reshape(n, d)
     return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)

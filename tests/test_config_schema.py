@@ -7,7 +7,7 @@ import pytest
 
 from stare import cli, encoder as enc, mli, retrieval
 from stare.config import ConfigError, load_config
-from stare.corpus import Corpus, Record, save_corpus
+from stare.corpus import Corpus, Record, load_corpus, save_corpus
 from stare.mli import ProbeConfig
 from stare.ted import sim_struct
 
@@ -197,6 +197,41 @@ class TestLoaders:
             retrieval.load_index(path)
         assert _retrieve(config, out, "--index", str(path)) == 2
         assert "bad.index" in caplog.text
+
+    @pytest.mark.parametrize("header", [{"n": True}, {"ids": [7]}])
+    def test_index_header_types_checked(self, run_dir, tmp_path, caplog, header):
+        config, out = run_dir
+        params, cfg = enc.load_params(out / "encoder.params")
+        path = tmp_path / "bad.index"
+        retrieval.save_index(retrieval.build_index(Corpus(BANK[:1], "bracketed"), params, cfg),
+                             path)
+        line, _, blob = path.read_bytes().partition(b"\n")
+        path.write_bytes(json.dumps({**json.loads(line), **header}).encode() + b"\n" + blob)
+        with pytest.raises(ValueError, match="bad.index"):
+            retrieval.load_index(path)
+        assert _retrieve(config, out, "--index", str(path)) == 2
+        assert "bad.index" in caplog.text
+
+    @pytest.mark.parametrize("stage", ["retrieve", "eval"])
+    @pytest.mark.parametrize("change", [{"u": [0.2] * 5}, {"layer": 9}])
+    def test_direction_checked_against_params(self, run_dir, caplog, stage, change):
+        config, out = run_dir
+        (out / "direction.json").write_text(json.dumps(
+            {"format_version": 1, "property": "POS", "layer": 1, "lambda": 1.0,
+             "u": [0.25] * 16, **change}))
+        code = (_retrieve(config, out, "--use-direction") if stage == "retrieve" else
+                cli.main(["eval", "--config", str(config), "--out", str(out)]))
+        assert code == 2
+        assert "direction.json" in caplog.text
+
+    @pytest.mark.parametrize("change", [{"utterance": None}, {"utterance": ["a"]},
+                                        {"id": True}])
+    def test_corpus_field_types_checked(self, tmp_path, change):
+        path = tmp_path / "train.jsonl"
+        path.write_text(json.dumps({"id": "r0", "utterance": "hi", "parse": "[IN:X ]",
+                                    **change}) + "\n")
+        with pytest.raises(ValueError, match="train.jsonl:1"):
+            load_corpus(path, "bracketed")
 
     def test_round_trip_unchanged(self, run_dir):
         _, out = run_dir

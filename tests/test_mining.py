@@ -177,7 +177,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("field,value", [
         ("anchor", 7), ("positive", ["r1"]), ("hard_negatives", "c0_011"),
-        ("random_negatives", ["r1", 2]), ("hard_negatives", None)])
+        ("random_negatives", ["r1", 2]), ("hard_negatives", None),
+        ("positive_sim", "0.5"), ("positive_sim", True), ("flags", "ab"), ("flags", {"x": 1})])
     def test_rejects_non_string_ids(self, tmp_path, field, value):
         record = {"anchor": "r0", "positive": "r1", "hard_negatives": ["r2"],
                   "random_negatives": [], "positive_sim": 1.0, "flags": []}
