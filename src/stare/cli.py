@@ -122,6 +122,8 @@ def cmd_train(config: PipelineConfig, out: Path) -> int:
     corpus = _load_corpus(config, "train")
     pairs = _upstream(out / "pairs.jsonl", "mine")
     groups = mining.load_groups(pairs)
+    if not groups:
+        raise DataError(f"{pairs}: no contrastive groups to train on")
     unknown = next((rid for g in groups for rid in (g.anchor_id, g.positive_id,
                                                     *g.negative_ids())
                     if rid not in corpus), None)
@@ -130,11 +132,7 @@ def cmd_train(config: PipelineConfig, out: Path) -> int:
                         f"{config.corpus['train']}")
     vocab = encoder.build_vocab([rec.utterance for rec in corpus])
     cfg = EncoderConfig(vocab=vocab, **config.encoder)
-    train_cfg = TrainConfig(**config.training)
-    if train_cfg.epochs == 0 or not groups:
-        params, curve = encoder.init_params(cfg), []
-    else:
-        params, curve = encoder.train(groups, corpus, cfg, train_cfg)
+    params, curve = encoder.train(groups, corpus, cfg, TrainConfig(**config.training))
     encoder.save_params(out / "encoder.params", params, cfg)
     with atomic_write(out / "loss_curve.csv") as fh:
         fh.write("epoch,mean_loss\n")

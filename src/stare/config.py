@@ -140,17 +140,21 @@ def validate(config: PipelineConfig) -> PipelineConfig:
              "corpus.dialect", f"unknown dialect {sections['corpus']['dialect']!r}")
 
     mli = sections["mli"]
+    for key, hint in (("layers", list | None), ("properties", list), ("lambdas", list),
+                      ("label_corpora", dict)):
+        _require(fits(mli[key], hint), f"mli.{key}",
+                 f"expected {getattr(hint, '__name__', hint)}, got {mli[key]!r}")
     layers = sections["encoder"]["layers"]
-    if mli.get("layers") is not None:
-        for n in mli["layers"]:
-            _require(fits(n, int) and 1 <= n <= layers, "mli.layers",
-                     f"layer {n!r} outside [1, {layers}]")
-    for prop in mli.get("properties", ()):
+    for n in mli["layers"] or ():
+        _require(fits(n, int) and 1 <= n <= layers, "mli.layers",
+                 f"layer {n!r} outside [1, {layers}]")
+    for prop in mli["properties"]:
         _require(prop in PROPERTIES, "mli.properties", f"unknown property {prop!r}")
-    for lam in mli.get("lambdas", ()):
+    for lam in mli["lambdas"]:
         _require(fits(lam, float), "mli.lambdas", f"expected a number, got {lam!r}")
-    for prop, path in mli.get("label_corpora", {}).items():
+    for prop, path in mli["label_corpora"].items():
         _require(prop in PROPERTIES, "mli.label_corpora", f"unknown property {prop!r}")
+        _require(fits(path, str), "mli.label_corpora", f"expected a path, got {path!r}")
         _require(config.path(path).exists(), "mli.label_corpora",
                  f"file not found: {config.path(path)}")
 

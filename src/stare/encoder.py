@@ -344,7 +344,7 @@ def length_chunks(lengths: Sequence[int], max_tokens: int = CHUNK_TOKENS) -> lis
 
 def forward_batch(id_lists: Sequence[Sequence[int]], params: dict[str, np.ndarray],
                   cfg: EncoderConfig, injection: InjectionDirection | None = None,
-                  max_tokens: int = CHUNK_TOKENS, with_cache: bool = False
+                  with_cache: bool = False
                   ) -> Iterator[tuple[list[int], list[np.ndarray], dict | None]]:
     """Run many sequences, one ``length_chunks`` chunk at a time.
 
@@ -352,13 +352,14 @@ def forward_batch(id_lists: Sequence[Sequence[int]], params: dict[str, np.ndarra
     layer l of sequence ``positions[b]``, bit-identical to running that
     sequence alone; there is no padding, so no mask. ``cache`` is the
     chunk's input to ``backward_ids`` when ``with_cache`` is set, else
-    None. Sequences are truncated at max_len.
+    None; a chunk the caller still holds stays alive through the next
+    chunk's forward. Sequences are truncated at max_len.
     """
     _validate_injection(injection, cfg)
     id_lists = [list(ids)[: cfg.max_len] for ids in id_lists]
     if not all(id_lists):
         raise EmptyInput("empty id sequence")
-    for positions in length_chunks([len(ids) for ids in id_lists], max_tokens):
+    for positions in length_chunks([len(ids) for ids in id_lists]):
         ids = np.array([id_lists[pos] for pos in positions])
         x = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]]
         caches: list[dict] | None = [] if with_cache else None
@@ -473,31 +474,37 @@ def _infonce_embedding_grads(anchor: np.ndarray, others: list[np.ndarray],
     return loss, d_anchor, d_others
 
 
-def group_loss_and_grads(texts: list[str], params: dict[str, np.ndarray],
-                         cfg: EncoderConfig, temperature: float,
-                         grads: dict[str, np.ndarray]) -> float:
-    """InfoNCE over [anchor, positive, *negatives]; grads accumulate in place.
+def step_loss_and_grads(groups: Sequence[Sequence[str]], params: dict[str, np.ndarray],
+                        cfg: EncoderConfig, temperature: float,
+                        grads: dict[str, np.ndarray]) -> float:
+    """Summed InfoNCE over one optimizer step's groups, each [anchor,
+    positive, *negatives]; grads accumulate in place.
 
-    The group's texts run as one chunk per distinct token length, so
-    there is one ``backward_ids`` call per length; the loss and the
-    embeddings are those of a batch of one bit for bit.
+    Each distinct text of the step runs once. Pass 1 embeds them in
+    ``forward_batch`` chunks without caches; InfoNCE runs per group in
+    order, and a text's embedding gradients are summed over its uses.
+    Pass 2 recomputes one chunk at a time with its cache and calls
+    ``backward_ids`` on it, so one chunk's cache is alive at a time
+    (gradient checkpointing at step granularity). Each group's loss and
+    the embeddings are those of a batch of one bit for bit.
     """
-    id_lists = [tokenize(text, cfg.vocab, cfg.max_len) for text in texts]
-    embs: list[np.ndarray] = [np.empty(0)] * len(texts)
-    chunks = []
-    for positions, states, cache in forward_batch(id_lists, params, cfg,
-                                                  max_tokens=sum(map(len, id_lists)),
-                                                  with_cache=True):
-        pooled = states[-1].mean(axis=-2)
-        for b, pos in enumerate(positions):
-            embs[pos] = pooled[b]
-        chunks.append((positions, cache))
-    loss, d_anchor, d_others = _infonce_embedding_grads(embs[0], embs[1:], temperature)
-    dembs = [d_anchor] + d_others
-    for positions, cache in chunks:
+    slots: dict[str, int] = {}
+    group_slots = [[slots.setdefault(text, len(slots)) for text in texts] for texts in groups]
+    id_lists = [tokenize(text, cfg.vocab, cfg.max_len) for text in slots]
+    embs = embed_batch(id_lists, params, cfg)
+    dembs = np.zeros_like(embs)
+    loss = 0.0
+    for group in group_slots:
+        group_loss, d_anchor, d_others = _infonce_embedding_grads(
+            embs[group[0]], list(embs[group[1:]]), temperature)
+        loss += group_loss
+        for slot, demb in zip(group, [d_anchor] + d_others):
+            dembs[slot] += demb
+    for positions, states, cache in forward_batch(id_lists, params, cfg, with_cache=True):
         tokens = cache["ids"].shape[1]
-        d_pooled = np.stack([dembs[pos] / tokens for pos in positions])
+        d_pooled = dembs[positions] / tokens
         backward_ids(np.repeat(d_pooled[:, None, :], tokens, axis=1), cache, params, cfg, grads)
+        del states, cache  # free this chunk before the next one's forward
     return loss
 
 
@@ -579,11 +586,8 @@ def train(groups, corpus, cfg: EncoderConfig, train_cfg: TrainConfig,
         for start in range(0, len(groups), train_cfg.batch):
             batch = groups[start : start + train_cfg.batch]
             grads = zerolike_params(params)
-            loss = 0.0
-            for group in batch:
-                loss += group_loss_and_grads(group_texts(group, corpus), params, cfg,
-                                             train_cfg.temperature, grads)
-            loss /= len(batch)
+            loss = step_loss_and_grads([group_texts(group, corpus) for group in batch],
+                                       params, cfg, train_cfg.temperature, grads) / len(batch)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at group {batch[0].anchor_id}")
             for g in grads.values():

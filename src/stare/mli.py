@@ -15,6 +15,7 @@ import importlib.resources
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -123,46 +124,52 @@ class ProbeConfig:
 
 
 def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
-                   cfg: EncoderConfig, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layer-N token states stacked over the corpus, with label indices.
+                   cfg: EncoderConfig, layers: Sequence[int]
+                   ) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Each of ``layers``' token states stacked over the corpus, with label
+    indices; one forward over the corpus serves every layer.
 
     Corpus tokens are fed to the encoder one id per token (no
     re-tokenization), so rows align with labels; both are truncated at
     max_len together. Sentences run in ``enc.forward_batch`` chunks.
     """
-    if not 1 <= layer <= cfg.layers:
-        raise enc.LayerOutOfRange(f"layer {layer} outside [1, {cfg.layers}]")
+    for layer in layers:
+        if not 1 <= layer <= cfg.layers:
+            raise enc.LayerOutOfRange(f"layer {layer} outside [1, {cfg.layers}]")
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
     id_lists = [enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
                 for tokens, _ in corpus.sentences]
-    xs: list[np.ndarray] = [np.empty(0)] * len(id_lists)
+    xs: dict[int, list[np.ndarray]] = {layer: [np.empty(0)] * len(id_lists) for layer in layers}
     for positions, states, _ in enc.forward_batch(id_lists, params, cfg):
-        for b, pos in enumerate(positions):
-            xs[pos] = states[layer][b]
+        for layer, rows in xs.items():
+            for b, pos in enumerate(positions):
+                rows[pos] = states[layer][b]
     ys = [label_index[lab] for ids, (_, labels) in zip(id_lists, corpus.sentences)
           for lab in labels[: len(ids)]]
-    return np.vstack(xs), np.asarray(ys, dtype=np.int64)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return ({layer: np.vstack(rows) for layer, rows in xs.items()},
+            np.asarray(ys, dtype=np.int64))
 
 
 def probe_loss_and_grads(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
                          l2: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy with an l2*||W||^2 penalty."""
+    """Mean softmax cross-entropy with an l2*||W||^2 penalty.
+
+    The logits become the softmax and then its gradient in place, one
+    (rows, labels) buffer throughout.
+    """
     n = X.shape[0]
-    logits = X @ W.T + b
-    p = _softmax_rows(logits)
-    loss = float(-np.log(p[np.arange(n), y] + 1e-300).mean() + l2 * np.sum(W * W))
-    dz = p
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
-    dW = dz.T @ X + 2.0 * l2 * W
-    db = dz.sum(axis=0)
-    return loss, dW, db
+    rows = np.arange(n)
+    z = X @ W.T
+    z += b
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    loss = float(-np.log(z[rows, y] + 1e-300).mean() + l2 * np.sum(W * W))
+    z[rows, y] -= 1.0
+    z /= n
+    dW = z.T @ X
+    dW += 2.0 * l2 * W
+    return loss, dW, z.sum(axis=0)
 
 
 def train_probe(X: np.ndarray, y: np.ndarray, layer: int, prop: str,
@@ -269,7 +276,8 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
           anonymize: bool = False) -> SweepResult:
     """Score every grid cell by mean structural similarity at k.
 
-    Probes are trained once per (property, layer). The baseline is scored
+    Probes are trained once per (property, layer), on states collected
+    by one forward over the property's label corpus. The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
     An injection after layer L cannot change layers 0..L, so the bank's
     and the dev queries' uninjected states are computed once, in
@@ -311,19 +319,24 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     best: InjectionDirection | None = None
     best_score = baseline
 
+    in_range = [layer for layer in grid.layers if 1 <= layer <= cfg.layers]
     for prop in grid.properties:
         corpus = label_corpora.get(prop)
         if corpus is None:
             rows.append(SweepRow(prop=prop, layer=0, lam=0.0, score=float("nan"),
                                  error="no label corpus"))
             continue
+        states: dict[int, np.ndarray] = {}
         for layer in grid.layers:
             key = (prop, layer)
             try:
                 if key not in directions:
-                    X, y = collect_states(corpus, params, cfg, layer)
-                    probes[key] = train_probe(X, y, layer, prop, len(corpus.label_set),
-                                              probe_config)
+                    if layer not in states:
+                        # One forward serves every in-range layer; an
+                        # out-of-range layer raises its own error row.
+                        states, y = collect_states(corpus, params, cfg, [layer, *in_range])
+                    probes[key] = train_probe(states[layer], y, layer, prop,
+                                              len(corpus.label_set), probe_config)
                     directions[key] = extract_direction(probes[key])
             except Exception as exc:  # cell failures are data, not fatal
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
@@ -372,7 +385,10 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
 
 
 def load_direction(path: str | Path) -> InjectionDirection | None:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: unreadable direction ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format_version") != DIRECTION_FORMAT_VERSION:
         raise ValueError(f"{path}: not a version {DIRECTION_FORMAT_VERSION} direction")
     if payload.get("baseline"):

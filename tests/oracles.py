@@ -311,8 +311,8 @@ def reference_sweep(dev_queries, bank, params, cfg, label_corpora, grid, k,
             key = (prop, layer)
             try:
                 if key not in directions:
-                    X, y = mli.collect_states(corpus, params, cfg, layer)
-                    probes[key] = mli.train_probe(X, y, layer, prop, len(corpus.label_set),
+                    X, y = mli.collect_states(corpus, params, cfg, [layer])
+                    probes[key] = mli.train_probe(X[layer], y, layer, prop, len(corpus.label_set),
                                                   probe_config)
                     directions[key] = mli.extract_direction(probes[key])
             except Exception as exc:
@@ -373,8 +373,9 @@ def reference_mine_group(anchor_id: str, pool: set[str], corpus,
 
 
 def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> float:
-    """``encoder.group_loss_and_grads`` one sequence at a time: each text is
-    its own batch of one, with its own ``backward_ids`` call."""
+    """``encoder.step_loss_and_grads`` for one group, one sequence at a time:
+    each text, repeated or not, is its own batch of one, with its own
+    ``backward_ids`` call."""
     runs = []
     embs = []
     for text in texts:
@@ -387,6 +388,23 @@ def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> fl
         tokens = cache["ids"].shape[1]
         enc.backward_ids(np.tile(demb / tokens, (1, tokens, 1)), cache, params, cfg, grads)
     return loss
+
+
+def reference_probe_loss_and_grads(W, b, X, y, l2):
+    """``mli.probe_loss_and_grads`` with a fresh array per step: logits,
+    shifted logits, exponentials, softmax."""
+    n = X.shape[0]
+    logits = X @ W.T + b
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.log(p[np.arange(n), y] + 1e-300).mean() + l2 * np.sum(W * W))
+    dz = p
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    dW = dz.T @ X + 2.0 * l2 * W
+    db = dz.sum(axis=0)
+    return loss, dW, db
 
 
 def bm25_topk(bank, query: str, k: int) -> list[tuple[str, float]]:

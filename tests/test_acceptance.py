@@ -178,7 +178,7 @@ def test_criterion_06_gradient_checks():
     texts = ["remind me to pack boxes", "remind me to pack", "play golden hour",
              "call ravi and mia", "how cold is oslo", "start a timer", "call mia"]
     grads = enc.zerolike_params(params)
-    enc.group_loss_and_grads(texts, params, cfg, 0.07, grads)
+    enc.step_loss_and_grads([texts], params, cfg, 0.07, grads)
 
     def loss_of():
         embs = [enc.embed(t, params, cfg) for t in texts]

@@ -72,6 +72,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
             load_config(fixture_dir / "config.json", env={env_key: bad})
 
+    @pytest.mark.parametrize("env_key,bad,field", [
+        ("STARE_MLI_LAYERS", "3", "mli.layers"),
+        ("STARE_MLI_PROPERTIES", "POS", "mli.properties"),
+        ("STARE_MLI_LAMBDAS", "1.0", "mli.lambdas"),
+        ("STARE_MLI_LABEL_CORPORA", '["x"]', "mli.label_corpora"),
+        ("STARE_MLI_LABEL_CORPORA", '{"POS": 3}', "mli.label_corpora"),
+    ])
+    def test_mli_container_types_named(self, fixture_dir, tmp_path, monkeypatch, caplog,
+                                       env_key, bad, field):
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            load_config(fixture_dir / "config.json", env={env_key: bad})
+        monkeypatch.setenv(env_key, bad)
+        assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert field in caplog.text
+
     @settings(max_examples=40, derandomize=True)
     @given(st.sampled_from(["bucketing.tau", "training.temperature", "training.lr",
                             "retrieval.k", "mli.k", "training.epochs"]),

@@ -175,6 +175,19 @@ class TestLoaders:
             mli.load_direction(path)
         assert _retrieve(config, out, "--use-direction") == 2
 
+    @pytest.mark.parametrize("damage", [lambda b: b[: len(b) // 2], lambda b: b"\xff" + b],
+                             ids=["truncated", "not_utf8"])
+    def test_unreadable_direction_named(self, run_dir, caplog, damage):
+        config, out = run_dir
+        path = out / "direction.json"
+        path.write_bytes(damage(json.dumps(
+            {"format_version": 1, "property": "POS", "layer": 1, "lambda": 1.0,
+             "u": [0.25] * 16}).encode()))
+        with pytest.raises(ValueError, match="direction.json"):
+            mli.load_direction(path)
+        assert _retrieve(config, out, "--use-direction") == 2
+        assert "direction.json" in caplog.text
+
     def test_direction_wrong_type(self, run_dir, caplog):
         config, out = run_dir
         (out / "direction.json").write_text(json.dumps(
@@ -261,6 +274,16 @@ class TestTrainPairs:
         assert self._train(tmp_path, {"random_negatives": ["r3", "zz_999"]}) == 2
         assert "pairs.jsonl" in caplog.text and "'zz_999'" in caplog.text
         assert not (tmp_path / "out" / "encoder.params").exists()
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_empty_pairs_is_data_error(self, tmp_path, caplog, epochs):
+        config = _write_config(tmp_path, training={"epochs": epochs})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "pairs.jsonl").write_text("\n", encoding="utf-8")
+        assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+        assert "pairs.jsonl" in caplog.text
+        assert not (out / "encoder.params").exists()
 
     def test_string_valued_id_list_is_data_error(self, tmp_path, caplog):
         assert self._train(tmp_path, {"hard_negatives": "r1"}) == 2

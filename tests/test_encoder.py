@@ -244,7 +244,7 @@ def test_gradients_match_finite_differences(small_cfg, small_params):
              "call mia"]
     params = {k: v.copy() for k, v in small_params.items()}
     grads = enc.zerolike_params(params)
-    enc.group_loss_and_grads(texts, params, small_cfg, 0.07, grads)
+    enc.step_loss_and_grads([texts], params, small_cfg, 0.07, grads)
 
     def loss_of():
         embs = [enc.embed(t, params, small_cfg) for t in texts]
@@ -283,8 +283,24 @@ MIXED_GROUPS = [
 def test_grouped_grads_match_batch_of_one(small_cfg, small_params, texts):
     grads = enc.zerolike_params(small_params)
     want = enc.zerolike_params(small_params)
-    loss = enc.group_loss_and_grads(texts, small_params, small_cfg, 0.07, grads)
+    loss = enc.step_loss_and_grads([texts], small_params, small_cfg, 0.07, grads)
     assert loss == reference_group_loss_and_grads(texts, small_params, small_cfg, 0.07, want)
+    for name in grads:
+        assert np.max(np.abs(grads[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("groups", [
+    MIXED_GROUPS,  # "call mia" is in both groups
+    [["call mia", "call ravi", "call mia", "pack boxes", "call mia", "mia"],  # anchor repeated
+     MIXED_GROUPS[1], ["mia", "call mia", "start a timer", "start a timer"]],
+])
+def test_step_grads_match_sum_of_batch_of_one(small_cfg, small_params, groups):
+    grads = enc.zerolike_params(small_params)
+    want = enc.zerolike_params(small_params)
+    want_loss = 0.0
+    for texts in groups:
+        want_loss += reference_group_loss_and_grads(texts, small_params, small_cfg, 0.07, want)
+    assert enc.step_loss_and_grads(groups, small_params, small_cfg, 0.07, grads) == want_loss
     for name in grads:
         assert np.max(np.abs(grads[name] - want[name])) <= 1e-12, name
 
@@ -333,7 +349,7 @@ class TestTrain:
         with pytest.raises(enc.NonFiniteLoss, match="a1"):
             enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=1), params=params)
 
-    def test_one_backward_per_group_and_length(self, monkeypatch):
+    def test_one_backward_per_step_and_length_chunk(self, monkeypatch):
         corpus, _, cfg = self._toy()
         corpus = Corpus(list(corpus) + [Record("c1", "drum", "[B z ]"),
                                         Record("c2", "a red apple fruit", "[A z ]")],
@@ -349,11 +365,15 @@ class TestTrain:
 
         monkeypatch.setattr(enc, "backward_ids", counting)
         enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=2, batch=2))
-        lengths = [{len(enc.tokenize(text, cfg.vocab, cfg.max_len))
-                    for text in enc.group_texts(group, corpus)} for group in groups]
-        assert len(calls) == 2 * sum(map(len, lengths)) == 2 * (3 + 2 + 3)
-        assert sum(batch for batch, _ in calls) == 2 * sum(
-            2 + len(group.negative_ids()) for group in groups)
+        # Steps: groups 1+2 share a1, a2, b1 and c2 (6 distinct texts of
+        # lengths 3, 1, 4); group 3 alone (3 texts of lengths 1, 3, 4).
+        steps = [{text for group in groups[i : i + 2] for text in enc.group_texts(group, corpus)}
+                 for i in (0, 2)]
+        lengths = [[len(enc.tokenize(text, cfg.vocab, cfg.max_len)) for text in step]
+                   for step in steps]
+        chunks = sum(len(enc.length_chunks(step)) for step in lengths)
+        assert len(calls) == 2 * chunks == 2 * (3 + 3)
+        assert sum(batch for batch, _ in calls) == 2 * sum(map(len, steps)) == 2 * (6 + 3)
 
     def test_epoch_cap(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from stare import encoder as enc
 from stare import mli
 from stare.corpus import Corpus, Record
 
-from oracles import jacobi_svd_top_right, reference_sweep
+from oracles import jacobi_svd_top_right, reference_probe_loss_and_grads, reference_sweep
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +63,8 @@ class TestCollectStates:
         corpus = mli.TokenLabelCorpus(
             [(["alpha", "beta", "gamma"], ["NOUN", "VERB", "NOUN"])],
             ["NOUN", "VERB"], "POS")
-        X, y = mli.collect_states(corpus, params, cfg, layer=2)
-        assert X.shape == (3, cfg.d)
+        X, y = mli.collect_states(corpus, params, cfg, layers=[2])
+        assert list(X) == [2] and X[2].shape == (3, cfg.d)
         assert list(y) == [0, 1, 0]
 
     def test_deterministic(self):
@@ -72,24 +72,25 @@ class TestCollectStates:
         params = enc.init_params(cfg)
         corpus = mli.TokenLabelCorpus([(["alpha", "beta"], ["NOUN", "VERB"])],
                                       ["NOUN", "VERB"], "POS")
-        X1, _ = mli.collect_states(corpus, params, cfg, 1)
-        X2, _ = mli.collect_states(corpus, params, cfg, 1)
-        assert np.array_equal(X1, X2)
+        X1, _ = mli.collect_states(corpus, params, cfg, [1])
+        X2, _ = mli.collect_states(corpus, params, cfg, [1])
+        assert np.array_equal(X1[1], X2[1])
 
     def test_truncation_consistent(self):
         cfg = self._cfg()  # max_len 4
         params = enc.init_params(cfg)
         tokens = ["alpha", "beta", "gamma", "delta", "epsilon"]
         corpus = mli.TokenLabelCorpus([(tokens, ["NOUN"] * 5)], ["NOUN", "VERB"], "POS")
-        X, y = mli.collect_states(corpus, params, cfg, 1)
-        assert X.shape[0] == 4 == len(y)
+        X, y = mli.collect_states(corpus, params, cfg, [1])
+        assert X[1].shape[0] == 4 == len(y)
 
     def test_layer_bounds(self):
         cfg = self._cfg()
         params = enc.init_params(cfg)
         corpus = mli.TokenLabelCorpus([(["alpha"], ["NOUN"])], ["NOUN", "VERB"], "POS")
-        with pytest.raises(enc.LayerOutOfRange):
-            mli.collect_states(corpus, params, cfg, 0)
+        for layers in ([0], [1, 4]):
+            with pytest.raises(enc.LayerOutOfRange, match=f"layer {layers[-1]} outside"):
+                mli.collect_states(corpus, params, cfg, layers)
 
     def test_rows_equal_per_sentence_forward(self):
         cfg = self._cfg()
@@ -98,14 +99,15 @@ class TestCollectStates:
         sentences = [(words[i % 3 : i % 3 + n], [("NOUN", "VERB")[j % 2] for j in range(n)])
                      for i, n in enumerate([2, 1, 3, 2, 5, 1, 2, 3, 4, 2])]
         corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")
+        X, y = mli.collect_states(corpus, params, cfg, [3, 1])  # one forward, both layers
+        assert list(X) == [3, 1]
         for layer in (1, 3):
-            X, y = mli.collect_states(corpus, params, cfg, layer)
             want_x, want_y = [], []
             for tokens, labels in sentences:
                 ids = enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
                 want_x.append(enc.forward_ids(ids, params, cfg).layers[layer])
                 want_y += [labels[j] == "VERB" for j in range(len(ids))]
-            assert np.array_equal(X, np.vstack(want_x))
+            assert np.array_equal(X[layer], np.vstack(want_x))
             assert list(y) == want_y
 
 
@@ -146,6 +148,21 @@ class TestTrainProbe:
                 fd = (lp - lm) / (2 * eps)
                 worst = max(worst, abs(gflat[idx] - fd) / max(1e-8, abs(gflat[idx]) + abs(fd)))
         assert worst <= 1e-4
+
+    @pytest.mark.parametrize("n, d, k, scale, l2", [(30, 8, 3, 0.5, 1e-3), (1, 4, 2, 0.0, 0.0),
+                                                    (257, 16, 27, 40.0, 1e-4)])
+    def test_in_place_equals_reference(self, n, d, k, scale, l2):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, k, size=n)
+        W = rng.standard_normal((k, d)) * scale
+        b = rng.standard_normal(k) * scale
+        inputs = [a.copy() for a in (W, b, X, y)]
+        loss, dW, db = mli.probe_loss_and_grads(W, b, X, y, l2)
+        want_loss, want_dW, want_db = reference_probe_loss_and_grads(W, b, X, y, l2)
+        assert loss == want_loss
+        assert np.array_equal(dW, want_dW) and np.array_equal(db, want_db)
+        assert all(np.array_equal(a, c) for a, c in zip((W, b, X, y), inputs))
 
     def test_loss_curve_monotone(self, probe_cfg):
         rng = np.random.default_rng(3)
@@ -315,9 +332,9 @@ class TestSweep:
             grid = mli.SweepGrid(layers=[1, 2], properties=["POS"], lambdas=lambdas)
             mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
             counts.append(len(calls))
-        # baseline + prefix states for each sequence, one probe corpus per layer
+        # baseline + prefix states for each sequence, one probe corpus forward
         sequences = len(bank) + len(dev)
-        assert counts == [2 * sequences + 2 * len(corpora["POS"].sentences)] * 2
+        assert counts == [2 * sequences + len(corpora["POS"].sentences)] * 2
 
     def test_default_layers(self):
         assert mli.default_sweep_layers(4) == [2, 3, 4]
