@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import trees
-from .artifacts import atomic_write, fields, fits
+from .artifacts import atomic_write, fields, fits, read_json
 from .trees import ParseDialect
 
 DEFAULT_NUM_HASHES = 128
@@ -227,15 +227,9 @@ class LshIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "LshIndex":
-        """Read ``save`` output with one ``json`` call, then decode and drop
-        one record at a time; anything malformed is a ValueError naming ``path``."""
-        try:
-            payload = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
-            raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index "
-                             f"({exc})") from None
-        if not isinstance(payload, dict) or payload.get("format_version") != cls.FORMAT_VERSION:
-            raise ValueError(f"{path}: not a version {cls.FORMAT_VERSION} LSH index")
+        """Read ``save`` output with one ``read_json`` call, then decode and
+        drop one record at a time; anything malformed is a ValueError naming ``path``."""
+        payload = read_json(path, cls.FORMAT_VERSION)
         num_hashes, bands, rows, tau, seed, records = fields(f"{path}: LSH index", payload, {
             "P": int, "b": int, "r": int, "tau": float, "seed": int, "records": list})
         index = cls(num_hashes=num_hashes, tau=tau, seed=seed)

@@ -65,7 +65,11 @@ def _locked_out_dir(out: Path):
 
 
 def _load_corpus(config: PipelineConfig, split: str) -> Corpus:
-    return load_corpus(config.path(config.corpus[split]), config.corpus["dialect"])
+    path = config.path(config.corpus[split])
+    corpus = load_corpus(path, config.corpus["dialect"])
+    if not len(corpus):
+        raise DataError(f"{path}: empty corpus")
+    return corpus
 
 
 def _upstream(path: Path, stage: str) -> Path:
@@ -89,8 +93,6 @@ def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
 
 def cmd_bucket(config: PipelineConfig, out: Path) -> int:
     corpus = _load_corpus(config, "train")
-    if not len(corpus):
-        raise DataError("empty corpus")
     index = _build_lsh(config, corpus)
     index.save(out / "lsh_index.json")
     pool_sizes = sorted(len(index.query(index.signatures[rec.id], exclude=rec.id))
@@ -150,12 +152,8 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
     m = config.mli
     if not m["label_corpora"]:
         raise DataError("mli.label_corpora is empty; nothing to probe")
-    label_corpora = {}
-    for prop in m["properties"]:
-        path = m["label_corpora"].get(prop)
-        if path is None:
-            continue
-        label_corpora[prop] = mli.load_token_label_corpus(config.path(path), prop)
+    label_corpora = {prop: mli.load_token_label_corpus(config.path(m["label_corpora"][prop]), prop)
+                     for prop in m["properties"] if prop in m["label_corpora"]}
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]),
                      lambdas=[float(x) for x in m["lambdas"]])
@@ -188,8 +186,7 @@ def _load_direction(out: Path, cfg: EncoderConfig):
 
 def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
     corpus = _load_corpus(config, "train")
-    params_path = Path(args.params) if args.params else out / "encoder.params"
-    params, cfg = encoder.load_params(_upstream(params_path, "train"))
+    params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     injection = _load_direction(out, cfg) if args.use_direction else None
     if args.index:
         index = retrieval.load_index(Path(args.index))
@@ -223,19 +220,14 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
     anonymize = config.mining["anonymize"]
     dev_queries = [(rec.utterance, rec.parse) for rec in dev]
 
-    rankers = {
-        "untrained": retrieval.make_dense_ranker(
-            retrieval.build_index(corpus, untrained_params, cfg), untrained_params, cfg),
-        "trained": retrieval.make_dense_ranker(
-            retrieval.build_index(corpus, trained_params, cfg), trained_params, cfg),
-        "bm25": retrieval.make_bm25_ranker(corpus),
-    }
-    if injection is not None:
-        rankers["trained_mli"] = retrieval.make_dense_ranker(
-            retrieval.build_index(corpus, trained_params, cfg, injection),
-            trained_params, cfg, injection)
-    else:
-        rankers["trained_mli"] = rankers["trained"]
+    def dense(params, injection=None):
+        return retrieval.make_dense_ranker(
+            retrieval.build_index(corpus, params, cfg, injection), params, cfg, injection)
+
+    rankers = {"untrained": dense(untrained_params), "trained": dense(trained_params),
+               "bm25": retrieval.make_bm25_ranker(corpus)}
+    rankers["trained_mli"] = (rankers["trained"] if injection is None
+                              else dense(trained_params, injection))
 
     metrics = {name: retrieval.evaluate(rank, dev_queries, corpus, k, anonymize)
                for name, rank in rankers.items()}
@@ -291,7 +283,6 @@ def make_parser() -> _Parser:
     p.add_argument("--exclude")
     p.add_argument("--format", choices=("json", "prompt"), default="json")
     p.add_argument("--index", help="saved retrieval index (default: build in memory)")
-    p.add_argument("--params", help="encoder params file (default: <out>/encoder.params)")
     p.add_argument("--use-direction", action="store_true",
                    help="apply <out>/direction.json while embedding")
     stage("eval", "compare untrained / trained / trained+MLI / BM25")

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .artifacts import fits
+from .artifacts import fits, read_json
 from .bucketing import LshIndex
 from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
@@ -167,11 +167,9 @@ def validate(config: PipelineConfig) -> PipelineConfig:
 def load_config(path: str | Path, env: dict[str, str] | None = None) -> PipelineConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = read_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - set(_SECTIONS)

@@ -12,9 +12,7 @@ block shifts the pooled embedding by exactly the injected vector.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_write, fields
+from .artifacts import DimensionMismatch, read_header_blob, write_header_blob
 
 logger = logging.getLogger(__name__)
 
@@ -42,10 +40,6 @@ CHUNK_TOKENS = 64
 
 
 class EmptyInput(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
     pass
 
 
@@ -614,46 +608,6 @@ def save_params(path: str | Path, params: dict[str, np.ndarray], cfg: EncoderCon
         "arrays": [{"name": name, "shape": list(shape)} for name, shape in shapes],
     }
     write_header_blob(path, header, [(name, params[name], shape) for name, shape in shapes])
-
-
-def write_header_blob(path: str | Path, header: dict,
-                      arrays: Sequence[tuple[str, np.ndarray, tuple[int, ...]]]) -> None:
-    """Write a params or index file: the JSON header line, then each
-    (name, array, shape) array as raw float64, in order.
-
-    Every shape is checked before anything is written (DimensionMismatch
-    naming the array); ``atomic_write`` writes the file whole.
-    """
-    blobs = []
-    for name, arr, shape in arrays:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if arr.shape != tuple(shape):
-            raise DimensionMismatch(f"{name}: {arr.shape} != {tuple(shape)}")
-        blobs.append(arr)
-    with atomic_write(path, binary=True) as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for arr in blobs:
-            fh.write(arr.tobytes())
-
-
-def read_header_blob(path: str | Path, version: int,
-                     hints: dict[str, object]) -> tuple[list, bytearray]:
-    """The values of ``hints``' header keys, and the blob, of a params or index
-    file; ValueError naming the file if the header is unreadable, of another
-    version, or fails ``hints``. Loaded arrays view the one blob buffer, so
-    each value is held once."""
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-        except ValueError as exc:
-            raise ValueError(f"{path}: unreadable header ({exc})") from exc
-        if not isinstance(header, dict) or header.get("format_version") != version:
-            raise ValueError(f"{path}: not a version {version} file")
-        values = fields(str(path), header, hints)
-        blob = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
-        if fh.readinto(blob) != len(blob):
-            raise ValueError(f"{path}: file changed while it was read")
-    return values, blob
 
 
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], EncoderConfig]:

@@ -244,35 +244,28 @@ def generate(spec: FixtureSpec = FixtureSpec()) -> FixtureData:
     cluster_of: dict[str, int] = {}
     tagged: list[Tagged] = []
     for c in range(spec.clusters):
-        builder = _BUILDERS[c]
-        for i in range(spec.per_cluster):
-            words, parse = builder(rng)
-            words = _with_carriers(rng, words)
-            rid = f"c{c}_{i:03d}"
-            train.append(Record(rid, " ".join(w for w, _ in words), parse))
-            cluster_of[rid] = c
-            tagged.append(words)
-        for i in range(spec.dev_per_cluster):
-            words, parse = builder(rng)
-            words = _with_carriers(rng, words)
-            rid = f"dev_c{c}_{i:03d}"
-            dev.append(Record(rid, " ".join(w for w, _ in words), parse))
-            cluster_of[rid] = c
+        for split, n, prefix in ((train, spec.per_cluster, ""),
+                                 (dev, spec.dev_per_cluster, "dev_")):
+            for i in range(n):
+                words, parse = _BUILDERS[c](rng)
+                words = _with_carriers(rng, words)
+                rid = f"{prefix}c{c}_{i:03d}"
+                split.append(Record(rid, " ".join(w for w, _ in words), parse))
+                cluster_of[rid] = c
+                if split is train:
+                    tagged.append(words)
     return FixtureData(train=train, dev=dev, cluster_of=cluster_of, tagged=tagged)
 
 
+_LABELERS = {"POS": list, "DEPS": deps_labels, "PT": pt_labels}
+
+
 def write_token_label_file(tagged: list[Tagged], path: Path, prop: str) -> None:
+    if prop not in _LABELERS:
+        raise ValueError(f"unknown property {prop!r}")
     lines = []
     for words in tagged:
-        pos = [tag for _, tag in words]
-        if prop == "POS":
-            labels = pos
-        elif prop == "DEPS":
-            labels = deps_labels(pos)
-        elif prop == "PT":
-            labels = pt_labels(pos)
-        else:
-            raise ValueError(f"unknown property {prop!r}")
+        labels = _LABELERS[prop]([tag for _, tag in words])
         lines.extend(f"{word}\t{label}" for (word, _), label in zip(words, labels))
         lines.append("")
     with atomic_write(path) as fh:

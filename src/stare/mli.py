@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import retrieval
-from .artifacts import atomic_write, fields, write_json
+from .artifacts import atomic_write, fields, read_json, read_lines, write_json
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
 
@@ -72,29 +71,28 @@ def default_label_set(prop: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-def load_token_label_corpus(path: str | Path, prop: str,
-                            label_set: list[str] | None = None) -> TokenLabelCorpus:
-    """TSV reader: "token<TAB>label" lines, blank line between sentences."""
-    if label_set is None:
-        label_set = default_label_set(prop)
+def load_token_label_corpus(path: str | Path, prop: str) -> TokenLabelCorpus:
+    """TSV reader: "token<TAB>label" lines, blank line between sentences; a
+    label outside the property's set, or a file with no sentence, is a
+    ValueError naming the line or the file."""
+    label_set = default_label_set(prop)
     sentences: list[tuple[list[str], list[str]]] = []
     tokens: list[str] = []
     labels: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sentences.append((tokens, labels))
-                    tokens, labels = [], []
-                continue
-            parts = line.split("\t")
+    for where, line in [*read_lines(path), (path, "")]:  # a blank line ends a sentence
+        if line.strip():
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>label'")
+                raise ValueError(f"{where}: expected 'token<TAB>label'")
+            if parts[1] not in label_set:
+                raise LabelSetMismatch(f"{where}: label {parts[1]!r} not in the {prop} set")
             tokens.append(parts[0])
             labels.append(parts[1])
-    if tokens:
-        sentences.append((tokens, labels))
+        elif tokens:
+            sentences.append((tokens, labels))
+            tokens, labels = [], []
+    if not sentences:
+        raise ValueError(f"{path}: no sentence to probe")
     return TokenLabelCorpus(sentences, label_set, prop)
 
 
@@ -385,12 +383,7 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
 
 
 def load_direction(path: str | Path) -> InjectionDirection | None:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: unreadable direction ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format_version") != DIRECTION_FORMAT_VERSION:
-        raise ValueError(f"{path}: not a version {DIRECTION_FORMAT_VERSION} direction")
+    payload = read_json(path, DIRECTION_FORMAT_VERSION)
     if payload.get("baseline"):
         return None
     u, layer, lam, prop = fields(str(path), payload, {"u": list[float], "layer": int,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .artifacts import fields
+from .artifacts import fields, read_header_blob, write_header_blob
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
 from .trees import ParseTree, anonymize_leaves, parse
@@ -324,12 +324,12 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
         "ids": index.ids,
         "provenance": index.provenance,
     }
-    enc.write_header_blob(path, header,
-                          [("embeddings", embeddings, (len(index.ids), embeddings.shape[-1]))])
+    write_header_blob(path, header,
+                      [("embeddings", embeddings, (len(index.ids), embeddings.shape[-1]))])
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    (n, d, ids, provenance), blob = enc.read_header_blob(path, INDEX_FORMAT_VERSION, {
+    (n, d, ids, provenance), blob = read_header_blob(path, INDEX_FORMAT_VERSION, {
         "n": int, "d": int, "ids": list[str], "provenance": dict})
     fields(f"{path}: provenance", provenance, {"params_sha256": str, "injection": dict | None})
     if len(ids) != n or len(blob) != 8 * n * d:

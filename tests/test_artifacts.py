@@ -130,7 +130,10 @@ def test_stages_leave_no_temp_files(pipeline_runs):
     (True, bool, True), (1.0, int, False), ("1", int, False), (None, str | None, True),
     (7, str | int, True), (False, str | int, False), ({}, dict | None, True),
     (["a"], list[str], True), ("ab", list[str], False), (["a", 1], list[str], False),
-    ([1, 2.5], list[float], True), ([True], list[float], False)])
+    ([1, 2.5], list[float], True), ([True], list[float], False),
+    (float("nan"), float, False), (float("inf"), float, False), (float("-inf"), float, False),
+    (float("nan"), float | None, False), ([0.5, float("nan")], list[float], False),
+    (10 ** 400, float, True)])
 def test_fits(value, hint, expected):
     assert fits(value, hint) is expected
 

@@ -1,0 +1,167 @@
+"""One table of corrupted inputs: every stage that reads the input fails as a
+data error (exit 2) that names the file, without a traceback, and a failed
+``retrieve`` leaves the run directory byte-unchanged. Below the table: the
+non-finite rule, and the reader of ``stare.artifacts`` that the table rests on."""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+from stare import cli, retrieval
+from stare.artifacts import read_json, read_lines, write_json
+
+QUERY = "hey call ravi thanks"
+
+
+def _truncate(data: bytes) -> bytes:
+    """Cut in the middle of the line that holds the file's midpoint, so the
+    result is malformed rather than a shorter valid file."""
+    half = len(data) // 2
+    start = data.rfind(b"\n", 0, half) + 1
+    end = data.find(b"\n", half)
+    return data[:(start + (len(data) if end < 0 else end)) // 2]
+
+
+def _flip_blob_byte(data: bytes) -> bytes:
+    out = bytearray(data)
+    out[-len(out) // 4] ^= 0x01
+    return bytes(out)
+
+
+def _nan(pattern: bytes):
+    return lambda data: re.sub(pattern, rb"\1NaN", data, count=1)
+
+
+CORRUPTIONS = {"truncated": _truncate, "empty": lambda data: b"", "list": lambda data: b"[]",
+               "not_utf8": lambda data: b"\xff" + data}
+STAGES = ("bucket", "mine", "train", "mli", "eval", "retrieve")
+
+# input -> (directory, stages that read it, extra corruptions)
+INPUTS = {
+    "config.json": ("fixture", STAGES, {}),
+    "train.jsonl": ("fixture", STAGES, {}),
+    "dev.jsonl": ("fixture", ("mli", "eval"), {}),
+    "pos.tsv": ("fixture", ("mli",), {}),
+    "lsh_index.json": ("run", ("mine",), {"nan": _nan(rb'("tau": )[-+.\deE]+')}),
+    "pairs.jsonl": ("run", ("train",), {"nan": _nan(rb'("positive_sim": )[-+.\deE]+')}),
+    "encoder.params": ("run", ("mli", "eval", "retrieve"), {"flipped_blob": _flip_blob_byte}),
+    "direction.json": ("run", ("eval", "retrieve"), {"nan": _nan(rb'("u": \[)[^,\]]+')}),
+}
+
+BLOB_XFAIL = pytest.mark.xfail(strict=True, reason=(
+    "a flipped blob byte loads as other weights until encoder.params carries its "
+    "sha256 in the header (ROADMAP item 1)"))
+
+
+def _cases():
+    for name, (_, stages, extra) in INPUTS.items():
+        for corruption in [*CORRUPTIONS, *extra]:
+            for stage in stages:
+                if corruption == "flipped_blob" and stage == "mli":
+                    continue  # the same silent load as under eval, at the cost of a sweep
+                marks = [BLOB_XFAIL] if corruption == "flipped_blob" else []
+                yield pytest.param(name, corruption, stage, marks=marks,
+                                   id=f"{name}-{corruption}-{stage}")
+
+
+def _snapshot(root: Path) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def copied_run(pipeline_runs, tmp_path):
+    """A private copy of the fixture inputs and of one finished run, removed
+    afterwards so the table does not keep a 1.8 MB run per case on disk."""
+    fix_dir, run_a, _ = pipeline_runs
+    root = tmp_path.resolve()
+    dirs = {"fixture": root / "fixture", "run": root / "run"}
+    shutil.copytree(fix_dir, dirs["fixture"])
+    shutil.copytree(run_a, dirs["run"])
+    yield dirs
+    shutil.rmtree(root, ignore_errors=True)
+
+
+def _argv(stage: str, dirs: dict[str, Path]) -> list[str]:
+    argv = [stage, "--config", str(dirs["fixture"] / "config.json"), "--out", str(dirs["run"])]
+    if stage == "retrieve":
+        argv += ["--query", QUERY, "--k", "3", "--use-direction"]
+    return argv
+
+
+@pytest.mark.parametrize("name,corruption,stage", list(_cases()))
+def test_corrupt_input_is_a_named_data_error(copied_run, caplog, capsys,
+                                             name, corruption, stage):
+    where, _, extra = INPUTS[name]
+    path = copied_run[where] / name
+    data = path.read_bytes()
+    damaged = {**CORRUPTIONS, **extra}[corruption](data)
+    assert damaged != data
+    path.write_bytes(damaged)
+    before = _snapshot(copied_run["run"])
+
+    code = cli.main(_argv(stage, copied_run))
+
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert str(path) in caplog.text
+    assert "Traceback" not in caplog.text + err
+    if stage == "retrieve":
+        assert _snapshot(copied_run["run"]) == before
+
+
+def test_non_finite_override_refused(copied_run, caplog, monkeypatch):
+    monkeypatch.setenv("STARE_TRAINING_LR", "NaN")
+    before = _snapshot(copied_run["run"])
+    assert cli.main(_argv("train", copied_run)) == cli.EXIT_DATA
+    assert "training.lr" in caplog.text
+    assert _snapshot(copied_run["run"]) == before
+
+
+def test_non_finite_metric_is_a_numeric_failure(copied_run, caplog, monkeypatch):
+    """A NaN never reaches an artifact: the write fails with exit 3 and
+    ``eval_metrics.json`` keeps its old bytes."""
+    monkeypatch.setattr(retrieval, "evaluate", lambda *args: {"score": math.nan})
+    path = copied_run["run"] / "eval_metrics.json"
+    old = path.read_bytes()
+    assert cli.main(_argv("eval", copied_run)) == cli.EXIT_NUMERIC
+    assert str(path) in caplog.text
+    assert path.read_bytes() == old
+    assert not list(copied_run["run"].glob("*.tmp*"))
+
+
+def test_read_lines_splits_as_text_mode_open(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes("a\tB\r\nc\x0bd\re\u2028f\n\n\r\ng".encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = list(fh)
+    assert [line for _, line in read_lines(path)] == expected
+    assert [where for where, _ in read_lines(path)] == [
+        f"{path}:{n}" for n in range(1, len(expected) + 1)]
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"\xff{}", "not UTF-8"), (b'{"a": ', "invalid JSON"), (b"[]", "not a version 1 file"),
+    (b'{"format_version": 2}', "not a version 1 file")])
+def test_read_json_names_the_file_once(tmp_path, data, message):
+    path = tmp_path / "x.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        read_json(path, version=1)
+    assert str(info.value).startswith(f"{path}: {message}")
+    assert str(info.value).count(str(path)) == 1
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "metrics.json"
+    path.write_text("old")
+    with pytest.raises(FloatingPointError, match="metrics.json"):
+        write_json(path, {"score": [1.0, math.inf]})
+    assert path.read_text() == "old"
+    assert sorted(tmp_path.iterdir()) == [path]
