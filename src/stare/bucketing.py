@@ -59,38 +59,25 @@ def extract_features(parse: str, dialect: ParseDialect | str) -> frozenset[str]:
     names; literals are dropped.
     """
     dialect = ParseDialect(dialect)
+    if dialect is ParseDialect.SQL_SKELETON:
+        skeleton = trees.parse_sql_skeleton(parse)
+        return frozenset(node.label for node in skeleton.postorder()
+                         if node.label not in _SQL_NON_FEATURES
+                         and not _SQL_OPERATOR.match(node.label))
     if dialect is ParseDialect.BRACKETED:
         trees.parse_bracketed(parse)  # validate; propagate parser errors
-        feats: set[str] = set()
-        toks = trees.lex_bracketed(parse)
-        for idx, (tok, _) in enumerate(toks):
-            if tok in "[]":
-                continue
-            if idx > 0 and toks[idx - 1][0] == "[":
-                feats.add(tok)
-            else:
-                feats.add(_norm_terminal(tok))
-        return frozenset(feats)
-    if dialect is ParseDialect.SEXPR:
+        tokens = trees.lex_bracketed(parse)
+    else:
         trees.parse_sexpr(parse)
-        feats = set()
-        toks = trees.lex_sexpr(parse)
-        for idx, (kind, value, _) in enumerate(toks):
-            if kind == "atom":
-                if idx > 0 and toks[idx - 1][0] == "open":
-                    feats.add(value)
-                else:
-                    feats.add(_norm_terminal(value))
-            elif kind == "string":
-                feats.update(_norm_terminal(w) for w in value.split())
-        return frozenset(feats)
-    skeleton = trees.parse_sql_skeleton(parse)
-    feats = set()
-    for node in skeleton.postorder():
-        lab = node.label
-        if lab in _SQL_NON_FEATURES or _SQL_OPERATOR.match(lab):
-            continue
-        feats.add(lab)
+        tokens = trees.lex_sexpr(parse)
+    feats: set[str] = set()
+    prev = None
+    for kind, value, _ in tokens:
+        if kind == "atom":
+            feats.add(value if prev == "open" else _norm_terminal(value))
+        elif kind == "string":
+            feats.update(_norm_terminal(w) for w in value.split())
+        prev = kind
     return frozenset(feats)
 
 

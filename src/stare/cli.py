@@ -28,7 +28,7 @@ from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
 from .mli import ProbeConfig, SweepGrid
 from .ted import sim_struct, sim_struct_raw, ted
-from .trees import ParseError, parse
+from .trees import ParseDialect, ParseError, parse
 
 logger = logging.getLogger("stare")
 
@@ -112,8 +112,13 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> int:
 
 def cmd_mine(config: PipelineConfig, out: Path) -> int:
     corpus = _load_corpus(config, "train")
-    index = bucketing.LshIndex.load(_upstream(out / "lsh_index.json", "bucket"))
-    groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
+    path = _upstream(out / "lsh_index.json", "bucket")
+    index = bucketing.LshIndex.load(path)
+    try:
+        groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
+    except mining.IndexCorpusMismatch:
+        raise DataError(f"{path}: its ids are not those of the corpus {config.corpus['train']} "
+                        f"({len(index)} vs {len(corpus)} records)") from None
     mining.save_groups(groups, out / "pairs.jsonl")
     write_json(out / "mining_report.json", asdict(report), indent=2)
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
@@ -289,8 +294,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("ted", help="tree edit distance between two parses")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--dialect", default="bracketed",
-                   choices=("bracketed", "sexpr", "sql_skeleton"))
+    p.add_argument("--dialect", default="bracketed", choices=[d.value for d in ParseDialect])
     p = sub.add_parser("fixture-gen", help="generate the synthetic fixture corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -21,6 +21,7 @@ from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
 from .mli import DEFAULT_LAMBDAS, PROPERTIES, ProbeConfig
 from .retrieval import PromptSpec
+from .trees import ParseDialect
 
 
 class ConfigError(ValueError):
@@ -136,7 +137,7 @@ def validate(config: PipelineConfig) -> PipelineConfig:
                  "a corpus path is required")
         _require(config.path(value).exists(), f"corpus.{key}",
                  f"file not found: {config.path(value)}")
-    _require(sections["corpus"]["dialect"] in ("bracketed", "sexpr", "sql_skeleton"),
+    _require(sections["corpus"]["dialect"] in [d.value for d in ParseDialect],
              "corpus.dialect", f"unknown dialect {sections['corpus']['dialect']!r}")
 
     mli = sections["mli"]

@@ -120,12 +120,15 @@ class Corpus:
 
 
 def load_corpus(path: str | Path, dialect: ParseDialect | str) -> Corpus:
-    """Read one JSON object per line; errors name the offending line. An
-    integer id is read as its decimal string."""
+    """Read one JSON object per line; errors name the offending line, or the
+    file for a repeated id. An integer id is read as its decimal string."""
     records = [Record(str(rid), utterance, parse) for rid, utterance, parse in (
         fields(where, obj, {"id": str | int, "utterance": str, "parse": str})
         for where, obj in read_jsonl(path))]
-    return Corpus(records, ParseDialect(dialect))
+    try:
+        return Corpus(records, ParseDialect(dialect))
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
 
 
 def save_corpus(records: list[Record], path: str | Path) -> None:

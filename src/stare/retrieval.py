@@ -146,12 +146,12 @@ class Bm25:
     """Okapi scoring over whitespace/punctuation tokens of the utterances.
 
     idf(t) = ln(1 + (N - df + 0.5)/(df + 0.5)); each query token
-    occurrence contributes idf * tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl)).
+    occurrence contributes idf * tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl)),
+    with k1 = BM25_K1 and b = BM25_B.
     """
 
-    def __init__(self, bank: Corpus, k1: float = BM25_K1, b: float = BM25_B):
+    def __init__(self, bank: Corpus):
         self.ids = bank.ids()
-        self.k1, self.b = k1, b
         self.docs = [enc.word_tokens(rec.utterance) for rec in bank]
         self.doc_lens = [len(d) for d in self.docs]
         self.avgdl = float(np.mean(self.doc_lens)) if self.docs else 0.0
@@ -166,13 +166,13 @@ class Bm25:
         q_tokens = enc.word_tokens(query)
         out = np.zeros(len(self.docs))
         for i, tf in enumerate(self.term_freqs):
-            denom_norm = self.k1 * (1.0 - self.b + self.b * self.doc_lens[i] / self.avgdl)
+            denom_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * self.doc_lens[i] / self.avgdl)
             s = 0.0
             for tok in q_tokens:
                 f = tf.get(tok)
                 if not f:
                     continue
-                s += self.idf[tok] * f * (self.k1 + 1.0) / (f + denom_norm)
+                s += self.idf[tok] * f * (BM25_K1 + 1.0) / (f + denom_norm)
             out[i] = s
         return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -108,20 +108,27 @@ def _norm_span(words: list[str]) -> str:
     return " ".join(w.lower() for w in words)
 
 
+def _lex(pattern: re.Pattern[str], text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, offset): kind names the group of ``pattern``
+    that matched and value is that group's text. Whitespace between matches
+    is skipped, so each pattern must match every other character."""
+    return [(m.lastgroup, m.group(m.lastgroup), m.start()) for m in pattern.finditer(text)]
+
+
 # ---------------------------------------------------------------------------
 # bracketed dialect
 # ---------------------------------------------------------------------------
 
-_BRACKET_TOKEN = re.compile(r"[\[\]]|[^\s\[\]]+")
+_BRACKET_TOKEN = re.compile(r"(?P<open>\[)|(?P<close>\])|(?P<atom>[^\s\[\]]+)")
 
 
-def lex_bracketed(text: str) -> list[tuple[str, int]]:
-    """Tokens of the bracketed dialect as (token, offset) pairs.
+def lex_bracketed(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, value, offset); kind in {open, close, atom}.
 
     '[' and ']' are single-character tokens even without surrounding
     whitespace; everything else splits on whitespace.
     """
-    return [(m.group(0), m.start()) for m in _BRACKET_TOKEN.finditer(text)]
+    return _lex(_BRACKET_TOKEN, text)
 
 
 def parse_bracketed(text: str) -> ParseTree:
@@ -139,14 +146,14 @@ def parse_bracketed(text: str) -> ParseTree:
 
     def parse_node() -> ParseTree:
         nonlocal pos
-        open_tok, open_off = tokens[pos]
-        if open_tok != "[":
+        kind, _, open_off = tokens[pos]
+        if kind != "open":
             raise UnbalancedBrackets("expected '['", open_off)
         pos += 1
-        if pos >= len(tokens) or tokens[pos][0] in "[]":
-            off = tokens[pos][1] if pos < len(tokens) else len(text)
+        if pos >= len(tokens) or tokens[pos][0] != "atom":
+            off = tokens[pos][2] if pos < len(tokens) else len(text)
             raise ParseError("missing node label after '['", off)
-        label = tokens[pos][0]
+        label = tokens[pos][1]
         pos += 1
         children: list[ParseTree] = []
         span: list[str] = []
@@ -157,22 +164,22 @@ def parse_bracketed(text: str) -> ParseTree:
                 span.clear()
 
         while pos < len(tokens):
-            tok, off = tokens[pos]
-            if tok == "[":
+            kind, value, _ = tokens[pos]
+            if kind == "open":
                 flush()
                 children.append(parse_node())
-            elif tok == "]":
+            elif kind == "close":
                 flush()
                 pos += 1
                 return ParseTree(label, children)
             else:
-                span.append(tok)
+                span.append(value)
                 pos += 1
         raise UnbalancedBrackets("unclosed '['", open_off)
 
     root = parse_node()
     if pos != len(tokens):
-        raise UnbalancedBrackets("unexpected trailing content", tokens[pos][1])
+        raise UnbalancedBrackets("unexpected trailing content", tokens[pos][2])
     return root
 
 
@@ -180,33 +187,21 @@ def parse_bracketed(text: str) -> ParseTree:
 # s-expression dialect
 # ---------------------------------------------------------------------------
 
+_SEXPR_TOKEN = re.compile(
+    r'(?P<open>\()|(?P<close>\))|"(?P<string>[^"]*)"|(?P<atom>[^\s()"]+)|(?P<quote>")')
+
+
 def lex_sexpr(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, value, offset); kind in {open, close, atom, string}."""
-    out: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            out.append(("open", c, i))
-            i += 1
-        elif c == ")":
-            out.append(("close", c, i))
-            i += 1
-        elif c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise UnterminatedStringLiteral("unterminated string literal", i)
-            out.append(("string", text[i + 1 : j], i))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            out.append(("atom", text[i:j], i))
-            i = j
-    return out
+    """Tokens as (kind, value, offset); kind in {open, close, atom, string}.
+
+    A string's value is the text between its quotes; its offset is that of
+    the opening quote.
+    """
+    tokens = _lex(_SEXPR_TOKEN, text)
+    for kind, _, off in tokens:
+        if kind == "quote":
+            raise UnterminatedStringLiteral("unterminated string literal", off)
+    return tokens
 
 
 def parse_sexpr(text: str) -> ParseTree:
@@ -274,6 +269,7 @@ _SQL_TOKEN = re.compile(
       | (?P<op><=|>=|<>|!=|=|<|>)
       | (?P<punct>[(),;*])
       | (?P<word>[A-Za-z_][A-Za-z0-9_$]*(?:\.(?:[A-Za-z_][A-Za-z0-9_$]*|\*))?)
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -282,44 +278,24 @@ NUM_PLACEHOLDER = "<NUM>"
 STR_PLACEHOLDER = "<STR>"
 
 
-class _SqlToken:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: str, offset: int):
-        self.kind = kind  # kw | ident | num | str | op | punct
-        self.value = value
-        self.offset = offset
-
-    def __repr__(self) -> str:
-        return f"_SqlToken({self.kind}, {self.value!r})"
+class _SqlToken(NamedTuple):
+    kind: str  # kw | ident | num | str | op | punct | end
+    value: str
+    offset: int
 
 
 def _lex_sql(text: str) -> list[_SqlToken]:
+    """Tokens of one statement, keywords uppercased and identifiers
+    lowercased, closed by an ``end`` token at ``len(text)``."""
     out: list[_SqlToken] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _SQL_TOKEN.match(text, i)
-        if not m:
-            raise ParseError(f"cannot lex {text[i]!r}", i)
-        if m.lastgroup == "word":
-            word = m.group(0)
-            upper = word.upper()
-            if upper in _SQL_KEYWORDS:
-                out.append(_SqlToken("kw", upper, i))
-            else:
-                out.append(_SqlToken("ident", word.lower(), i))
-        elif m.lastgroup == "num":
-            out.append(_SqlToken("num", m.group(0), i))
-        elif m.lastgroup == "str":
-            out.append(_SqlToken("str", m.group(0), i))
-        elif m.lastgroup == "op":
-            out.append(_SqlToken("op", m.group(0), i))
-        else:
-            out.append(_SqlToken("punct", m.group(0), i))
-        i = m.end()
+    for kind, value, off in _lex(_SQL_TOKEN, text):
+        if kind == "bad":
+            raise ParseError(f"cannot lex {value!r}", off)
+        if kind == "word":
+            upper = value.upper()
+            kind, value = ("kw", upper) if upper in _SQL_KEYWORDS else ("ident", value.lower())
+        out.append(_SqlToken(kind, value, off))
+    out.append(_SqlToken("end", "", len(text)))
     return out
 
 
@@ -333,104 +309,98 @@ class _SqlParser:
     and <NUM>/<STR> placeholders for literals.
     """
 
-    def __init__(self, tokens: list[_SqlToken], text_len: int):
+    def __init__(self, tokens: list[_SqlToken]):
         self.tokens = tokens
         self.pos = 0
-        self.text_len = text_len
 
     # -- token helpers -----------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> _SqlToken | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def _at(self, kind: str, value: str, ahead: int = 0) -> bool:
+        tok = self.tokens[self.pos + ahead]
+        return tok.kind == kind and tok.value == value
 
-    def _at_kw(self, *names: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "kw" and tok.value in names
+    def _accept_kw(self, *names: str) -> str | None:
+        """Take the next token if it is one of the keywords ``names``; its value, else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw" and tok.value in names:
+            self.pos += 1
+            return tok.value
+        return None
 
-    def _at_punct(self, value: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "punct" and tok.value == value
+    def _accept_punct(self, value: str) -> bool:
+        """Take the next token if it is the punctuation ``value``."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "punct" and tok.value == value:
+            self.pos += 1
+            return True
+        return False
 
     def _take(self) -> _SqlToken:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of SQL input", self.text_len)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise ParseError("unexpected end of SQL input", tok.offset)
         self.pos += 1
         return tok
 
-    def _expect_kw(self, name: str) -> _SqlToken:
+    def _expect_kw(self, name: str) -> None:
         tok = self._take()
         if tok.kind != "kw" or tok.value != name:
             raise ParseError(f"expected {name}, found {tok.value!r}", tok.offset)
-        return tok
 
-    def _expect_punct(self, value: str) -> _SqlToken:
+    def _expect_punct(self, value: str) -> None:
         tok = self._take()
         if tok.kind != "punct" or tok.value != value:
             raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.offset)
-        return tok
+
+    def _comma_list(self, item: Callable[[], ParseTree]) -> list[ParseTree]:
+        items = [item()]
+        while self._accept_punct(","):
+            items.append(item())
+        return items
+
+    def _chain(self, op: str, operand: Callable[[], ParseTree]) -> ParseTree:
+        """``operand (op operand)*``, nested to the left."""
+        node = operand()
+        while self._accept_kw(op):
+            node = ParseTree(op, (node, operand()))
+        return node
 
     # -- grammar -----------------------------------------------------------
 
     def parse_statement(self) -> ParseTree:
         node = self.parse_select()
-        while self._at_kw(*_SET_OPS):
-            op = self._take().value
-            if self._at_kw("ALL"):
-                self._take()
-            right = self.parse_select()
-            node = ParseTree(op, (node, right))
+        while op := self._accept_kw(*_SET_OPS):
+            self._accept_kw("ALL")
+            node = ParseTree(op, (node, self.parse_select()))
         return node
 
     def parse_select(self) -> ParseTree:
         self._expect_kw("SELECT")
-        clauses: list[ParseTree] = []
-        if self._at_kw("DISTINCT"):
-            self._take()
-        clauses.append(ParseTree("SELECT", self._parse_expr_list()))
-        if self._at_kw("FROM"):
-            self._take()
+        self._accept_kw("DISTINCT")
+        clauses = [ParseTree("SELECT", self._comma_list(self._parse_value))]
+        if self._accept_kw("FROM"):
             clauses.append(ParseTree("FROM", self._parse_table_refs()))
-        if self._at_kw("WHERE"):
-            self._take()
+        if self._accept_kw("WHERE"):
             clauses.append(ParseTree("WHERE", (self._parse_condition(),)))
-        if self._at_kw("GROUP"):
-            self._take()
+        if self._accept_kw("GROUP"):
             self._expect_kw("BY")
-            clauses.append(ParseTree("GROUP BY", self._parse_expr_list()))
-        if self._at_kw("HAVING"):
-            self._take()
+            clauses.append(ParseTree("GROUP BY", self._comma_list(self._parse_value)))
+        if self._accept_kw("HAVING"):
             clauses.append(ParseTree("HAVING", (self._parse_condition(),)))
-        if self._at_kw("ORDER"):
-            self._take()
+        if self._accept_kw("ORDER"):
             self._expect_kw("BY")
-            items = []
-            items.append(self._parse_value())
-            self._skip_direction()
-            while self._at_punct(","):
-                self._take()
-                items.append(self._parse_value())
-                self._skip_direction()
-            clauses.append(ParseTree("ORDER BY", items))
-        if self._at_kw("LIMIT"):
-            self._take()
+            clauses.append(ParseTree("ORDER BY", self._comma_list(self._parse_order_item)))
+        if self._accept_kw("LIMIT"):
             tok = self._take()
             if tok.kind != "num":
                 raise ParseError("LIMIT expects a number", tok.offset)
             clauses.append(ParseTree("LIMIT", (ParseTree(NUM_PLACEHOLDER),)))
         return ParseTree("SELECT_STMT", clauses)
 
-    def _skip_direction(self) -> None:
-        if self._at_kw("ASC") or self._at_kw("DESC"):
-            self._take()
-
-    def _parse_expr_list(self) -> list[ParseTree]:
-        items = [self._parse_value()]
-        while self._at_punct(","):
-            self._take()
-            items.append(self._parse_value())
-        return items
+    def _parse_order_item(self) -> ParseTree:
+        value = self._parse_value()
+        self._accept_kw("ASC", "DESC")
+        return value
 
     def _parse_value(self) -> ParseTree:
         tok = self._take()
@@ -445,142 +415,102 @@ class _SqlParser:
             self._expect_punct(")")
             return inner
         if tok.kind == "ident":
-            if self._at_punct("("):
-                self._take()
-                if self._at_kw("DISTINCT"):
-                    self._take()
-                args = [self._parse_value()]
-                while self._at_punct(","):
-                    self._take()
-                    args.append(self._parse_value())
-                self._expect_punct(")")
-                return ParseTree(tok.value, args)
-            return ParseTree(tok.value)
+            if not self._accept_punct("("):
+                return ParseTree(tok.value)
+            self._accept_kw("DISTINCT")
+            args = self._comma_list(self._parse_value)
+            self._expect_punct(")")
+            return ParseTree(tok.value, args)
         raise UnsupportedSyntax(f"unsupported token {tok.value!r}", tok.offset)
 
     def _parse_table_refs(self) -> list[ParseTree]:
         refs = [self._parse_table_ref()]
         while True:
-            if self._at_punct(","):
-                self._take()
+            if self._accept_punct(","):
                 refs.append(self._parse_table_ref())
-                continue
-            join = self._maybe_parse_join()
-            if join is None:
+            elif (join := self._maybe_parse_join()) is not None:
+                refs.append(join)
+            else:
                 return refs
-            refs.append(join)
 
     def _parse_table_ref(self) -> ParseTree:
-        if self._at_punct("("):
-            self._take()
-            inner = self.parse_statement()
+        if self._accept_punct("("):
+            ref = self.parse_statement()
             self._expect_punct(")")
-            self._skip_alias()
-            return inner
-        tok = self._take()
-        if tok.kind != "ident":
-            raise ParseError(f"expected table name, found {tok.value!r}", tok.offset)
+        else:
+            tok = self._take()
+            if tok.kind != "ident":
+                raise ParseError(f"expected table name, found {tok.value!r}", tok.offset)
+            ref = ParseTree(tok.value)
         self._skip_alias()
-        return ParseTree(tok.value)
+        return ref
 
     def _skip_alias(self) -> None:
-        if self._at_kw("AS"):
-            self._take()
+        if self._accept_kw("AS"):
             tok = self._take()
             if tok.kind != "ident":
                 raise ParseError("expected alias name", tok.offset)
-        elif (tok := self._peek()) is not None and tok.kind == "ident":
-            self._take()
+        elif self.tokens[self.pos].kind == "ident":
+            self.pos += 1
 
     def _maybe_parse_join(self) -> ParseTree | None:
-        modifiers = ("INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS")
         start = self.pos
-        while self._at_kw(*modifiers):
-            self._take()
-        if not self._at_kw("JOIN"):
+        while self._accept_kw("INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS"):
+            pass
+        if not self._accept_kw("JOIN"):
             self.pos = start
             return None
-        self._take()
-        ref = self._parse_table_ref()
-        children = [ref]
-        if self._at_kw("ON"):
-            self._take()
+        children = [self._parse_table_ref()]
+        if self._accept_kw("ON"):
             children.append(self._parse_condition())
         return ParseTree("JOIN", children)
 
     def _parse_condition(self) -> ParseTree:
-        node = self._parse_and()
-        while self._at_kw("OR"):
-            self._take()
-            node = ParseTree("OR", (node, self._parse_and()))
-        return node
-
-    def _parse_and(self) -> ParseTree:
-        node = self._parse_not()
-        while self._at_kw("AND"):
-            self._take()
-            node = ParseTree("AND", (node, self._parse_not()))
-        return node
+        return self._chain("OR", lambda: self._chain("AND", self._parse_not))
 
     def _parse_not(self) -> ParseTree:
-        if self._at_kw("NOT"):
-            self._take()
+        if self._accept_kw("NOT"):
             return ParseTree("NOT", (self._parse_not(),))
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ParseTree:
-        if self._at_kw("EXISTS"):
-            self._take()
+        if self._accept_kw("EXISTS"):
             self._expect_punct("(")
             inner = self.parse_statement()
             self._expect_punct(")")
             return ParseTree("EXISTS", (inner,))
-        if self._at_punct("(") and self._is_nested_condition():
-            self._take()
+        # '(' opens either a grouped predicate or a subquery operand.
+        if self._at("punct", "(") and not self._at("kw", "SELECT", 1):
+            self.pos += 1
             inner = self._parse_condition()
             self._expect_punct(")")
             return inner
         left = self._parse_value()
-        if self._at_kw("NOT"):
-            self._take()
-            inner = self._finish_predicate(left)
-            return ParseTree("NOT", (inner,))
+        if self._accept_kw("NOT"):
+            return ParseTree("NOT", (self._finish_predicate(left),))
         return self._finish_predicate(left)
 
-    def _is_nested_condition(self) -> bool:
-        # '(' opens either a grouped predicate or a subquery operand.
-        nxt = self._peek(1)
-        return not (nxt is not None and nxt.kind == "kw" and nxt.value == "SELECT")
-
     def _finish_predicate(self, left: ParseTree) -> ParseTree:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("incomplete predicate", self.text_len)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise ParseError("incomplete predicate", tok.offset)
         if tok.kind == "op":
-            self._take()
-            right = self._parse_value()
-            return ParseTree(tok.value, (left, right))
-        if tok.kind == "kw" and tok.value == "IN":
-            self._take()
+            self.pos += 1
+            return ParseTree(tok.value, (left, self._parse_value()))
+        if self._accept_kw("IN"):
             self._expect_punct("(")
-            if self._at_kw("SELECT"):
-                members: list[ParseTree] = [self.parse_statement()]
+            if self._at("kw", "SELECT"):
+                members = [self.parse_statement()]
             else:
-                members = [self._parse_value()]
-                while self._at_punct(","):
-                    self._take()
-                    members.append(self._parse_value())
+                members = self._comma_list(self._parse_value)
             self._expect_punct(")")
-            return ParseTree("IN", [left] + members)
-        if tok.kind == "kw" and tok.value == "LIKE":
-            self._take()
+            return ParseTree("IN", [left, *members])
+        if self._accept_kw("LIKE"):
             return ParseTree("LIKE", (left, self._parse_value()))
-        if tok.kind == "kw" and tok.value == "BETWEEN":
-            self._take()
+        if self._accept_kw("BETWEEN"):
             lo = self._parse_value()
             self._expect_kw("AND")
-            hi = self._parse_value()
-            return ParseTree("BETWEEN", (left, lo, hi))
+            return ParseTree("BETWEEN", (left, lo, self._parse_value()))
         raise UnsupportedSyntax(f"unsupported token {tok.value!r} in predicate", tok.offset)
 
 
@@ -594,15 +524,11 @@ def parse_sql_skeleton(text: str) -> ParseTree:
     """
     if not text or not text.strip():
         raise EmptyInput("empty SQL input")
-    tokens = _lex_sql(text)
-    if not tokens:
-        raise EmptyInput("empty SQL input")
-    parser = _SqlParser(tokens, len(text))
+    parser = _SqlParser(_lex_sql(text))
     root = parser.parse_statement()
-    if parser._at_punct(";"):
-        parser._take()
-    if parser.pos != len(tokens):
-        tok = tokens[parser.pos]
+    parser._accept_punct(";")
+    tok = parser.tokens[parser.pos]
+    if tok.kind != "end":
         raise UnsupportedSyntax(f"unsupported trailing token {tok.value!r}", tok.offset)
     return root
 

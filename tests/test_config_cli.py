@@ -280,6 +280,15 @@ def test_mine_refuses_version_1_lsh_index(fixture_dir, bucketed, tmp_path, caplo
     assert "lsh_index.json" in caplog.text and "version 2" in caplog.text
 
 
+def test_mine_refuses_index_of_other_ids(fixture_dir, bucketed, tmp_path, caplog):
+    """An index bucketed from a corpus without its last record: the error
+    names both the index and the corpus."""
+    payload = json.loads(bucketed)
+    payload["records"].pop()
+    assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
+    assert "lsh_index.json" in caplog.text and "train.jsonl" in caplog.text
+
+
 class TestPipeline:
     def test_stage_artifacts_exist(self, pipeline_runs):
         _, run_a, _ = pipeline_runs

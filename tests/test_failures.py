@@ -34,6 +34,10 @@ def _flip_blob_byte(data: bytes) -> bytes:
     return bytes(out)
 
 
+def _duplicate_first_line(data: bytes) -> bytes:
+    return data + data[:data.index(b"\n") + 1]
+
+
 def _nan(pattern: bytes):
     return lambda data: re.sub(pattern, rb"\1NaN", data, count=1)
 
@@ -45,8 +49,8 @@ STAGES = ("bucket", "mine", "train", "mli", "eval", "retrieve")
 # input -> (directory, stages that read it, extra corruptions)
 INPUTS = {
     "config.json": ("fixture", STAGES, {}),
-    "train.jsonl": ("fixture", STAGES, {}),
-    "dev.jsonl": ("fixture", ("mli", "eval"), {}),
+    "train.jsonl": ("fixture", STAGES, {"duplicate_line": _duplicate_first_line}),
+    "dev.jsonl": ("fixture", ("mli", "eval"), {"duplicate_line": _duplicate_first_line}),
     "pos.tsv": ("fixture", ("mli",), {}),
     "lsh_index.json": ("run", ("mine",), {"nan": _nan(rb'("tau": )[-+.\deE]+')}),
     "pairs.jsonl": ("run", ("train",), {"nan": _nan(rb'("positive_sim": )[-+.\deE]+')}),

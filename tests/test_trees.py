@@ -152,6 +152,67 @@ class TestSqlSkeleton:
         with pytest.raises(ParseError):
             parse_sql_skeleton("SELECT FROM WHERE")
 
+    def test_comma_lists_and_directions(self):
+        tree = parse_sql_skeleton(
+            "SELECT DISTINCT a FROM t, u GROUP BY a, b ORDER BY a ASC, count(b) DESC, c")
+        assert tree == t("SELECT_STMT", t("SELECT", t("a")), t("FROM", t("t"), t("u")),
+                         t("GROUP BY", t("a"), t("b")),
+                         t("ORDER BY", t("a"), t("count", t("b")), t("c")))
+
+    def test_function_arguments(self):
+        tree = parse_sql_skeleton("SELECT count(DISTINCT a), round(b, 2), f(x, 'y', *) FROM t")
+        assert tree.children[0] == t("SELECT", t("count", t("a")),
+                                     t("round", t("b"), t("<NUM>")),
+                                     t("f", t("x"), t("<STR>"), t("*")))
+
+    def test_in_lists_and_negations(self):
+        tree = parse_sql_skeleton("SELECT a FROM t WHERE a IN (1, 'x', b) "
+                                  "AND c NOT IN (SELECT d FROM u) OR e NOT LIKE 'z%'")
+        sub = t("SELECT_STMT", t("SELECT", t("d")), t("FROM", t("u")))
+        assert tree.children[2] == t("WHERE", t(
+            "OR",
+            t("AND", t("IN", t("a"), t("<NUM>"), t("<STR>"), t("b")),
+              t("NOT", t("IN", t("c"), sub))),
+            t("NOT", t("LIKE", t("e"), t("<STR>")))))
+
+    def test_union_all_outer_join_and_aliases(self):
+        tree = parse_sql_skeleton(
+            "SELECT T1.a FROM t AS T1 LEFT OUTER JOIN u T2 ON T1.id = T2.id "
+            "UNION ALL SELECT b FROM (SELECT b FROM v) AS sub")
+        assert tree == t(
+            "UNION",
+            t("SELECT_STMT", t("SELECT", t("t1.a")),
+              t("FROM", t("t"), t("JOIN", t("u"), t("=", t("t1.id"), t("t2.id"))))),
+            t("SELECT_STMT", t("SELECT", t("b")),
+              t("FROM", t("SELECT_STMT", t("SELECT", t("b")), t("FROM", t("v"))))))
+
+    def test_exists_between_group_and_semicolon(self):
+        tree = parse_sql_skeleton("SELECT a FROM t WHERE EXISTS (SELECT b FROM u) "
+                                  "AND (c BETWEEN 1 AND 2 OR NOT d = 3);")
+        sub = t("SELECT_STMT", t("SELECT", t("b")), t("FROM", t("u")))
+        assert tree.children[2] == t("WHERE", t(
+            "AND", t("EXISTS", sub),
+            t("OR", t("BETWEEN", t("c"), t("<NUM>"), t("<NUM>")),
+              t("NOT", t("=", t("d"), t("<NUM>"))))))
+
+    @pytest.mark.parametrize("sql,cls,message,position", [
+        ("SELECT count(a FROM t", ParseError, "expected ')', found 'FROM'", 15),
+        ("SELECT a FROM 3", ParseError, "expected table name, found '3'", 14),
+        ("SELECT a FROM t AS 3", ParseError, "expected alias name", 19),
+        ("SELECT a FROM t LIMIT b", ParseError, "LIMIT expects a number", 22),
+        ("SELECT a FROM t WHERE b = ?", ParseError, "cannot lex '?'", 26),
+        ("SELECT a FROM", ParseError, "unexpected end of SQL input", 13),
+        ("SELECT a FROM t WHERE (b = 1", ParseError, "unexpected end of SQL input", 28),
+        ("SELECT a FROM t WHERE b", ParseError, "incomplete predicate", 23),
+        ("SELECT a FROM t;;", UnsupportedSyntax, "unsupported trailing token ';'", 16),
+    ])
+    def test_error_message_and_position(self, sql, cls, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_sql_skeleton(sql)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
+
 
 class TestAnonymize:
     def test_leaf_replaced(self):
