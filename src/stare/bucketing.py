@@ -65,11 +65,11 @@ def extract_features(parse: str, dialect: ParseDialect | str) -> frozenset[str]:
                          if node.label not in _SQL_NON_FEATURES
                          and not _SQL_OPERATOR.match(node.label))
     if dialect is ParseDialect.BRACKETED:
-        trees.parse_bracketed(parse)  # validate; propagate parser errors
         tokens = trees.lex_bracketed(parse)
+        trees.parse_bracketed(parse, tokens)  # validate; propagate parser errors
     else:
-        trees.parse_sexpr(parse)
         tokens = trees.lex_sexpr(parse)
+        trees.parse_sexpr(parse, tokens)
     feats: set[str] = set()
     prev = None
     for kind, value, _ in tokens:

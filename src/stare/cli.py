@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import logging
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -48,16 +49,34 @@ class DataError(Exception):
     pass
 
 
+def _dead_owner(lock: Path) -> int | None:
+    """The PID a lock records, if no process with that PID is running."""
+    with contextlib.suppress(OSError, OverflowError, ValueError):
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return pid
+    return None
+
+
 @contextlib.contextmanager
 def _locked_out_dir(out: Path):
+    """Hold ``<out>/.lock``, created exclusively and holding this PID, for a stage."""
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     try:
-        lock.touch(exist_ok=False)
+        fd = os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
     except FileExistsError:
+        pid = _dead_owner(lock)
+        if pid is not None:
+            raise DataError(f"stale lock left by PID {pid}; remove {lock}") from None
         raise DataError(f"output directory {out} is locked by another run "
-                        f"(remove {lock} if stale)")
+                        f"(remove {lock} if stale)") from None
     try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(str(os.getpid()))
         yield out
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -189,16 +208,28 @@ def _load_direction(out: Path, cfg: EncoderConfig):
     return direction
 
 
+def _index_path(out: Path, injected: bool) -> Path:
+    """Where ``eval`` saves the trained index, built with or without the injection."""
+    return out / ("index_trained_mli.bin" if injected else "index_trained.bin")
+
+
 def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
     corpus = _load_corpus(config, "train")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     injection = _load_direction(out, cfg) if args.use_direction else None
-    if args.index:
-        index = retrieval.load_index(Path(args.index))
-        if index.ids != corpus.ids():
-            raise DataError(f"{args.index}: its ids are not those of the bank "
-                            f"{config.corpus['train']} ({len(index)} vs {len(corpus)} records)")
-    else:
+    path = Path(args.index) if args.index else _index_path(out, injection is not None)
+    index = None
+    if args.index or path.exists():
+        index = retrieval.load_index(path)
+        field = retrieval.index_mismatch(index, corpus, params, cfg, injection)
+        if field is not None:
+            if args.index:
+                raise DataError(f"{path}: its {field} differs from that of the bank "
+                                f"{config.corpus['train']}, params and injection in use")
+            logger.info("%s: its %s differs from this run's; building the index in memory",
+                        path, field)
+            index = None
+    if index is None:
         index = retrieval.build_index(corpus, params, cfg, injection)
     k = config.prompt["k"] if args.k is None else args.k
     hits = retrieval.topk(index, args.query, k, params, cfg,
@@ -225,14 +256,16 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
     anonymize = config.mining["anonymize"]
     dev_queries = [(rec.utterance, rec.parse) for rec in dev]
 
-    def dense(params, injection=None):
-        return retrieval.make_dense_ranker(
-            retrieval.build_index(corpus, params, cfg, injection), params, cfg, injection)
+    def dense(params, injection=None, save=False):
+        index = retrieval.build_index(corpus, params, cfg, injection)
+        if save:
+            retrieval.save_index(index, _index_path(out, injection is not None))
+        return retrieval.make_dense_ranker(index, params, cfg, injection)
 
-    rankers = {"untrained": dense(untrained_params), "trained": dense(trained_params),
+    rankers = {"untrained": dense(untrained_params), "trained": dense(trained_params, save=True),
                "bm25": retrieval.make_bm25_ranker(corpus)}
     rankers["trained_mli"] = (rankers["trained"] if injection is None
-                              else dense(trained_params, injection))
+                              else dense(trained_params, injection, save=True))
 
     metrics = {name: retrieval.evaluate(rank, dev_queries, corpus, k, anonymize)
                for name, rank in rankers.items()}

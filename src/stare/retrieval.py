@@ -9,6 +9,7 @@ geometry than the bank.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -94,6 +95,26 @@ def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
     return [(ids[i], float(scores[i])) for i in head]
 
 
+def _bank_tokens(bank: Corpus, cfg: EncoderConfig) -> list[list[int]]:
+    """The token ids of each record's utterance, in corpus order."""
+    def tokens(rec):
+        try:
+            return enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len)
+        except enc.EmptyInput as exc:
+            raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
+
+    return [tokens(rec) for rec in bank]
+
+
+def _inputs_sha256(ids: list[str], token_lists: list[list[int]]) -> str:
+    """sha256 over each record's id and the token ids it embeds, in order.
+
+    The token ids fix the utterance, ``vocab`` and ``max_len``; with the
+    params and the injection they fix every row of the index.
+    """
+    return hashlib.sha256(json.dumps(list(zip(ids, token_lists))).encode("utf-8")).hexdigest()
+
+
 def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
                 injection: InjectionDirection | None = None) -> RetrievalIndex:
     """One unit-normalized utterance embedding per record, in corpus order.
@@ -101,26 +122,45 @@ def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
     Records run in ``enc.forward_batch`` chunks; each row equals the
     record's ``enc.embed`` bit for bit.
     """
-    def tokens(rec):
-        try:
-            return enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len)
-        except enc.EmptyInput as exc:
-            raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
-
     ids = bank.ids()
-    embeddings = _unit_rows(ids, enc.embed_batch([tokens(rec) for rec in bank], params, cfg,
-                                                 injection))
-    provenance = {"params_sha256": enc.params_fingerprint(params),
+    token_lists = _bank_tokens(bank, cfg)
+    embeddings = _unit_rows(ids, enc.embed_batch(token_lists, params, cfg, injection))
+    provenance = {"inputs_sha256": _inputs_sha256(ids, token_lists),
+                  "params_sha256": enc.params_fingerprint(params),
                   "injection": injection_provenance(injection)}
     return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)
 
 
+def _query_mismatch(index: RetrievalIndex, params: dict[str, np.ndarray],
+                    injection: InjectionDirection | None) -> str | None:
+    """``params_sha256`` or ``injection``, whichever first differs from the
+    params and injection a query is embedded under; None if neither does."""
+    if index.provenance["params_sha256"] != enc.params_fingerprint(params):
+        return "params_sha256"
+    if index.provenance["injection"] != injection_provenance(injection):
+        return "injection"
+    return None
+
+
+def index_mismatch(index: RetrievalIndex, bank: Corpus, params: dict[str, np.ndarray],
+                   cfg: EncoderConfig, injection: InjectionDirection | None = None
+                   ) -> str | None:
+    """The first of ``ids``, ``inputs_sha256``, ``params_sha256`` and
+    ``injection`` in which ``index`` differs from ``build_index`` of these
+    arguments, or None when it holds exactly those rows."""
+    ids = bank.ids()
+    if index.ids != ids:
+        return "ids"
+    if index.provenance["inputs_sha256"] != _inputs_sha256(ids, _bank_tokens(bank, cfg)):
+        return "inputs_sha256"
+    return _query_mismatch(index, params, injection)
+
+
 def _check_provenance(index: RetrievalIndex, params: dict[str, np.ndarray],
                       injection: InjectionDirection | None) -> None:
-    if index.provenance["params_sha256"] != enc.params_fingerprint(params):
-        raise ProvenanceMismatch("query parameters differ from index parameters")
-    if index.provenance["injection"] != injection_provenance(injection):
-        raise ProvenanceMismatch("query injection differs from index injection")
+    field = _query_mismatch(index, params, injection)
+    if field is not None:
+        raise ProvenanceMismatch(f"the query's {field} differs from the index's")
 
 
 def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray],
@@ -312,7 +352,7 @@ def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
 # persistence
 # ---------------------------------------------------------------------------
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
@@ -331,7 +371,8 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> RetrievalIndex:
     (n, d, ids, provenance), blob = read_header_blob(path, INDEX_FORMAT_VERSION, {
         "n": int, "d": int, "ids": list[str], "provenance": dict})
-    fields(f"{path}: provenance", provenance, {"params_sha256": str, "injection": dict | None})
+    fields(f"{path}: provenance", provenance, {"inputs_sha256": str, "params_sha256": str,
+                                               "injection": dict | None})
     if len(ids) != n or len(blob) != 8 * n * d:
         raise ValueError(f"{path}: embeddings do not match the header ({len(blob)} bytes)")
     embeddings = np.frombuffer(blob, dtype=np.float64).reshape(n, d)

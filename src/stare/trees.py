@@ -131,17 +131,18 @@ def lex_bracketed(text: str) -> list[tuple[str, str, int]]:
     return _lex(_BRACKET_TOKEN, text)
 
 
-def parse_bracketed(text: str) -> ParseTree:
+def parse_bracketed(text: str, tokens: list[tuple[str, str, int]] | None = None) -> ParseTree:
     """Parse a bracketed task-oriented form into a labeled tree.
 
     Each "[LABEL ...]" becomes a node labeled LABEL (case preserved);
     every maximal run of terminal tokens between structural children
     becomes one leaf whose label is the lowercased, whitespace-collapsed
-    span.
+    span. A caller that holds ``lex_bracketed(text)`` passes it as ``tokens``.
     """
     if not text or not text.strip():
         raise EmptyInput("empty bracketed input")
-    tokens = lex_bracketed(text)
+    if tokens is None:
+        tokens = lex_bracketed(text)
     pos = 0
 
     def parse_node() -> ParseTree:
@@ -204,16 +205,18 @@ def lex_sexpr(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse_sexpr(text: str) -> ParseTree:
+def parse_sexpr(text: str, tokens: list[tuple[str, str, int]] | None = None) -> ParseTree:
     """Parse a LISP-style S-expression.
 
     The head atom of each list becomes the parent label (case preserved);
     remaining elements become children in order. Bare atoms and string
     literals become leaves with lowercased, whitespace-collapsed labels.
+    A caller that holds ``lex_sexpr(text)`` passes it as ``tokens``.
     """
     if not text or not text.strip():
         raise EmptyInput("empty s-expression input")
-    tokens = lex_sexpr(text)
+    if tokens is None:
+        tokens = lex_sexpr(text)
     pos = 0
 
     def parse_expr() -> ParseTree:

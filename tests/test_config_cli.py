@@ -1,6 +1,9 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +151,39 @@ class TestCliBasics:
         (out / ".lock").touch()
         assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
                          "--out", str(out)]) == 2
+
+    def test_lock_records_its_pid(self, fixture_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = []
+        monkeypatch.setitem(cli._STAGES, "bucket",
+                            lambda config, out: seen.append((out / ".lock").read_text()) or 0)
+        assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
+                         "--out", str(out)]) == 0
+        assert seen == [str(os.getpid())]
+        assert not (out / ".lock").exists()
+
+    def test_lock_of_exited_pid_is_named_stale(self, fixture_dir, tmp_path, caplog):
+        proc = subprocess.Popen([sys.executable, "-c", ""])
+        assert proc.wait(timeout=60) == 0
+        out = tmp_path / "locked"
+        out.mkdir()
+        lock = out / ".lock"
+        lock.write_text(str(proc.pid))
+        assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
+                         "--out", str(out)]) == 2
+        assert f"stale lock left by PID {proc.pid}; remove {lock}" in caplog.text
+        assert lock.read_text() == str(proc.pid)
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+    @pytest.mark.parametrize("owner", ["", "self"])
+    def test_lock_of_live_or_unnamed_owner(self, fixture_dir, tmp_path, caplog, owner):
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()) if owner else "")
+        assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
+                         "--out", str(out)]) == 2
+        assert f"output directory {out} is locked by another run" in caplog.text
+        assert "stale lock" not in caplog.text
 
     def test_empty_corpus_is_error(self, tmp_path):
         (tmp_path / "empty.jsonl").write_text("")

@@ -120,6 +120,28 @@ def test_corrupt_input_is_a_named_data_error(copied_run, caplog, capsys,
         assert _snapshot(copied_run["run"]) == before
 
 
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+@pytest.mark.parametrize("name", ["index_trained.bin", "index_trained_mli.bin"])
+def test_corrupt_saved_index_is_a_named_data_error(copied_run, caplog, capsys, name,
+                                                   corruption):
+    """``retrieve`` reads the index ``eval`` saved for its injection; an
+    unreadable one is exit 2 naming it, not a silent rebuild."""
+    path = copied_run["run"] / name
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    before = _snapshot(copied_run["run"])
+    argv = _argv("retrieve", copied_run)
+    if name == "index_trained.bin":
+        argv.remove("--use-direction")
+
+    code = cli.main(argv)
+
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert str(path) in caplog.text
+    assert "Traceback" not in caplog.text + err
+    assert _snapshot(copied_run["run"]) == before
+
+
 def test_non_finite_override_refused(copied_run, caplog, monkeypatch):
     monkeypatch.setenv("STARE_TRAINING_LR", "NaN")
     before = _snapshot(copied_run["run"])
