@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -179,8 +179,7 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
     label_corpora = {prop: mli.load_token_label_corpus(config.path(m["label_corpora"][prop]), prop)
                      for prop in m["properties"] if prop in m["label_corpora"]}
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
-    grid = SweepGrid(layers=list(layers), properties=list(m["properties"]),
-                     lambdas=[float(x) for x in m["lambdas"]])
+    grid = SweepGrid(layers=list(layers), properties=list(m["properties"]), lambdas=m["lambdas"])
     dev_queries = [(rec.utterance, rec.parse) for rec in dev]
     result = mli.sweep(dev_queries, corpus, params, cfg, label_corpora, grid,
                        k=m["k"], probe_config=ProbeConfig(**m["probe"]),
@@ -289,8 +288,8 @@ def cmd_ted(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture_gen(args: argparse.Namespace) -> int:
-    spec = fixtures.FixtureSpec(clusters=args.clusters, per_cluster=args.per_cluster,
-                                dev_per_cluster=args.dev_per_cluster, seed=args.seed)
+    spec = fixtures.FixtureSpec(**{f.name: getattr(args, f.name)
+                                   for f in fields(fixtures.FixtureSpec)})
     fixtures.write_fixture(args.out, spec)
     print(f"fixture written to {args.out}")
     return EXIT_OK
@@ -330,10 +329,8 @@ def make_parser() -> _Parser:
     p.add_argument("--dialect", default="bracketed", choices=[d.value for d in ParseDialect])
     p = sub.add_parser("fixture-gen", help="generate the synthetic fixture corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=5)
-    p.add_argument("--per-cluster", type=int, default=20)
-    p.add_argument("--dev-per-cluster", type=int, default=3)
+    for f in fields(fixtures.FixtureSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     return parser
 
 

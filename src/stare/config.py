@@ -2,17 +2,23 @@
 
 Overrides use STARE_<SECTION>_<KEY> (e.g. STARE_BUCKETING_TAU=0.4);
 values are parsed as JSON when possible, else taken as strings.
-Relative paths resolve against the config file's directory. Sections
-that configure a pipeline object take their keys, defaults, types and
-range checks from its dataclass; unknown keys are errors everywhere.
+Relative paths resolve against the config file's directory.
+
+One rule reads every section: ``_SCHEMAS`` gives its keys, types and
+defaults (a dataclass section's are its fields, and the dataclass is
+built so its own range checks run), the given keys go over fresh copies
+of the defaults, and an unknown key or a value that does not ``fits`` its
+type is an error naming ``section.key``. ``validate`` checks the rest:
+files, known names, and sections against each other.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .artifacts import fits, read_json
@@ -28,40 +34,46 @@ class ConfigError(ValueError):
     pass
 
 
+# Every schema, sections in file order: a dataclass or {key: (type, default)}.
+# "mli.probe" is the object at key "probe" of section "mli".
+_SCHEMAS: dict[str, type | dict[str, tuple]] = {
+    "corpus": {"train": (str | None, None), "dev": (str | None, None),
+               "dialect": (str, ParseDialect.BRACKETED.value)},
+    "bucketing": LshIndex,
+    "mining": MiningConfig,
+    "encoder": EncoderConfig,
+    "training": TrainConfig,
+    "mli": {"layers": (list[int] | None, None), "properties": (list[str], list(PROPERTIES)),
+            "lambdas": (list[float], list(DEFAULT_LAMBDAS)),
+            "label_corpora": (dict[str, str], {}), "probe": (dict, {}), "k": (int, 5)},
+    "mli.probe": ProbeConfig,
+    "retrieval": {"k": (int, 5)},
+    "prompt": PromptSpec,
+}
+_SECTIONS = tuple(name for name in _SCHEMAS if "." not in name)
+# Constructor arguments that are not config keys, with placeholders for the check.
+_NOT_KEYS = {EncoderConfig: {"vocab": {}}}
+
+
 @dataclass
 class PipelineConfig:
+    """The resolved sections, each read as an attribute (``config.mining``)."""
+
     base_dir: Path
-    corpus: dict = field(default_factory=dict)
-    bucketing: dict = field(default_factory=dict)
-    mining: dict = field(default_factory=dict)
-    encoder: dict = field(default_factory=dict)
-    training: dict = field(default_factory=dict)
-    mli: dict = field(default_factory=dict)
-    retrieval: dict = field(default_factory=dict)
-    prompt: dict = field(default_factory=dict)
+    sections: dict[str, dict]
+
+    def __getattr__(self, name: str) -> dict:
+        try:
+            return self.__dict__["sections"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def path(self, value: str) -> Path:
         p = Path(value)
         return p if p.is_absolute() else self.base_dir / p
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _SECTIONS}
-
-
-_SECTIONS = tuple(f.name for f in fields(PipelineConfig) if f.name != "base_dir")
-
-
-_SCHEMAS = {"bucketing": LshIndex, "mining": MiningConfig, "encoder": EncoderConfig,
-            "training": TrainConfig, "prompt": PromptSpec}
-# Constructor arguments that are not config keys, with placeholders for the check.
-_NOT_KEYS = {EncoderConfig: {"vocab": {}}}
-
-_DEFAULTS: dict[str, dict] = {
-    "corpus": {"train": None, "dev": None, "dialect": "bracketed"},
-    "mli": {"layers": None, "properties": list(PROPERTIES),
-            "lambdas": list(DEFAULT_LAMBDAS), "label_corpora": {}, "probe": {}, "k": 5},
-    "retrieval": {"k": 5},
-}
+        return dict(self.sections)
 
 
 def _parse_env_value(raw: str):
@@ -90,24 +102,31 @@ def _require(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _merge(name: str, defaults: dict, given: dict) -> dict:
+def _keys(name: str) -> dict[str, tuple]:
+    """{key: (type, default)} of schema ``name``; a dataclass's are its fields."""
+    schema = _SCHEMAS[name]
+    if isinstance(schema, dict):
+        return schema
+    hints = typing.get_type_hints(schema)
+    return {f.name: (hints[f.name], f.default) for f in fields(schema)
+            if f.init and f.name not in _NOT_KEYS.get(schema, {})}
+
+
+def _section(name: str, given: dict) -> dict:
+    """Schema ``name`` applied to ``given``. A dataclass's errors read
+    "<field> <reason>", which names the key at fault."""
+    schema, keys = _SCHEMAS[name], _keys(name)
     for key in given:
-        _require(key in defaults, f"{name}.{key}", "unknown key")
-    return {**defaults, **given}
-
-
-def _section(name: str, given: dict, cls) -> dict:
-    """The defaults of ``cls`` updated by ``given``, checked by ``cls`` itself;
-    its errors read "<field> <reason>", which names the key at fault."""
-    extra = _NOT_KEYS.get(cls, {})
-    hints = typing.get_type_hints(cls)
-    values = _merge(name, {f.name: f.default for f in fields(cls)
-                           if f.init and f.name not in extra}, given)
-    for key, value in values.items():
-        _require(fits(value, hints[key]), f"{name}.{key}",
-                 f"expected {getattr(hints[key], '__name__', hints[key])}, got {value!r}")
+        _require(key in keys, f"{name}.{key}", "unknown key")
+    values = {key: copy.deepcopy(default) for key, (_, default) in keys.items()} | given
+    for key, (hint, _) in keys.items():
+        _require(fits(values[key], hint), f"{name}.{key}",
+                 f"expected {hint.__name__ if type(hint) is type else hint}, "
+                 f"got {values[key]!r}")
+    if isinstance(schema, dict):
+        return values
     try:
-        cls(**extra, **values)
+        schema(**_NOT_KEYS.get(schema, {}), **values)
     except ValueError as exc:
         key, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{name}.{key}: {reason}" if key in values
@@ -115,53 +134,30 @@ def _section(name: str, given: dict, cls) -> dict:
     return values
 
 
-def _resolve(sections: dict) -> dict:
-    """Fill every section's defaults; check the dataclass-backed ones."""
-    for name, defaults in _DEFAULTS.items():
-        sections[name] = _merge(name, defaults, sections[name])
-    for name, cls in _SCHEMAS.items():
-        sections[name] = _section(name, sections[name], cls)
-    probe = sections["mli"]["probe"]
-    _require(isinstance(probe, dict), "mli.probe", "must be an object")
-    sections["mli"]["probe"] = _section("mli.probe", probe, ProbeConfig)
-    return sections
-
-
 def validate(config: PipelineConfig) -> PipelineConfig:
-    """Checks of the sections that no dataclass owns."""
-    sections = config.to_dict()
-
+    """Checks that no one schema makes: files, known names, sections that agree."""
     for key in ("train", "dev"):
-        value = sections["corpus"].get(key)
-        _require(isinstance(value, str) and bool(value), f"corpus.{key}",
-                 "a corpus path is required")
+        value = config.corpus[key]
+        _require(bool(value), f"corpus.{key}", "a corpus path is required")
         _require(config.path(value).exists(), f"corpus.{key}",
                  f"file not found: {config.path(value)}")
-    _require(sections["corpus"]["dialect"] in [d.value for d in ParseDialect],
-             "corpus.dialect", f"unknown dialect {sections['corpus']['dialect']!r}")
+    _require(config.corpus["dialect"] in [d.value for d in ParseDialect],
+             "corpus.dialect", f"unknown dialect {config.corpus['dialect']!r}")
 
-    mli = sections["mli"]
-    for key, hint in (("layers", list | None), ("properties", list), ("lambdas", list),
-                      ("label_corpora", dict)):
-        _require(fits(mli[key], hint), f"mli.{key}",
-                 f"expected {getattr(hint, '__name__', hint)}, got {mli[key]!r}")
-    layers = sections["encoder"]["layers"]
+    mli = config.mli
+    layers = config.encoder["layers"]
     for n in mli["layers"] or ():
-        _require(fits(n, int) and 1 <= n <= layers, "mli.layers",
-                 f"layer {n!r} outside [1, {layers}]")
+        _require(1 <= n <= layers, "mli.layers", f"layer {n!r} outside [1, {layers}]")
     for prop in mli["properties"]:
         _require(prop in PROPERTIES, "mli.properties", f"unknown property {prop!r}")
-    for lam in mli["lambdas"]:
-        _require(fits(lam, float), "mli.lambdas", f"expected a number, got {lam!r}")
     for prop, path in mli["label_corpora"].items():
         _require(prop in PROPERTIES, "mli.label_corpora", f"unknown property {prop!r}")
-        _require(fits(path, str), "mli.label_corpora", f"expected a path, got {path!r}")
         _require(config.path(path).exists(), "mli.label_corpora",
                  f"file not found: {config.path(path)}")
 
     for name in ("mli", "retrieval"):
-        k = sections[name]["k"]
-        _require(fits(k, int) and k >= 1, f"{name}.k", f"expected an int >= 1, got {k!r}")
+        k = config.sections[name]["k"]
+        _require(k >= 1, f"{name}.k", f"expected an int >= 1, got {k!r}")
     return config
 
 
@@ -176,12 +172,14 @@ def load_config(path: str | Path, env: dict[str, str] | None = None) -> Pipeline
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
-    for name, overrides in raw.items():
-        if not isinstance(overrides, dict):
+    for name, given in raw.items():
+        if not isinstance(given, dict):
             raise ConfigError(f"{name}: section must be an object")
-        sections[name].update(overrides)
-    apply_env_overrides(sections, env if env is not None else dict(os.environ))
-    config = PipelineConfig(base_dir=path.parent.resolve(), **_resolve(sections))
-    return validate(config)
+
+    sections = apply_env_overrides({name: {} for name in _SECTIONS} | raw,
+                                   env if env is not None else dict(os.environ))
+    for name in _SCHEMAS:  # "mli.probe" after "mli", replacing its "probe"
+        head, _, key = name.rpartition(".")
+        holder = sections[head] if head else sections
+        holder[key] = _section(name, holder[key])
+    return validate(PipelineConfig(base_dir=path.parent.resolve(), sections=sections))

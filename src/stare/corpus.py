@@ -48,7 +48,6 @@ class Corpus:
                 raise CorpusFormatError(f"duplicate record id {rec.id!r}")
             self.index_of[rec.id] = i
         self._tree_cache: dict[tuple[str, bool], ParseTree] = {}
-        self._tree_ids: dict[tuple[str, bool], int] = {}
         self._tree_id_arrays: dict[bool, np.ndarray] = {}
         self._interned: dict[ParseTree, int] = {}
         self._trees: list[ParseTree] = []
@@ -88,20 +87,13 @@ class Corpus:
             self._trees.append(tree)
         return tid
 
-    def tree_id(self, record_id: str, anonymize: bool = False) -> int:
-        """The table id of ``tree(record_id, anonymize)``."""
-        key = (record_id, anonymize)
-        tid = self._tree_ids.get(key)
-        if tid is None:
-            tid = self._tree_ids[key] = self.intern(self.tree(record_id, anonymize))
-        return tid
-
     def tree_ids(self, anonymize: bool = False) -> np.ndarray:
-        """``tree_id`` of every record in corpus order, as a read-only array
-        kept for the life of the corpus."""
+        """The table id of every record's ``tree(id, anonymize)``, in corpus
+        order, as a read-only array kept for the life of the corpus."""
         ids = self._tree_id_arrays.get(anonymize)
         if ids is None:
-            ids = np.fromiter((self.tree_id(rec.id, anonymize) for rec in self.records),
+            ids = np.fromiter((self.intern(self.tree(rec.id, anonymize))
+                               for rec in self.records),
                               dtype=np.intp, count=len(self.records))
             ids.flags.writeable = False
             self._tree_id_arrays[anonymize] = ids

@@ -190,39 +190,19 @@ def _c4(rng: np.random.Generator) -> tuple[Tagged, str]:
 _BUILDERS = [_c0, _c1, _c2, _c3, _c4]
 
 
+# A pair is (no verb earlier in the sentence, a verb earlier).
+_DEPS_MAP = {"VERB": ("ROOT", "COMP"), "NOUN": ("NSUBJ", "OBJ"), "PROPN": ("NSUBJ", "OBJ"),
+             "PRON": "NSUBJ", "ADP": "CASE", "DET": "DET", "NUM": "NMOD", "PUNCT": "PUNCT",
+             "PART": "MARK", "AUX": "AUX", "ADV": "ADVMOD", "ADJ": "MOD", "CCONJ": "CONJ"}
+
+
 def deps_labels(pos_tags: list[str]) -> list[str]:
     out = []
     seen_verb = False
     for tag in pos_tags:
-        if tag == "VERB" and not seen_verb:
-            out.append("ROOT")
-            seen_verb = True
-        elif tag == "VERB":
-            out.append("COMP")
-        elif tag == "PRON":
-            out.append("NSUBJ")
-        elif tag == "ADP":
-            out.append("CASE")
-        elif tag == "DET":
-            out.append("DET")
-        elif tag == "NUM":
-            out.append("NMOD")
-        elif tag == "PUNCT":
-            out.append("PUNCT")
-        elif tag in ("NOUN", "PROPN"):
-            out.append("OBJ" if seen_verb else "NSUBJ")
-        elif tag == "PART":
-            out.append("MARK")
-        elif tag == "AUX":
-            out.append("AUX")
-        elif tag == "ADV":
-            out.append("ADVMOD")
-        elif tag == "ADJ":
-            out.append("MOD")
-        elif tag == "CCONJ":
-            out.append("CONJ")
-        else:
-            out.append("DEP")
+        label = _DEPS_MAP.get(tag, "DEP")
+        out.append(label if isinstance(label, str) else label[seen_verb])
+        seen_verb |= tag == "VERB"
     return out
 
 

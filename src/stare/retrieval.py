@@ -309,8 +309,9 @@ def mean_sim_at_k(golds: list[ParseTree], hits: list[list[tuple[str, float]]],
     """Mean over queries of the mean structural similarity between the
     gold tree and the parses of that query's retrieved bank ids, read
     from the bank's similarity table."""
+    bank_ids = bank.tree_ids(anonymize).tolist()
     return float(np.mean([
-        float(np.mean([bank.sim(gold_id, bank.tree_id(rid, anonymize)) for rid, _ in head]))
+        float(np.mean([bank.sim(gold_id, bank_ids[bank.index_of[rid]]) for rid, _ in head]))
         for gold_id, head in zip(map(bank.intern, golds), hits)]))
 
 
