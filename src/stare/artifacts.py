@@ -134,13 +134,14 @@ def read_header_blob(path: str | Path, version: int,
 
 def fits(value, hint) -> bool:
     """Whether a JSON value matches a type, a union such as ``X | None``,
-    ``list[X]`` or ``dict[K, X]``; bools are not numbers, ints pass as floats,
-    and a NaN or infinity is not a float."""
+    ``list[X]``, ``set[X]`` (a list of distinct X) or ``dict[K, X]``; bools
+    are not numbers, ints pass as floats, and a NaN or infinity is not a float."""
     if isinstance(hint, types.UnionType):
         return any(fits(value, option) for option in hint.__args__)
-    if isinstance(hint, types.GenericAlias) and hint.__origin__ is list:
+    if isinstance(hint, types.GenericAlias) and hint.__origin__ in (list, set):
         (item,) = hint.__args__
-        return isinstance(value, list) and all(fits(x, item) for x in value)
+        return (isinstance(value, list) and all(fits(x, item) for x in value)
+                and (hint.__origin__ is list or len(set(value)) == len(value)))
     if isinstance(hint, types.GenericAlias) and hint.__origin__ is dict:
         key, item = hint.__args__
         return isinstance(value, dict) and all(fits(k, key) and fits(v, item)

@@ -43,8 +43,8 @@ _SCHEMAS: dict[str, type | dict[str, tuple]] = {
     "mining": MiningConfig,
     "encoder": EncoderConfig,
     "training": TrainConfig,
-    "mli": {"layers": (list[int] | None, None), "properties": (list[str], list(PROPERTIES)),
-            "lambdas": (list[float], list(DEFAULT_LAMBDAS)),
+    "mli": {"layers": (set[int] | None, None), "properties": (set[str], list(PROPERTIES)),
+            "lambdas": (set[float], list(DEFAULT_LAMBDAS)),
             "label_corpora": (dict[str, str], {}), "probe": (dict, {}), "k": (int, 5)},
     "mli.probe": ProbeConfig,
     "retrieval": {"k": (int, 5)},

@@ -336,7 +336,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
                     probes[key] = train_probe(states[layer], y, layer, prop,
                                               len(corpus.label_set), probe_config)
                     directions[key] = extract_direction(probes[key])
-            except Exception as exc:  # cell failures are data, not fatal
+            except (ValueError, ArithmeticError) as exc:  # bad data fails the cell
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
                                      score=float("nan"), error=str(exc)))
                 continue
@@ -345,7 +345,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
                                                lam=float(lam), prop=prop)
                 try:
                     score = baseline if lam == 0.0 else score_cell(injection)
-                except Exception as exc:
+                except (ValueError, ArithmeticError) as exc:
                     rows.append(SweepRow(prop=prop, layer=layer, lam=float(lam),
                                          score=float("nan"), error=str(exc)))
                     continue

@@ -7,7 +7,14 @@ one to one, so ``ted`` runs each pair on the side with the smaller product
 (left on a tie): the simplest case of RTED's path choice (Pawlik & Augsten
 2011). Unit costs are integers, so both sides give the same float and
 ``ted(a, b) == ted(b, a)`` bit for bit. A tree's decomposition, both
-sides, is computed on first use and kept on the tree.
+sides with their column plans, is computed on first use and kept on the tree.
+
+A keyroot pair whose subtrees both have two or more nodes runs the
+forest-distance DP, one cell per pair of their nodes. A pair with a
+single-node side is written in closed form: a node against a tree T costs
+|T| − [its label occurs in T]. So a TED costs the DP cells of its
+multi-node keyroot pairs plus, per single-node keyroot, one pass over the
+other tree: O(left path) per single-node pair.
 """
 
 from __future__ import annotations
@@ -18,10 +25,13 @@ from .trees import ParseTree
 
 logger = logging.getLogger(__name__)
 
-# One side of a tree's decomposition: postorder labels, leftmost-leaf
-# indices and keyroots (all 1-based, slot 0 unused), and the sum of the
-# keyroots' subtree sizes.
-_Side = tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int]
+# One side of a tree's decomposition: postorder labels and leftmost-leaf
+# indices (1-based, slot 0 unused), the column plan, the sum of the
+# keyroots' subtree sizes, and the plan's offsets. The plan holds one
+# (leftmost leaf lk, subtree size k, start) per keyroot, and the subtree's
+# c-th node in postorder (c = 1..k) has offs[start + c] = lml[lk + c - 1] - lk.
+_Side = tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int, int], ...], int,
+              tuple[int, ...]]
 
 
 def _side(tree: ParseTree, mirrored: bool) -> _Side:
@@ -41,8 +51,12 @@ def _side(tree: ParseTree, mirrored: bool) -> _Side:
     visit(tree)
     # A keyroot is the highest node with its leftmost leaf.
     keyroots = sorted({leaf: i for i, leaf in enumerate(lml) if i}.values())
-    cost = sum(i - lml[i] + 1 for i in keyroots)
-    return tuple(labels), tuple(lml), tuple(keyroots), cost
+    plan, offs = [], [0]
+    for k in keyroots:
+        lk = lml[k]
+        plan.append((lk, k - lk + 1, len(offs) - 1))
+        offs.extend(lml[d] - lk for d in range(lk, k + 1))
+    return tuple(labels), tuple(lml), tuple(plan), len(offs) - 1, tuple(offs)
 
 
 def _decompose(tree: ParseTree) -> tuple[_Side, _Side]:
@@ -61,59 +75,85 @@ def _cheaper_sides(a: ParseTree, b: ParseTree) -> tuple[_Side, _Side]:
     return left_a, left_b
 
 
+def _single(lab: str, labels: tuple[str, ...], lml: tuple[int, ...]) -> list[int]:
+    """Distances from one node labelled ``lab`` to each subtree of a tree.
+
+    A node against a tree T costs |T| − [lab occurs in T]: it maps onto one
+    node of T, kept if the labels match, and the rest are inserted.
+    """
+    dist = [d - lml[d] + 1 for d in range(len(labels))]
+    if lab in labels:
+        last = 0  # the last postorder position of lab so far
+        for d in range(labels.index(lab), len(labels)):
+            if labels[d] == lab:
+                last = d
+            if last >= lml[d]:
+                dist[d] -= 1
+    return dist
+
+
 def ted(a: ParseTree, b: ParseTree) -> float:
     """Fewest node inserts, deletes and relabels turning ``a`` into ``b``."""
-    (labels_a, lml_a, kr_a, _), (labels_b, lml_b, kr_b, _) = _cheaper_sides(a, b)
+    (labels_a, lml_a, plan_a, _, offs_a), (labels_b, lml_b, plan_b, _, offs_b) = \
+        _cheaper_sides(a, b)
     n_a, n_b = len(labels_a) - 1, len(labels_b) - 1
     td = [[0] * (n_b + 1) for _ in range(n_a + 1)]
 
-    for i in kr_a:
-        li = lml_a[i]
-        rows = i - li + 1
-        for j in kr_b:
-            lj = lml_b[j]
-            cols = j - lj + 1
+    # Keyroot pairs with a single-node side, in closed form.
+    for lj, cols, _ in plan_b:
+        if cols == 1:
+            for row, dist in zip(td, _single(labels_b[lj], labels_a, lml_a)):
+                row[lj] = dist
+    for li, rows, _ in plan_a:
+        if rows == 1:
+            td[li] = _single(labels_a[li], labels_b, lml_b)
 
+    for li, rows, sa in plan_a:
+        if rows == 1:
+            continue
+        for lj, cols, sb in plan_b:
+            if cols == 1:
+                continue
             # Forest distances; row 0 is c inserts, column 0 is r deletes.
+            # Column c is node base + c of b, with offset offs_b[sb + c].
+            base = lj - 1
+            columns = range(1, cols + 1)
             prev = list(range(cols + 1))
             fd = [prev]
             for r in range(1, rows + 1):
                 di = li + r - 1
                 cur = [r] * (cols + 1)
                 fd.append(cur)
-                ldi = lml_a[di]
-                lab_di = labels_a[di]
                 td_di = td[di]
-                if ldi == li:
-                    for c in range(1, cols + 1):
-                        dj = lj + c - 1
-                        best = prev[c] + 1
-                        t = cur[c - 1] + 1
-                        if t < best:
-                            best = t
-                        if lml_b[dj] == lj:
-                            t = prev[c - 1] + (lab_di != labels_b[dj])
+                left = r  # cur[c - 1]
+                oi = offs_a[sa + r]
+                if oi == 0:  # di is on the keyroot's left path: td[di] is written here
+                    lab_di = labels_a[di]
+                    diag = r - 1  # prev[c - 1]
+                    for c in columns:
+                        up = prev[c]
+                        best = (up if up < left else left) + 1
+                        oj = offs_b[sb + c]
+                        if oj:
+                            t = oj + td_di[base + c]
                             if t < best:
                                 best = t
-                            cur[c] = best
-                            td_di[dj] = best
                         else:
-                            t = lml_b[dj] - lj + td_di[dj]
+                            t = diag + (lab_di != labels_b[base + c])
                             if t < best:
                                 best = t
-                            cur[c] = best
+                            td_di[base + c] = best
+                        cur[c] = left = best
+                        diag = up
                 else:
-                    fd_sub = fd[ldi - li]
-                    for c in range(1, cols + 1):
-                        dj = lj + c - 1
-                        best = prev[c] + 1
-                        t = cur[c - 1] + 1
+                    fd_sub = fd[oi]
+                    for c in columns:
+                        up = prev[c]
+                        best = (up if up < left else left) + 1
+                        t = fd_sub[offs_b[sb + c]] + td_di[base + c]
                         if t < best:
                             best = t
-                        t = fd_sub[lml_b[dj] - lj] + td_di[dj]
-                        if t < best:
-                            best = t
-                        cur[c] = best
+                        cur[c] = left = best
                 prev = cur
 
     return float(td[n_a][n_b])

@@ -150,6 +150,17 @@ def test_non_finite_override_refused(copied_run, caplog, monkeypatch):
     assert _snapshot(copied_run["run"]) == before
 
 
+@pytest.mark.parametrize("key,value", [("properties", '["POS", "POS"]'), ("layers", "[2, 2]"),
+                                       ("lambdas", "[1.0, 0.5, 1]")])
+def test_repeated_grid_entry_refused(copied_run, caplog, monkeypatch, key, value):
+    """A repeated sweep cell would be scored and written twice."""
+    monkeypatch.setenv(f"STARE_MLI_{key.upper()}", value)
+    before = _snapshot(copied_run["run"])
+    assert cli.main(_argv("mli", copied_run)) == cli.EXIT_DATA
+    assert f"mli.{key}" in caplog.text
+    assert _snapshot(copied_run["run"]) == before
+
+
 def test_non_finite_metric_is_a_numeric_failure(copied_run, caplog, monkeypatch):
     """A NaN never reaches an artifact: the write fails with exit 3 and
     ``eval_metrics.json`` keeps its old bytes."""

@@ -336,6 +336,19 @@ class TestSweep:
         sequences = len(bank) + len(dev)
         assert counts == [2 * sequences + len(corpora["POS"].sentences)] * 2
 
+    @pytest.mark.parametrize("name", ["train_probe", "resumed_embedding"])
+    def test_programming_error_is_not_an_error_row(self, monkeypatch, name):
+        """Only data errors (ValueError, ArithmeticError) become error rows."""
+        dev, bank, params, cfg, corpora = self._setup()
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(mli, name, broken)
+        grid = mli.SweepGrid(layers=[1], properties=["POS"], lambdas=[1.0])
+        with pytest.raises(TypeError, match="bug"):
+            mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+
     def test_default_layers(self):
         assert mli.default_sweep_layers(4) == [2, 3, 4]
         assert mli.default_sweep_layers(12) == [4, 8, 12]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stare.ted import sim_struct, sim_struct_raw, ted
-from stare.trees import ParseTree
+from stare.trees import ParseTree, parse_sql_skeleton
 
 from oracles import TooLarge, all_trees, mirror, ted_bruteforce, ted_left_path
 
@@ -248,3 +248,94 @@ def test_ted_symmetric_exhaustive(max_nodes, alphabet):
     for i, a in enumerate(trees):
         for b in trees[i:]:
             _assert_symmetric(a, b)
+
+
+# ---------------------------------------------------------------------------
+# keyroot pairs with a single-node side, in closed form; the column plan
+# ---------------------------------------------------------------------------
+
+def test_single_node_against_every_small_tree():
+    """A node against a tree T costs |T| − [its label occurs in T]."""
+    for tree in all_trees(4, ("A", "B", "C")):
+        labels = {node.label for node in tree.postorder()}
+        for lab in ("A", "B", "D"):
+            expected = float(tree.size - (lab in labels))
+            assert ted(t(lab), tree) == ted(tree, t(lab)) == expected, (lab, tree)
+            assert ted_bruteforce(t(lab), tree) == expected, (lab, tree)
+
+
+SQL = [
+    "SELECT name FROM singer",
+    "SELECT name, age FROM singer WHERE age > 30",
+    "SELECT DISTINCT country FROM singer WHERE age >= 20 AND age <= 40",
+    "SELECT count(*) FROM singer GROUP BY country HAVING count(*) > 2",
+    "SELECT name FROM singer ORDER BY age DESC LIMIT 3",
+    "SELECT T1.name FROM singer AS T1 JOIN performs AS T2 ON T1.singer_id = T2.singer_id",
+    "SELECT T1.name, T3.theme FROM singer AS T1 JOIN performs AS T2 ON T1.singer_id = "
+    "T2.singer_id JOIN concert AS T3 ON T2.concert_id = T3.concert_id WHERE T3.year = 2014",
+    "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id FROM performs)",
+    "SELECT name FROM singer WHERE singer_id NOT IN (SELECT singer_id FROM performs "
+    "WHERE fee > 100)",
+    "SELECT name FROM singer WHERE singer_id IN (SELECT singer_id FROM performs WHERE "
+    "concert_id IN (SELECT concert_id FROM concert WHERE year = 2014))",
+    "SELECT name FROM singer UNION SELECT name FROM employee",
+    "SELECT name FROM singer WHERE age > 30 INTERSECT SELECT name FROM employee WHERE age < 50",
+    "SELECT city FROM customers EXCEPT SELECT city FROM employee GROUP BY city",
+    "SELECT avg(salary), dept_id FROM employee GROUP BY dept_id HAVING avg(salary) > 1000 "
+    "ORDER BY dept_id",
+    "SELECT max(capacity), average FROM stadium",
+    "SELECT location FROM stadium WHERE capacity BETWEEN 5000 AND 10000",
+    "SELECT name FROM customers WHERE name LIKE '%a%' OR city = 'Paris'",
+    "SELECT name FROM employee WHERE NOT city = 'Rome' AND (age > 30 OR salary < 500)",
+    "SELECT title, hours FROM projects WHERE hours > 10 ORDER BY hours ASC LIMIT 5",
+    "SELECT T1.dept_name, count(*) FROM department AS T1 JOIN employee AS T2 ON "
+    "T1.dept_id = T2.dept_id GROUP BY T1.dept_name HAVING count(*) >= 3",
+    "SELECT product_name FROM products WHERE price > (SELECT avg(price) FROM products)",
+    "SELECT sum(quantity) FROM orders WHERE product_id IN (SELECT product_id FROM products "
+    "WHERE category = 'tools') GROUP BY customer_id",
+    "SELECT name FROM singer WHERE country = 'France' UNION SELECT name FROM singer WHERE "
+    "age < 25 ORDER BY name",
+    "SELECT concert_name FROM concert WHERE stadium_id NOT IN (SELECT stadium_id FROM stadium "
+    "WHERE capacity < 1000) AND year > 2010",
+    "SELECT min(fee), max(fee) FROM performs",
+    "SELECT T2.name FROM orders AS T1 JOIN customers AS T2 ON T1.customer_id = "
+    "T2.customer_id WHERE T1.quantity > 5 AND T2.segment = 'retail' ORDER BY T2.name",
+    "SELECT count(DISTINCT city) FROM customers",
+    "SELECT name, salary FROM employee WHERE salary BETWEEN 100 AND 200 OR age = 30 "
+    "ORDER BY salary DESC",
+    "SELECT theme FROM concert GROUP BY theme HAVING count(*) > 1 EXCEPT SELECT theme FROM "
+    "concert WHERE year < 2000",
+    "SELECT budget FROM department WHERE manager_id IN (SELECT employee_id FROM employee "
+    "WHERE city LIKE 'B%') AND budget > 100",
+]
+
+
+@pytest.fixture(scope="module")
+def sql_trees():
+    return [parse_sql_skeleton(text) for text in SQL]
+
+
+def test_sql_skeletons_have_single_node_keyroots(sql_trees):
+    assert len(set(sql_trees)) == len(SQL)
+    singles = [sum(k == 1 for _, k, _ in side[2]) for tree in sql_trees
+               for side in ted_module._decompose(tree)]
+    assert sum(singles) > len(SQL) and sum(map(bool, singles)) > len(singles) // 2
+
+
+def test_sql_skeletons_match_left_path_reference(sql_trees):
+    for i, a in enumerate(sql_trees):
+        for b in sql_trees[i:]:
+            want = ted_left_path(a, b).hex()
+            assert ted(a, b).hex() == ted(b, a).hex() == want, (a, b)
+
+
+def test_column_plan_holds_each_keyroot_subtree(random_tree_pool, sql_trees):
+    for tree in random_tree_pool + sql_trees:
+        for labels, lml, plan, cost, offs in ted_module._decompose(tree):
+            assert [k for _, k, _ in plan] == [i - lml[i] + 1 for i in
+                                                sorted({l: i for i, l in enumerate(lml)
+                                                        if i}.values())]
+            assert cost == sum(k for _, k, _ in plan) == len(offs) - 1
+            for lk, k, start in plan:
+                assert offs[start + 1:start + k + 1] == tuple(lml[d] - lk
+                                                              for d in range(lk, lk + k))
