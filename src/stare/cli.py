@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Logs go to stderr; the five stages write artifacts to the --out
-directory, which also receives the resolved config for provenance, and
-reject concurrent runs against it via a lock file. ``retrieve`` only
-reads the directory.
+directory, which also receives the resolved config once a stage
+succeeds, and reject concurrent runs against it via a lock file. A stage
+reports failure only by raising. ``retrieve`` only reads the directory.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_bucket(config: PipelineConfig, out: Path) -> int:
+def cmd_bucket(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     index = _build_lsh(config, corpus)
     index.save(out / "lsh_index.json")
@@ -126,10 +126,9 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> int:
     write_json(out / "bucket_report.json", report, indent=2)
     logger.info("bucketed %d records (mean pool %.2f)", len(corpus),
                 report["mean_pool_size"])
-    return EXIT_OK
 
 
-def cmd_mine(config: PipelineConfig, out: Path) -> int:
+def cmd_mine(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     path = _upstream(out / "lsh_index.json", "bucket")
     index = bucketing.LshIndex.load(path)
@@ -141,10 +140,9 @@ def cmd_mine(config: PipelineConfig, out: Path) -> int:
     mining.save_groups(groups, out / "pairs.jsonl")
     write_json(out / "mining_report.json", asdict(report), indent=2)
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
-    return EXIT_OK
 
 
-def cmd_train(config: PipelineConfig, out: Path) -> int:
+def cmd_train(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     pairs = _upstream(out / "pairs.jsonl", "mine")
     groups = mining.load_groups(pairs)
@@ -166,10 +164,9 @@ def cmd_train(config: PipelineConfig, out: Path) -> int:
             fh.write(f"{epoch},{loss!r}\n")
     logger.info("trained %d epochs; loss curve %s", len(curve),
                 [round(x, 4) for x in curve])
-    return EXIT_OK
 
 
-def cmd_mli(config: PipelineConfig, out: Path) -> int:
+def cmd_mli(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     dev = _load_corpus(config, "dev")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
@@ -180,8 +177,7 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
                      for prop in m["properties"] if prop in m["label_corpora"]}
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]), lambdas=m["lambdas"])
-    dev_queries = [(rec.utterance, rec.parse) for rec in dev]
-    result = mli.sweep(dev_queries, corpus, params, cfg, label_corpora, grid,
+    result = mli.sweep(dev, corpus, params, cfg, label_corpora, grid,
                        k=m["k"], probe_config=ProbeConfig(**m["probe"]),
                        anonymize=config.mining["anonymize"])
     mli.write_sweep_report(result, out / "mli_grid.csv")
@@ -194,11 +190,9 @@ def cmd_mli(config: PipelineConfig, out: Path) -> int:
         logger.info("sweep best: %s layer %d lambda %.2f (%.4f vs baseline %.4f)",
                     best.prop, best.layer, best.lam, result.best_score,
                     result.baseline_score)
-    return EXIT_OK
 
 
-def _load_direction(out: Path, cfg: EncoderConfig):
-    path = out / "direction.json"
+def _load_direction(path: Path, cfg: EncoderConfig):
     direction = mli.load_direction(path) if path.exists() else None
     try:  # against the params it is injected into
         encoder._validate_injection(direction, cfg)
@@ -215,7 +209,8 @@ def _index_path(out: Path, injected: bool) -> Path:
 def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
     corpus = _load_corpus(config, "train")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
-    injection = _load_direction(out, cfg) if args.use_direction else None
+    injection = (_load_direction(_upstream(out / "direction.json", "mli"), cfg)
+                 if args.use_direction else None)
     path = Path(args.index) if args.index else _index_path(out, injection is not None)
     index = None
     if args.index or path.exists():
@@ -245,15 +240,14 @@ def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) ->
     return EXIT_OK
 
 
-def cmd_eval(config: PipelineConfig, out: Path) -> int:
+def cmd_eval(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     dev = _load_corpus(config, "dev")
     trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     untrained_params = encoder.init_params(cfg)
-    injection = _load_direction(out, cfg)
+    injection = _load_direction(out / "direction.json", cfg)
     k = config.retrieval["k"]
     anonymize = config.mining["anonymize"]
-    dev_queries = [(rec.utterance, rec.parse) for rec in dev]
 
     def dense(params, injection=None, save=False):
         index = retrieval.build_index(corpus, params, cfg, injection)
@@ -266,12 +260,11 @@ def cmd_eval(config: PipelineConfig, out: Path) -> int:
     rankers["trained_mli"] = (rankers["trained"] if injection is None
                               else dense(trained_params, injection, save=True))
 
-    metrics = {name: retrieval.evaluate(rank, dev_queries, corpus, k, anonymize)
+    metrics = {name: retrieval.evaluate(rank, dev, corpus, k, anonymize)
                for name, rank in rankers.items()}
     payload = {"k": k, "metrics": metrics}
     write_json(out / "eval_metrics.json", payload, indent=2)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 def cmd_ted(args: argparse.Namespace) -> int:
@@ -319,7 +312,8 @@ def make_parser() -> _Parser:
     p.add_argument("--k", type=int, help="exemplars to return (default: prompt.k)")
     p.add_argument("--exclude")
     p.add_argument("--format", choices=("json", "prompt"), default="json")
-    p.add_argument("--index", help="saved retrieval index (default: build in memory)")
+    p.add_argument("--index", help="saved retrieval index (default: the one 'eval' saved for "
+                   "this injection if it matches, else build in memory)")
     p.add_argument("--use-direction", action="store_true",
                    help="apply <out>/direction.json while embedding")
     stage("eval", "compare untrained / trained / trained+MLI / BM25")
@@ -352,8 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "retrieve":
             return cmd_retrieve(config, Path(args.out), args)
         with _locked_out_dir(Path(args.out)) as out:
+            _STAGES[args.command](config, out)
             write_json(out / "config_used.json", config.to_dict(), indent=2)
-            return _STAGES[args.command](config, out)
+        return EXIT_OK
     except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA

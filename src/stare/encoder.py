@@ -103,35 +103,28 @@ def word_tokens(text: str) -> list[str]:
 
 
 def tokenize(text: str, vocab: Mapping[str, int], max_len: int | None = None) -> list[int]:
-    """Lowercase, split at whitespace and punctuation, map to vocab ids."""
-    if not text or not text.strip():
-        raise EmptyInput("cannot tokenize empty text")
-    tokens = word_tokens(text)
-    if not tokens:
-        raise EmptyInput("no tokens found")
-    ids = [vocab.get(tok, UNK_ID) for tok in tokens]
-    if max_len is not None and len(ids) > max_len:
-        logger.debug("truncating %d tokens to max_len=%d", len(ids), max_len)
-        ids = ids[:max_len]
-    return ids
+    """``ids_for_tokens`` of the text's ``word_tokens``."""
+    return ids_for_tokens(word_tokens(text), vocab, max_len)
 
 
 def ids_for_tokens(tokens: Sequence[str], vocab: Mapping[str, int],
                    max_len: int | None = None) -> list[int]:
-    """Map pre-tokenized words directly to ids, without re-splitting."""
+    """Each word's vocab id, looked up lowercased (UNK if absent), for the
+    first ``max_len`` words. Vocab keys are lowercase (``build_vocab``), so
+    a word found as given is not lowercased again."""
     if not tokens:
-        raise EmptyInput("empty token sequence")
-    ids = [vocab.get(tok.lower(), UNK_ID) for tok in tokens]
-    if max_len is not None and len(ids) > max_len:
-        ids = ids[:max_len]
-    return ids
+        raise EmptyInput("no tokens found")
+    if max_len is not None and len(tokens) > max_len:
+        logger.debug("truncating %d tokens to max_len=%d", len(tokens), max_len)
+        tokens = tokens[:max_len]
+    return [vocab.get(tok) or vocab.get(tok.lower(), UNK_ID) for tok in tokens]
 
 
 def build_vocab(texts: Sequence[str]) -> dict[str, int]:
     """Token -> id map in first-seen corpus order; id 0 is reserved for UNK."""
     vocab: dict[str, int] = {UNK_TOKEN: UNK_ID}
     for text in texts:
-        for tok in _TOKEN_RE.findall(text.lower()):
+        for tok in word_tokens(text):
             if tok not in vocab:
                 vocab[tok] = len(vocab)
     return vocab

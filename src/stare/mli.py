@@ -267,7 +267,7 @@ def resumed_embedding(states: list[np.ndarray], injection: InjectionDirection,
     return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=-2)
 
 
-def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
+def sweep(queries: Corpus, bank: Corpus,
           params: dict[str, np.ndarray], cfg: EncoderConfig,
           label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid,
           k: int, probe_config: ProbeConfig = ProbeConfig(),
@@ -278,7 +278,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     by one forward over the property's label corpus. The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
     An injection after layer L cannot change layers 0..L, so the bank's
-    and the dev queries' uninjected states are computed once, in
+    and the queries' uninjected states are computed once, in
     ``enc.forward_batch`` chunks, and a cell resumes every chunk from its
     layer-L states plus lam*u. The cost is two forwards per sequence
     plus, per injected cell, the blocks after L; the scores equal those
@@ -289,17 +289,14 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
     directions: dict[tuple[str, int], InjectionDirection] = {}
-    golds = retrieval.gold_trees(dev_queries, bank, anonymize)
+    golds = retrieval.gold_ids(queries, bank, anonymize)
 
     index = retrieval.build_index(bank, params, cfg)
     baseline = retrieval.mean_sim_at_k(
-        golds, [retrieval.topk(index, utterance, k, params, cfg)
-                for utterance, _ in dev_queries], bank, anonymize)
-    bank_chunks = list(enc.forward_batch(
-        [enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len) for rec in bank], params, cfg))
-    query_chunks = list(enc.forward_batch(
-        [enc.tokenize(utterance, cfg.vocab, cfg.max_len) for utterance, _ in dev_queries],
-        params, cfg))
+        golds, [retrieval.topk(index, rec.utterance, k, params, cfg) for rec in queries],
+        bank, anonymize)
+    bank_chunks = list(enc.forward_batch(retrieval.corpus_tokens(bank, cfg), params, cfg))
+    query_chunks = list(enc.forward_batch(retrieval.corpus_tokens(queries, cfg), params, cfg))
 
     def resumed(chunks, n: int, injection: InjectionDirection) -> np.ndarray:
         out = np.empty((n, cfg.d))
@@ -310,7 +307,7 @@ def sweep(dev_queries: list[tuple[str, str]], bank: Corpus,
     def score_cell(injection: InjectionDirection) -> float:
         embeddings = retrieval._unit_rows(index.ids, resumed(bank_chunks, len(bank), injection))
         hits = [retrieval._rank(index.ids, embeddings, vec, k)
-                for vec in resumed(query_chunks, len(dev_queries), injection)]
+                for vec in resumed(query_chunks, len(queries), injection)]
         return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
 
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))

@@ -21,7 +21,6 @@ from . import encoder as enc
 from .artifacts import fields, read_header_blob, write_header_blob
 from .corpus import Corpus
 from .encoder import EncoderConfig, InjectionDirection
-from .trees import ParseTree, anonymize_leaves, parse
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -95,7 +94,7 @@ def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
     return [(ids[i], float(scores[i])) for i in head]
 
 
-def _bank_tokens(bank: Corpus, cfg: EncoderConfig) -> list[list[int]]:
+def corpus_tokens(corpus: Corpus, cfg: EncoderConfig) -> list[list[int]]:
     """The token ids of each record's utterance, in corpus order."""
     def tokens(rec):
         try:
@@ -103,7 +102,7 @@ def _bank_tokens(bank: Corpus, cfg: EncoderConfig) -> list[list[int]]:
         except enc.EmptyInput as exc:
             raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
 
-    return [tokens(rec) for rec in bank]
+    return [tokens(rec) for rec in corpus]
 
 
 def _inputs_sha256(ids: list[str], token_lists: list[list[int]]) -> str:
@@ -123,7 +122,7 @@ def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
     record's ``enc.embed`` bit for bit.
     """
     ids = bank.ids()
-    token_lists = _bank_tokens(bank, cfg)
+    token_lists = corpus_tokens(bank, cfg)
     embeddings = _unit_rows(ids, enc.embed_batch(token_lists, params, cfg, injection))
     provenance = {"inputs_sha256": _inputs_sha256(ids, token_lists),
                   "params_sha256": enc.params_fingerprint(params),
@@ -151,7 +150,7 @@ def index_mismatch(index: RetrievalIndex, bank: Corpus, params: dict[str, np.nda
     ids = bank.ids()
     if index.ids != ids:
         return "ids"
-    if index.provenance["inputs_sha256"] != _inputs_sha256(ids, _bank_tokens(bank, cfg)):
+    if index.provenance["inputs_sha256"] != _inputs_sha256(ids, corpus_tokens(bank, cfg)):
         return "inputs_sha256"
     return _query_mismatch(index, params, injection)
 
@@ -297,27 +296,25 @@ def make_bm25_ranker(bank: Corpus):
     return rank
 
 
-def gold_trees(dev_queries: list[tuple[str, str]], bank: Corpus,
-               anonymize: bool = False) -> list[ParseTree]:
-    """The gold parse of each (utterance, parse) query, read like the bank's."""
-    golds = [parse(gold_parse, bank.dialect) for _, gold_parse in dev_queries]
-    return [anonymize_leaves(gold) for gold in golds] if anonymize else golds
+def gold_ids(queries: Corpus, bank: Corpus, anonymize: bool = False) -> list[int]:
+    """The bank's table id of each query's gold tree, in query order."""
+    return [bank.intern(queries.tree(rec.id, anonymize)) for rec in queries]
 
 
-def mean_sim_at_k(golds: list[ParseTree], hits: list[list[tuple[str, float]]],
+def mean_sim_at_k(golds: list[int], hits: list[list[tuple[str, float]]],
                   bank: Corpus, anonymize: bool = False) -> float:
     """Mean over queries of the mean structural similarity between the
-    gold tree and the parses of that query's retrieved bank ids, read
-    from the bank's similarity table."""
+    gold tree (a ``gold_ids`` entry) and the parses of that query's
+    retrieved bank ids, read from the bank's similarity table."""
     bank_ids = bank.tree_ids(anonymize).tolist()
     return float(np.mean([
         float(np.mean([bank.sim(gold_id, bank_ids[bank.index_of[rid]]) for rid, _ in head]))
-        for gold_id, head in zip(map(bank.intern, golds), hits)]))
+        for gold_id, head in zip(golds, hits)]))
 
 
-def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
+def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
              anonymize: bool = False) -> dict[str, float]:
-    """Structural retrieval quality of a ranker against gold parses.
+    """Structural retrieval quality of a ranker against each query's gold parse.
 
     mean_sim_struct_at_k: ``mean_sim_at_k`` of the top-k hits.
     mrr_structural_nn: reciprocal rank of the first bank item tied for
@@ -325,13 +322,13 @@ def evaluate(rank_fn, dev_queries: list[tuple[str, str]], bank: Corpus, k: int,
     own top-1 score. Similarities come from the bank's table, so rankers
     evaluated against one bank share each gold-vs-bank-tree TED.
     """
-    golds = gold_trees(dev_queries, bank, anonymize)
+    golds = gold_ids(queries, bank, anonymize)
     bank_ids = bank.tree_ids(anonymize).tolist()
     heads = []
     mrrs = []
     top1 = []
-    for (utterance, _), gold_id in zip(dev_queries, map(bank.intern, golds)):
-        ranking = rank_fn(utterance)
+    for query, gold_id in zip(queries, golds):
+        ranking = rank_fn(query.utterance)
         if k > len(ranking):
             raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
         heads.append(ranking[:k])

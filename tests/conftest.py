@@ -20,7 +20,7 @@ def bank(fixture_data):
 
 @pytest.fixture(scope="session")
 def dev_queries(fixture_data):
-    return [(rec.utterance, rec.parse) for rec in fixture_data.dev]
+    return Corpus(fixture_data.dev, "bracketed")
 
 
 @pytest.fixture(scope="session")

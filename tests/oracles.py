@@ -283,19 +283,19 @@ def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
     return trees
 
 
-def reference_sweep(dev_queries, bank, params, cfg, label_corpora, grid, k,
+def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
                     probe_config=mli.ProbeConfig(), anonymize=False) -> mli.SweepResult:
     """``mli.sweep`` by brute force: every cell rebuilds the retrieval index
     under its injection and ranks each dev query with ``topk``."""
     rows: list[mli.SweepRow] = []
     probes: dict = {}
     directions: dict = {}
-    golds = retrieval.gold_trees(dev_queries, bank, anonymize)
+    golds = retrieval.gold_ids(queries, bank, anonymize)
 
     def score_cell(injection):
         index = retrieval.build_index(bank, params, cfg, injection)
-        hits = [retrieval.topk(index, utterance, k, params, cfg, injection=injection)
-                for utterance, _ in dev_queries]
+        hits = [retrieval.topk(index, rec.utterance, k, params, cfg, injection=injection)
+                for rec in queries]
         return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
 
     baseline = score_cell(None)

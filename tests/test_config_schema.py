@@ -335,10 +335,12 @@ def test_shipped_configs_resolve_as_before(tmp_path):
 class TestOneMetric:
     def test_mean_sim_at_k_by_hand(self):
         bank = Corpus(BANK, "bracketed")
-        golds = retrieval.gold_trees([("q", BANK[0].parse), ("q", BANK[3].parse)], bank)
+        queries = Corpus([Record("q0", "q", BANK[0].parse), Record("q1", "q", BANK[3].parse)],
+                         "bracketed")
+        golds = retrieval.gold_ids(queries, bank)
         hits = [[("r0", 0.9), ("r1", 0.5)], [("r3", 0.7), ("r2", 0.1)]]
-        per_query = [[1.0, sim_struct(golds[0], bank.tree("r1"))],
-                     [1.0, sim_struct(golds[1], bank.tree("r2"))]]
+        per_query = [[1.0, sim_struct(queries.tree("q0"), bank.tree("r1"))],
+                     [1.0, sim_struct(queries.tree("q1"), bank.tree("r2"))]]
         expected = sum(sum(q) / 2 for q in per_query) / 2
         assert retrieval.mean_sim_at_k(golds, hits, bank) == pytest.approx(expected, abs=1e-15)
 

@@ -1,7 +1,9 @@
 """One table of corrupted inputs: every stage that reads the input fails as a
-data error (exit 2) that names the file, without a traceback, and a failed
-``retrieve`` leaves the run directory byte-unchanged. Below the table: the
-non-finite rule, and the reader of ``stare.artifacts`` that the table rests on."""
+data error (exit 2) that names the file, without a traceback, and leaves the
+run directory byte-unchanged. Below the table: a failed stage keeps the old
+``config_used.json``, a missing ``direction.json`` under ``--use-direction``,
+the non-finite rule, and the reader of ``stare.artifacts`` that the table
+rests on."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from stare import cli, retrieval
+from stare import cli, mli, retrieval
 from stare.artifacts import read_json, read_lines, write_json
 
 QUERY = "hey call ravi thanks"
@@ -116,8 +118,7 @@ def test_corrupt_input_is_a_named_data_error(copied_run, caplog, capsys,
     assert code == cli.EXIT_DATA
     assert str(path) in caplog.text
     assert "Traceback" not in caplog.text + err
-    if stage == "retrieve":
-        assert _snapshot(copied_run["run"]) == before
+    assert _snapshot(copied_run["run"]) == before
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
@@ -140,6 +141,47 @@ def test_corrupt_saved_index_is_a_named_data_error(copied_run, caplog, capsys, n
     assert str(path) in caplog.text
     assert "Traceback" not in caplog.text + err
     assert _snapshot(copied_run["run"]) == before
+
+
+@pytest.mark.parametrize("stage,where,name,damage", [
+    ("train", "run", "pairs.jsonl", Path.unlink),
+    ("mli", "fixture", "pos.tsv", lambda path: path.write_bytes(_truncate(path.read_bytes())))],
+    ids=["train-no_pairs", "mli-truncated_pos"])
+def test_failed_stage_keeps_config_used(copied_run, caplog, monkeypatch, stage, where, name,
+                                        damage):
+    """``config_used.json`` records the config of the last stage that
+    succeeded: a stage that fails on its inputs does not rewrite it, even
+    under an override that would change it."""
+    damage(copied_run[where] / name)
+    monkeypatch.setenv("STARE_MINING_N_HARD", "1")
+    path = copied_run["run"] / "config_used.json"
+    old = path.read_bytes()
+    assert cli.main(_argv(stage, copied_run)) == cli.EXIT_DATA
+    assert name in caplog.text
+    assert path.read_bytes() == old
+    assert cli.main(_argv("bucket", copied_run)) == cli.EXIT_OK
+    assert read_json(path)["mining"]["n_hard"] == 1
+
+
+def test_use_direction_needs_direction_json(copied_run, caplog, capsys):
+    """Without ``direction.json`` there is no injection to apply: exit 2
+    naming the file. A baseline file applies none: the plain hits."""
+    run = copied_run["run"]
+    argv = [*_argv("retrieve", copied_run), "--format", "json"]
+    plain = [arg for arg in argv if arg != "--use-direction"]
+    assert cli.main(plain) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    (run / "direction.json").unlink()
+    (run / "index_trained_mli.bin").unlink(missing_ok=True)
+    before = _snapshot(run)
+
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"missing {run / 'direction.json'}; run 'mli' first" in caplog.text
+    assert _snapshot(run) == before
+
+    mli.save_direction(None, run / "direction.json")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 def test_non_finite_override_refused(copied_run, caplog, monkeypatch):

@@ -265,7 +265,7 @@ class TestSweep:
         sentences = [([f"token{i}", "alpha", "beta"], ["NOUN", "VERB", "NOUN"])
                      for i in range(8)]
         corpora = {"POS": mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")}
-        dev = [("token1 alpha beta", "[A1 x1 ]")]
+        dev = Corpus([Record("d1", "token1 alpha beta", "[A1 x1 ]")], "bracketed")
         return dev, bank, params, cfg, corpora
 
     def test_lambda_zero_rows_equal_baseline(self):
@@ -296,7 +296,7 @@ class TestSweep:
     @pytest.mark.parametrize("layers", [2, 4])
     def test_resumed_embeddings_equal_injected_forward(self, layers):
         dev, bank, params, cfg, _ = self._setup(layers)
-        texts = [rec.utterance for rec in bank] + [utterance for utterance, _ in dev]
+        texts = [rec.utterance for rec in bank] + [rec.utterance for rec in dev]
         states = [enc.forward(text, params, cfg).layers for text in texts]
         u = np.random.default_rng(3).standard_normal(cfg.d)
         u /= np.linalg.norm(u)

@@ -277,20 +277,22 @@ class TestEvaluate:
                        Record("b", "gamma delta", "[Y q ]")], "bracketed")
         index = build_index(bank, tiny_params, tiny_cfg)
         ranker = make_dense_ranker(index, tiny_params, tiny_cfg)
-        metrics = evaluate(ranker, [("alpha beta", "[X p ]")], bank, 1)
+        queries = Corpus([Record("q", "alpha beta", "[X p ]")], "bracketed")
+        metrics = evaluate(ranker, queries, bank, 1)
         assert metrics["mean_sim_struct_at_k"] == 1.0
         assert metrics["mrr_structural_nn"] == 1.0
 
     def test_k_one_all_identical(self, tiny_cfg, tiny_params):
         bank = Corpus([Record("a", "alpha", "[X p ]")], "bracketed")
         index = build_index(bank, tiny_params, tiny_cfg)
-        metrics = evaluate(make_dense_ranker(index, tiny_params, tiny_cfg),
-                           [("alpha", "[X p ]"), ("alpha", "[X p ]")], bank, 1)
+        queries = Corpus([Record("q0", "alpha", "[X p ]"), Record("q1", "alpha", "[X p ]")],
+                         "bracketed")
+        metrics = evaluate(make_dense_ranker(index, tiny_params, tiny_cfg), queries, bank, 1)
         assert metrics["mean_sim_struct_at_k"] == 1.0
 
     def test_permutation_invariance(self, tiny_bank, tiny_cfg):
-        queries = [("sunny weather tomorrow", "[IN:W [SL:D tomorrow ] ]"),
-                   ("remind me to call", "[IN:R [SL:T call ] ]")]
+        queries = Corpus([Record("q0", "sunny weather tomorrow", "[IN:W [SL:D tomorrow ] ]"),
+                          Record("q1", "remind me to call", "[IN:R [SL:T call ] ]")], "bracketed")
         shuffled = Corpus(list(reversed(tiny_bank.records)), "bracketed")
         m1 = evaluate(make_bm25_ranker(tiny_bank), queries, tiny_bank, 2)
         m2 = evaluate(make_bm25_ranker(shuffled), queries, shuffled, 2)
@@ -299,7 +301,8 @@ class TestEvaluate:
 
     def test_bm25_ranker_metrics(self, tiny_bank):
         metrics = evaluate(make_bm25_ranker(tiny_bank),
-                           [("sunny weather tomorrow", "[IN:W [SL:D tomorrow ] ]")],
+                           Corpus([Record("q", "sunny weather tomorrow",
+                                          "[IN:W [SL:D tomorrow ] ]")], "bracketed"),
                            tiny_bank, 2)
         assert metrics["mrr_structural_nn"] == 1.0
         assert metrics["mean_top1_sim"] > 0
