@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -187,6 +188,16 @@ class LshIndex:
             pool.update(bucket.get(key, ()))
         pool.discard(exclude)
         return pool
+
+    def pools(self) -> Iterator[tuple[list[str], set[str]]]:
+        """For each distinct signature, in first-insertion order: the ids that
+        share it and its one ``query`` union. Those ids collide in every
+        band, so each id's pool is the union minus the id."""
+        shared: dict[bytes, list[str]] = {}
+        for rid, sig in self.signatures.items():
+            shared.setdefault(sig.tobytes(), []).append(rid)
+        for ids in shared.values():
+            yield ids, self.query(self.signatures[ids[0]])
 
     # -- persistence --------------------------------------------------------
 

@@ -99,10 +99,15 @@ def _upstream(path: Path, stage: str) -> Path:
 
 
 def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
+    """The index of every record, sketching each distinct parse string once."""
     index = bucketing.LshIndex(**config.bucketing)
+    sigs: dict[str, np.ndarray] = {}
     for rec in corpus:
-        feats = bucketing.extract_features(rec.parse, corpus.dialect)
-        index.insert(rec.id, bucketing.minhash(feats, index.num_hashes, index.seed))
+        sig = sigs.get(rec.parse)
+        if sig is None:
+            feats = bucketing.extract_features(rec.parse, corpus.dialect)
+            sig = sigs[rec.parse] = bucketing.minhash(feats, index.num_hashes, index.seed)
+        index.insert(rec.id, sig)
     return index
 
 
@@ -114,8 +119,8 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     index = _build_lsh(config, corpus)
     index.save(out / "lsh_index.json")
-    pool_sizes = sorted(len(index.query(index.signatures[rec.id], exclude=rec.id))
-                        for rec in corpus)
+    shared = [(len(ids), len(union) - 1) for ids, union in index.pools()]
+    pool_sizes = sorted(size for n, size in shared for _ in range(n))
     report = {
         "records": len(corpus),
         "bands": index.bands,
@@ -124,14 +129,19 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> None:
         "mean_pool_size": float(np.mean(pool_sizes)),
     }
     write_json(out / "bucket_report.json", report, indent=2)
-    logger.info("bucketed %d records (mean pool %.2f)", len(corpus),
-                report["mean_pool_size"])
+    logger.info("bucketed %d records: %d distinct parses, %d distinct signatures "
+                "(mean pool %.2f)", len(corpus), len({rec.parse for rec in corpus}),
+                len(shared), report["mean_pool_size"])
 
 
 def cmd_mine(config: PipelineConfig, out: Path) -> None:
     corpus = _load_corpus(config, "train")
     path = _upstream(out / "lsh_index.json", "bucket")
     index = bucketing.LshIndex.load(path)
+    for key in ("num_hashes", "tau", "seed"):
+        if getattr(index, key) != config.bucketing[key]:
+            raise DataError(f"{path}: built with bucketing.{key} = {getattr(index, key)!r}, "
+                            f"but the config has {config.bucketing[key]!r}; rerun 'bucket'")
     try:
         groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     except mining.IndexCorpusMismatch:

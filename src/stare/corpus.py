@@ -29,10 +29,11 @@ class Corpus:
     """Ordered record collection with cached parse trees and one
     structural-similarity table.
 
-    The table gives every distinct tree (equal under ``ParseTree.__eq__``)
-    an integer id: a record's id is computed once per (record, anonymize),
-    and trees from outside the corpus, such as gold parses, are interned
-    into the same id space. ``sim`` memoizes ``sim_struct`` per unordered
+    Records with equal parse strings share one tree. The table gives every
+    distinct tree (equal under ``ParseTree.__eq__``) an integer id: a
+    record's id is computed once per (record, anonymize), and trees from
+    outside the corpus, such as gold parses, are interned into the same
+    id space. ``sim`` memoizes ``sim_struct`` per unordered
     id pair for the life of the corpus and holds only the pairs actually
     compared. The unordered key is exact: ``ted`` sums integer unit costs,
     so ``ted(a, b)`` and ``ted(b, a)`` are the same float, and
@@ -69,11 +70,11 @@ class Corpus:
         return [rec.id for rec in self.records]
 
     def tree(self, record_id: str, anonymize: bool = False) -> ParseTree:
-        key = (record_id, anonymize)
+        """The record's parse tree, parsed once per (parse string, anonymize)."""
+        key = (self.get(record_id).parse, anonymize)
         cached = self._tree_cache.get(key)
         if cached is None:
-            rec = self.get(record_id)
-            cached = trees.parse(rec.parse, self.dialect)
+            cached = trees.parse(key[0], self.dialect)
             if anonymize:
                 cached = trees.anonymize_leaves(cached)
             self._tree_cache[key] = cached

@@ -9,6 +9,7 @@ pool.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import numpy as np
 from .artifacts import fields, read_jsonl, write_jsonl
 from .bucketing import LshIndex
 from .corpus import Corpus
+
+logger = logging.getLogger(__name__)
 
 
 class UnknownId(ValueError):
@@ -67,20 +70,35 @@ def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest, "big"))
 
 
-def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
+class Pool:
+    """Candidates that anchors share: ascending corpus positions, and a memo
+    of their similarities per (anonymize, anchor tree id, anchor inside)."""
+
+    def __init__(self, corpus: Corpus, ids: set[str]):
+        try:
+            self.positions = np.fromiter(map(corpus.index_of.__getitem__, ids),
+                                         dtype=np.intp, count=len(ids))
+        except KeyError as exc:
+            raise UnknownId(exc.args[0]) from None
+        self.positions.sort()
+        self.scored: dict[tuple[bool, int, bool], tuple[np.ndarray, np.ndarray, int]] = {}
+
+
+def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
                config: MiningConfig) -> ContrastiveGroup | None:
-    """Build one contrastive group, or None when the pool is empty.
+    """One contrastive group, or None when the pool holds no record but the
+    anchor: an anchor is never its own candidate. Positive: the candidates'
+    argmax of structural similarity (ties to the smallest corpus index).
+    Hard negatives: the lowest-similarity candidates, positive excluded.
+    Random negatives: seeded uniform draws from the rest of the corpus;
+    shortage is flagged, not fatal.
 
-    Positive: pool argmax of structural similarity (ties to the smallest
-    corpus index). Hard negatives: the lowest-similarity pool members,
-    positive excluded. Random negatives: seeded uniform draws from the
-    rest of the corpus; shortage is flagged, not fatal.
-
-    The pool is mined as an ascending array of corpus positions. Its
-    similarities come from the corpus's table, asked once per distinct
-    pool tree, anchor first. The table keeps every pair for the life of
-    the corpus under one unordered key, exact because unit-cost TED is
-    symmetric to the bit (see ``Corpus``), so across ``mine_all`` each
+    The corpus's table is asked once per distinct pool tree, anchor first,
+    and the sims, their stable order and first maximum are kept in
+    ``pool.scored`` for every anchor with the same tree; the anchor's own
+    position gets -inf when no other candidate has its tree. The table
+    keeps every pair under one unordered key, exact because unit-cost TED
+    is symmetric to the bit (see ``Corpus``), so across ``mine_all`` each
     distinct unordered tree pair costs one TED. Random negatives draw
     ``rng.choice(n_outside, take)`` ranks among the records outside
     anchor and pool, in corpus order. The rank-r outside record sits at
@@ -89,35 +107,38 @@ def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
     """
     if anchor_id not in corpus:
         raise UnknownId(anchor_id)
-    try:
-        positions = np.fromiter(map(corpus.index_of.__getitem__, pool), dtype=np.intp,
-                                count=len(pool))
-    except KeyError as exc:
-        raise UnknownId(exc.args[0]) from None
-    if not len(positions):
+    anchor_pos = corpus.index_of[anchor_id]
+    positions = pool.positions
+    own = int(np.searchsorted(positions, anchor_pos))
+    inside = own < len(positions) and positions[own] == anchor_pos
+    if len(positions) == inside:
         return None
-    positions.sort()
     records = corpus.records
 
-    table = corpus.tree_ids(config.anonymize)
-    anchor_pos = corpus.index_of[anchor_id]
-    anchor = int(table[anchor_pos])
-    tids = table[positions].tolist()
-    sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tids)}
-    sims = np.fromiter(map(sim_of.__getitem__, tids), dtype=np.float64, count=len(tids))
-    # Positions ascend, so argmax's first maximum breaks ties to the smallest
-    # index, and a stable sort by sim orders by (sim, index).
-    best = int(np.argmax(sims))
+    anchor = int(corpus.tree_ids(config.anonymize)[anchor_pos])
+    key = (config.anonymize, anchor, inside)
+    if key not in pool.scored:
+        tids = corpus.tree_ids(config.anonymize)[positions].tolist()
+        sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tids)
+                  if tid != anchor or not inside or tids.count(tid) > 1}
+        sim_of.setdefault(anchor, -np.inf)
+        sims = np.fromiter(map(sim_of.__getitem__, tids), dtype=np.float64, count=len(tids))
+        # Positions ascend, so argmax's first maximum breaks ties to the
+        # smallest index, and a stable sort by sim orders by (sim, index).
+        pool.scored[key] = (sims, np.argsort(sims, kind="stable"), int(np.argmax(sims)))
+    sims, ascending, best = pool.scored[key]
+    if inside and best == own:  # another candidate has the anchor's tree: the next maximum
+        best = own + 1 + int(np.argmax(sims[own + 1:]))
     positive_id = records[positions[best]].id
 
     flags: list[str] = []
-    ascending = np.argsort(sims, kind="stable")
     hard = [records[positions[i]].id
-            for i in ascending[: config.n_hard + 1] if i != best][: config.n_hard]
+            for i in ascending[: config.n_hard + 2].tolist()
+            if i != best and not (inside and i == own)][: config.n_hard]
     if len(hard) < config.n_hard:
         flags.append("short_hard_negatives")
 
-    excluded = positions if anchor_id in pool else np.sort(np.append(positions, anchor_pos))
+    excluded = positions if inside else np.insert(positions, own, anchor_pos)
     n_outside = len(corpus) - len(excluded)
     rng = _anchor_rng(config.seed, anchor_id)
     take = min(config.n_rand, n_outside)
@@ -135,24 +156,29 @@ def mine_group(anchor_id: str, pool: set[str], corpus: Corpus,
 
 def mine_all(corpus: Corpus, index: LshIndex,
              config: MiningConfig) -> tuple[list[ContrastiveGroup], MiningReport]:
-    """One group per anchor with a non-empty pool, plus summary counts."""
+    """One group per anchor with a non-empty pool, in corpus order, plus
+    summary counts. Each LSH union is queried and turned into a ``Pool``
+    once, mined for every anchor sharing its signature, and dropped."""
     if set(index.signatures) != set(corpus.index_of):
         raise IndexCorpusMismatch("index ids do not match corpus ids")
-    groups: list[ContrastiveGroup] = []
-    pool_sizes: list[int] = []
-    skipped = 0
-    for rec in corpus:
-        pool = index.query(index.signatures[rec.id], exclude=rec.id)
-        pool_sizes.append(len(pool))
-        group = mine_group(rec.id, pool, corpus, config)
-        if group is None:
-            skipped += 1
-        else:
-            groups.append(group)
+    slots: list[ContrastiveGroup | None] = [None] * len(corpus)
+    pool_sizes = np.zeros(len(corpus), dtype=np.intp)
+    unions = scored = 0
+    for ids, union in index.pools():
+        pool = Pool(corpus, union)
+        for rid in ids:
+            pos = corpus.index_of[rid]
+            pool_sizes[pos] = len(union) - 1
+            slots[pos] = mine_group(rid, pool, corpus, config)
+        unions += 1
+        scored += len(pool.scored)
+        del pool, union
+    groups = [g for g in slots if g is not None]
+    logger.info("scored %d (signature, anchor tree) pools over %d LSH unions", scored, unions)
     report = MiningReport(
         anchors=len(corpus),
-        skipped_empty_pool=skipped,
-        mean_pool_size=float(np.mean(pool_sizes)) if pool_sizes else 0.0,
+        skipped_empty_pool=len(corpus) - len(groups),
+        mean_pool_size=float(np.mean(pool_sizes)) if len(corpus) else 0.0,
         mean_positive_sim=float(np.mean([g.positive_sim for g in groups])) if groups else 0.0,
     )
     return groups, report

@@ -9,7 +9,7 @@ import numpy as np
 from stare import bucketing, encoder as enc, mining, mli, retrieval
 from stare.bucketing import LshIndex, minhash
 from stare.corpus import Corpus, Record
-from stare.mining import MiningConfig, mine_group
+from stare.mining import MiningConfig, Pool, mine_group
 from stare.retrieval import PromptSpec, build_prompt
 from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree
@@ -159,7 +159,7 @@ def test_criterion_05_mining_matches_bruteforce():
     expected_pos = min((r for r in pool if sims[r] == best), key=corpus.index_of.get)
     expected_hard = sorted((r for r in pool if r != expected_pos),
                            key=lambda r: (sims[r], corpus.index_of[r]))[:3]
-    group = mine_group("r0", pool, corpus, MiningConfig(n_hard=3, n_rand=1, seed=4))
+    group = mine_group("r0", Pool(corpus, pool), corpus, MiningConfig(n_hard=3, n_rand=1, seed=4))
     ok = (group.positive_id == expected_pos
           and group.hard_negative_ids == expected_hard
           and group.positive_sim == sims[expected_pos]

@@ -355,6 +355,44 @@ def test_query_equals_blake2b_reference(case):
     assert index.query(probe) == reference_lsh_query(index, probe)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_planted_signatures(), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                       max_size=6))
+def test_pools_partition_ids_by_signature(case, copies):
+    """``pools`` yields each distinct signature once, in first-insertion
+    order, with the ids that share it and its ``query`` union."""
+    sigs, _ = case
+    for src, dst in copies:  # whole signatures repeated under other ids
+        sigs[dst % len(sigs)] = sigs[src % len(sigs)].copy()
+    index = LshIndex(num_hashes=12, tau=0.5, seed=0)
+    for i, sig in enumerate(sigs):
+        index.insert(f"s{i}", sig)
+    expected: dict[bytes, list[str]] = {}
+    for i, sig in enumerate(sigs):
+        expected.setdefault(sig.tobytes(), []).append(f"s{i}")
+
+    pools = list(index.pools())
+
+    assert [ids for ids, _ in pools] == list(expected.values())
+    for ids, union in pools:
+        sig = index.signatures[ids[0]]
+        assert union == index.query(sig) == reference_lsh_query(index, sig)
+        for rid in ids:
+            assert index.query(sig, exclude=rid) == union - {rid}
+
+
+def test_bucket_report_pool_sizes_equal_per_record_queries(pipeline_runs):
+    """``bucket`` sizes each record's pool from its signature's one union;
+    the report holds the sizes that one query per record gives."""
+    _, run, _ = pipeline_runs
+    index = LshIndex.load(run / "lsh_index.json")
+    sizes = [len(index.query(sig, exclude=rid)) for rid, sig in index.signatures.items()]
+    report = json.loads((run / "bucket_report.json").read_text(encoding="utf-8"))
+    assert len(list(index.pools())) < len(index)  # the fixture repeats signatures
+    assert report["pool_size_histogram"] == {str(n): sizes.count(n) for n in set(sizes)}
+    assert report["mean_pool_size"] == float(np.mean(sizes))
+
+
 def test_save_and_load_memory(tmp_path):
     """On the fixture bank at N = 2,000, saving holds one record at a time
     and loading holds the file's text, then its arrays."""

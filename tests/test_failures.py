@@ -1,7 +1,8 @@
 """One table of corrupted inputs: every stage that reads the input fails as a
 data error (exit 2) that names the file, without a traceback, and leaves the
 run directory byte-unchanged. Below the table: a failed stage keeps the old
-``config_used.json``, a missing ``direction.json`` under ``--use-direction``,
+``config_used.json``, ``mine`` refuses an LSH index built under another
+``bucketing`` section, a missing ``direction.json`` under ``--use-direction``,
 the non-finite rule, and the reader of ``stare.artifacts`` that the table
 rests on."""
 
@@ -161,6 +162,21 @@ def test_failed_stage_keeps_config_used(copied_run, caplog, monkeypatch, stage, 
     assert path.read_bytes() == old
     assert cli.main(_argv("bucket", copied_run)) == cli.EXIT_OK
     assert read_json(path)["mining"]["n_hard"] == 1
+
+
+@pytest.mark.parametrize("key,value,built", [("seed", "8", "7"), ("tau", "0.6", "0.5"),
+                                             ("num_hashes", "64", "128")])
+def test_mine_refuses_index_of_other_bucketing(copied_run, caplog, monkeypatch, key, value,
+                                                built):
+    """``mine`` reads ``lsh_index.json`` only under the ``bucketing`` section
+    that built it: another is exit 2 naming the key and both values, and
+    ``pairs.jsonl`` and ``config_used.json`` keep their bytes."""
+    monkeypatch.setenv(f"STARE_BUCKETING_{key.upper()}", value)
+    before = _snapshot(copied_run["run"])
+    assert cli.main(_argv("mine", copied_run)) == cli.EXIT_DATA
+    assert (f"built with bucketing.{key} = {built}, but the config has {value}; "
+            "rerun 'bucket'") in caplog.text
+    assert _snapshot(copied_run["run"]) == before
 
 
 def test_use_direction_needs_direction_json(copied_run, caplog, capsys):

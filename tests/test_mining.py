@@ -1,12 +1,13 @@
 import importlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stare import bucketing
 from stare.corpus import Corpus, Record
-from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, UnknownId,
+from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, Pool, UnknownId,
                           load_groups, mine_all, mine_group, save_groups)
 from stare.trees import parse
 
@@ -14,6 +15,7 @@ from oracles import reference_mine_group, ted_bruteforce
 
 # The package re-exports a function named ``ted``; this is the module.
 ted_module = importlib.import_module("stare.ted")
+trees_module = importlib.import_module("stare.trees")
 
 
 def _corpus(parses, dialect="bracketed"):
@@ -42,7 +44,8 @@ class TestMineGroup:
     def test_matches_bruteforce_ranking(self):
         corpus = _corpus(SIX)
         pool = {"r1", "r2", "r3", "r4"}
-        group = mine_group("r0", pool, corpus, MiningConfig(n_hard=2, n_rand=1, seed=4))
+        group = mine_group("r0", Pool(corpus, pool), corpus,
+                           MiningConfig(n_hard=2, n_rand=1, seed=4))
         sims = {rid: _oracle_sim(corpus, "r0", rid) for rid in pool}
         expected_positive = min((rid for rid in pool
                                  if sims[rid] == max(sims.values())),
@@ -57,24 +60,25 @@ class TestMineGroup:
 
     def test_pool_of_one_flagged_short(self):
         corpus = _corpus(SIX[:3])
-        group = mine_group("r0", {"r2"}, corpus, MiningConfig(n_hard=3, n_rand=0, seed=0))
+        group = mine_group("r0", Pool(corpus, {"r2"}), corpus,
+                           MiningConfig(n_hard=3, n_rand=0, seed=0))
         assert group.positive_id == "r2"
         assert group.hard_negative_ids == []
         assert "short_hard_negatives" in group.flags
 
     def test_identical_parse_wins(self):
         corpus = _corpus(SIX)
-        group = mine_group("r0", {"r1", "r2", "r3"}, corpus, MiningConfig(seed=0))
+        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3"}), corpus, MiningConfig(seed=0))
         assert group.positive_id == "r1"
         assert group.positive_sim == 1.0
 
     def test_empty_pool_skipped(self):
         corpus = _corpus(SIX)
-        assert mine_group("r0", set(), corpus, MiningConfig()) is None
+        assert mine_group("r0", Pool(corpus, set()), corpus, MiningConfig()) is None
 
     def test_corpus_too_small_flags_random(self):
         corpus = _corpus(SIX[:4])
-        group = mine_group("r0", {"r1", "r2", "r3"}, corpus,
+        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3"}), corpus,
                            MiningConfig(n_hard=1, n_rand=2, seed=0))
         assert group.random_negative_ids == []
         assert "short_random_negatives" in group.flags
@@ -82,21 +86,21 @@ class TestMineGroup:
     def test_unknown_ids(self):
         corpus = _corpus(SIX[:2])
         with pytest.raises(UnknownId):
-            mine_group("missing", {"r1"}, corpus, MiningConfig())
+            mine_group("missing", Pool(corpus, {"r1"}), corpus, MiningConfig())
         with pytest.raises(UnknownId):
-            mine_group("r0", {"ghost"}, corpus, MiningConfig())
+            mine_group("r0", Pool(corpus, {"ghost"}), corpus, MiningConfig())
 
     def test_deterministic_random_negatives(self):
         corpus = _corpus(SIX)
         cfg = MiningConfig(n_hard=1, n_rand=2, seed=42)
-        g1 = mine_group("r0", {"r1", "r2"}, corpus, cfg)
-        g2 = mine_group("r0", {"r1", "r2"}, corpus, cfg)
+        g1 = mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, cfg)
+        g2 = mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, cfg)
         assert g1.random_negative_ids == g2.random_negative_ids
         assert set(g1.random_negative_ids) <= {"r3", "r4", "r5"}
 
     def test_anchor_never_in_own_group(self):
         corpus = _corpus(SIX)
-        group = mine_group("r0", {"r1", "r2", "r3", "r4"}, corpus,
+        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3", "r4"}), corpus,
                            MiningConfig(n_hard=2, n_rand=2, seed=1))
         ids = [group.positive_id] + group.negative_ids()
         assert "r0" not in ids
@@ -227,8 +231,12 @@ def test_mine_group_equals_reference(case):
     # Warm the table with every other anchor first, so hits are exercised.
     for rec in corpus:
         if rec.id != anchor:
-            mine_group(rec.id, set(corpus.ids()) - {rec.id}, corpus, cfg)
-    assert mine_group(anchor, pool, corpus, cfg) == reference_mine_group(anchor, pool, fresh, cfg)
+            mine_group(rec.id, Pool(corpus, set(corpus.ids()) - {rec.id}), corpus, cfg)
+    # An anchor is never its own candidate: a pool holding it mines as one without it.
+    others = pool - {anchor}
+    group = mine_group(anchor, Pool(corpus, pool), corpus, cfg)
+    assert group == mine_group(anchor, Pool(corpus, others), corpus, cfg)
+    assert group == reference_mine_group(anchor, others, fresh, cfg)
 
 
 @pytest.mark.parametrize("anonymize", [False, True])
@@ -239,8 +247,12 @@ def test_mine_group_equals_reference(case):
 ])
 def test_edge_pools_equal_reference(pool, n_rand, flag, anonymize):
     cfg = MiningConfig(n_hard=2, n_rand=n_rand, seed=5, anonymize=anonymize)
-    group = mine_group("r0", pool, _corpus(SIX), cfg)
-    assert group == reference_mine_group("r0", pool, _corpus(SIX), cfg)
+    corpus = _corpus(SIX)
+    group = mine_group("r0", Pool(corpus, pool), corpus, cfg)
+    # An anchor is never its own candidate: a pool holding it mines as one without it.
+    others = pool - {"r0"}
+    assert group == mine_group("r0", Pool(corpus, others), corpus, cfg)
+    assert group == reference_mine_group("r0", others, _corpus(SIX), cfg)
     assert (flag in group.flags) if flag else "short_random_negatives" not in group.flags
 
 
@@ -257,3 +269,92 @@ def test_mine_all_one_ted_per_distinct_unordered_pair(fixture_data, lsh_index, m
     assert len(calls) == len(compared)
     assert {frozenset(pair) for pair in calls} == compared
     assert (groups, report) == mined
+
+
+# ---------------------------------------------------------------------------
+# mine_all mines each LSH union once: one Pool per signature, shared by its anchors
+# ---------------------------------------------------------------------------
+
+# Equal feature sets give equal signatures: "[F p q ]" and "[F q p ]" are two
+# trees under one signature, and the repeats share both signature and tree.
+_SHARED = ["[F p q ]", "[F q p ]", "[F p q ]", "[F [X p ] ]", "[F [X p ] ]", "[F [X q ] ]",
+           "[G [Y a ] ]", "[F [X p ] q ]", "[H b ]", "[F [X q ] ]"]
+
+
+def _per_record_reference(corpus, index, cfg):
+    """``mine_all`` as one ``query`` and one ``reference_mine_group`` per anchor."""
+    pools = {rec.id: index.query(index.signatures[rec.id], exclude=rec.id) for rec in corpus}
+    fresh = _corpus([rec.parse for rec in corpus])
+    groups = [g for g in (reference_mine_group(rid, pool, fresh, cfg)
+                          for rid, pool in pools.items()) if g is not None]
+    return groups, pools
+
+
+@pytest.mark.parametrize("anonymize", [False, True])
+@pytest.mark.parametrize("n_hard,n_rand,seed", [(3, 2, 0), (1, 9, 7), (0, 0, 3)])
+def test_mine_all_equals_per_anchor_reference(anonymize, n_hard, n_rand, seed, monkeypatch):
+    corpus = _corpus(_SHARED)
+    index = _index_for(corpus, num_hashes=16, tau=0.5, seed=1)
+    cfg = MiningConfig(n_hard=n_hard, n_rand=n_rand, seed=seed, anonymize=anonymize)
+    sig_of = {rec.id: index.signatures[rec.id].tobytes() for rec in corpus}
+    assert sig_of["r0"] == sig_of["r1"] == sig_of["r2"]       # repeated signature,
+    assert corpus.tree("r0") != corpus.tree("r1")             # two trees under it
+    expected, pools = _per_record_reference(corpus, index, cfg)
+    tree = {rec.id: corpus.tree(rec.id, anonymize) for rec in corpus}
+    # Anchor trees that no per-record pool holds a second time.
+    lone = ({tree[rid] for rid, pool in pools.items() if pool}
+            - {tree[pid] for rid, pool in pools.items() for pid in pool if tree[pid] == tree[rid]})
+    assert lone
+    real, calls = ted_module.ted, []
+    monkeypatch.setattr(ted_module, "ted",
+                        lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+
+    groups, report = mine_all(corpus, index, cfg)
+
+    assert groups == expected
+    assert report.mean_pool_size == sum(map(len, pools.values())) / len(corpus)
+    assert report.skipped_empty_pool == len(corpus) - len(expected)
+    # The table is not asked such an anchor's tree against itself.
+    assert not [t for t in lone if (t, t) in calls]
+    compared = {frozenset((tree[rid], tree[pid])) for rid, pool in pools.items() for pid in pool}
+    assert sorted(map(frozenset, calls), key=str) == sorted(compared, key=str)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_SHARED), min_size=1, max_size=12),
+       st.integers(0, 4), st.integers(0, 5), st.booleans())
+def test_mine_all_equals_reference_on_random_corpora(parses, n_hard, n_rand, anonymize):
+    corpus = _corpus(parses)
+    index = _index_for(corpus, num_hashes=16, tau=0.5, seed=1)
+    cfg = MiningConfig(n_hard=n_hard, n_rand=n_rand, seed=11, anonymize=anonymize)
+    assert mine_all(corpus, index, cfg)[0] == _per_record_reference(corpus, index, cfg)[0]
+
+
+def test_build_lsh_sketches_each_distinct_parse_once(pipeline_runs, monkeypatch):
+    from stare import cli
+    from stare.config import load_config
+
+    fix_dir, run, _ = pipeline_runs
+    config = load_config(fix_dir / "config.json")
+    corpus = cli._load_corpus(config, "train")
+    real, calls = bucketing.minhash, []
+    monkeypatch.setattr(bucketing, "minhash", lambda *args: calls.append(args) or real(*args))
+
+    index = cli._build_lsh(config, corpus)
+
+    assert len(calls) == len({rec.parse for rec in corpus}) < len(corpus)
+    saved = bucketing.LshIndex.load(run / "lsh_index.json")
+    assert list(index.signatures) == list(saved.signatures)
+    assert all(np.array_equal(sig, saved.signatures[rid]) for rid, sig in index.signatures.items())
+
+
+def test_corpus_parses_once_per_distinct_parse_and_anonymize(monkeypatch):
+    corpus = _corpus(_SHARED)
+    real, calls = trees_module.parse, []
+    monkeypatch.setattr(trees_module, "parse", lambda *args: calls.append(args) or real(*args))
+    for anonymize in (False, True, False):
+        got = [corpus.tree(rec.id, anonymize) for rec in corpus]
+        assert got == [real(p, "bracketed") if not anonymize
+                       else trees_module.anonymize_leaves(real(p, "bracketed")) for p in _SHARED]
+    assert len(calls) == 2 * len(set(_SHARED))
+    assert corpus.tree("r0") is corpus.tree("r2")
