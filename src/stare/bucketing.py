@@ -60,20 +60,15 @@ def extract_features(parse: str, dialect: ParseDialect | str) -> frozenset[str]:
     names; literals are dropped.
     """
     dialect = ParseDialect(dialect)
+    tree = trees.parse(parse, dialect)  # validates; parser errors propagate
     if dialect is ParseDialect.SQL_SKELETON:
-        skeleton = trees.parse_sql_skeleton(parse)
-        return frozenset(node.label for node in skeleton.postorder()
+        return frozenset(node.label for node in tree.postorder()
                          if node.label not in _SQL_NON_FEATURES
                          and not _SQL_OPERATOR.match(node.label))
-    if dialect is ParseDialect.BRACKETED:
-        tokens = trees.lex_bracketed(parse)
-        trees.parse_bracketed(parse, tokens)  # validate; propagate parser errors
-    else:
-        tokens = trees.lex_sexpr(parse)
-        trees.parse_sexpr(parse, tokens)
+    lex = trees.lex_bracketed if dialect is ParseDialect.BRACKETED else trees.lex_sexpr
     feats: set[str] = set()
     prev = None
-    for kind, value, _ in tokens:
+    for kind, value, _ in lex(parse):
         if kind == "atom":
             feats.add(value if prev == "open" else _norm_terminal(value))
         elif kind == "string":

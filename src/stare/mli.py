@@ -288,7 +288,6 @@ def sweep(queries: Corpus, bank: Corpus,
     """
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
-    directions: dict[tuple[str, int], InjectionDirection] = {}
     golds = retrieval.gold_ids(queries, bank, anonymize)
 
     index = retrieval.build_index(bank, params, cfg)
@@ -323,23 +322,20 @@ def sweep(queries: Corpus, bank: Corpus,
             continue
         states: dict[int, np.ndarray] = {}
         for layer in grid.layers:
-            key = (prop, layer)
             try:
-                if key not in directions:
-                    if layer not in states:
-                        # One forward serves every in-range layer; an
-                        # out-of-range layer raises its own error row.
-                        states, y = collect_states(corpus, params, cfg, [layer, *in_range])
-                    probes[key] = train_probe(states[layer], y, layer, prop,
-                                              len(corpus.label_set), probe_config)
-                    directions[key] = extract_direction(probes[key])
+                if layer not in states:
+                    # One forward serves every in-range layer; an
+                    # out-of-range layer raises its own error row.
+                    states, y = collect_states(corpus, params, cfg, [layer, *in_range])
+                probes[prop, layer] = train_probe(states[layer], y, layer, prop,
+                                                  len(corpus.label_set), probe_config)
+                u = extract_direction(probes[prop, layer]).u
             except (ValueError, ArithmeticError) as exc:  # bad data fails the cell
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
                                      score=float("nan"), error=str(exc)))
                 continue
             for lam in grid.lambdas:
-                injection = InjectionDirection(u=directions[key].u, layer=layer,
-                                               lam=float(lam), prop=prop)
+                injection = InjectionDirection(u=u, layer=layer, lam=float(lam), prop=prop)
                 try:
                     score = baseline if lam == 0.0 else score_cell(injection)
                 except (ValueError, ArithmeticError) as exc:

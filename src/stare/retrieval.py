@@ -72,26 +72,35 @@ def _unit_rows(ids: list[str], embeddings: np.ndarray) -> np.ndarray:
     return embeddings
 
 
-def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
+def _head(ids: list[str], scores: np.ndarray, k: int,
           exclude: str | None = None) -> list[tuple[str, float]]:
-    """The k rows with the highest cosine to ``vec``, ties to lower index.
-
-    The one ranking implementation: ``topk``, ``make_dense_ranker`` and
-    the MLI sweep's injected cells all call it.
-    """
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise enc.ZeroVector("query embeds to the zero vector")
-    scores = embeddings @ (vec / norm)
+    """The k (id, score) pairs of highest score, ties to lower index, with
+    ``exclude`` skipped: the one top-k rule of every ranker."""
+    if k < 1:
+        raise KTooLarge("k must be >= 1")
     head = []
     for i in np.argsort(-scores, kind="stable"):
         if len(head) == k:
             break
-        if exclude is None or ids[i] != exclude:
+        if ids[i] != exclude:
             head.append(i)
     if len(head) < k:  # the scan ran out: head holds every available record
         raise KTooLarge(f"k={k} exceeds {len(head)} available records")
     return [(ids[i], float(scores[i])) for i in head]
+
+
+def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
+          exclude: str | None = None) -> list[tuple[str, float]]:
+    """The k rows with the highest cosine to ``vec``, by ``_head``.
+
+    The one dense ranking implementation: ``topk``, ``make_dense_ranker``
+    and the MLI sweep's injected cells all call it; BM25 ranks its own
+    scores through the same ``_head``.
+    """
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise enc.ZeroVector("query embeds to the zero vector")
+    return _head(ids, embeddings @ (vec / norm), k, exclude)
 
 
 def corpus_tokens(corpus: Corpus, cfg: EncoderConfig) -> list[list[int]]:
@@ -170,11 +179,7 @@ def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray
     The query must be embedded under the same parameters and injection
     the index was built with; mismatches raise ProvenanceMismatch.
     """
-    if k < 1:
-        raise KTooLarge("k must be >= 1")
-    _check_provenance(index, params, injection)
-    return _rank(index.ids, index.embeddings, enc.embed(query, params, cfg, injection),
-                 k, exclude)
+    return make_dense_ranker(index, params, cfg, injection)(query, k, exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +221,7 @@ class Bm25:
         return out
 
     def topk(self, query: str, k: int) -> list[tuple[str, float]]:
-        if k < 1:
-            raise KTooLarge("k must be >= 1")
-        if k > len(self.ids):
-            raise KTooLarge(f"k={k} exceeds {len(self.ids)} documents")
-        scores = self.scores(query)
-        order = np.argsort(-scores, kind="stable")
-        return [(self.ids[i], float(scores[i])) for i in order[:k]]
+        return _head(self.ids, self.scores(query), k)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +262,9 @@ def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str)
         return header + "\n\n" + "\n\n".join(blocks)
     if spec.schema_text is None:
         raise MissingSchema("sql_schema template requires schema_text")
-    blocks = [(f"/* Given the following database schema: */\n{spec.schema_text}\n"
-               f"/* Answer the following: {u} */\nSQL Query: {p}")
-              for u, p in exemplars]
-    blocks.append(f"/* Given the following database schema: */\n{spec.schema_text}\n"
-                  f"/* Answer the following: {query} */\nSQL Query:")
-    return "\n\n".join(blocks)
+    cases = [(u, f" {p}") for u, p in exemplars] + [(query, "")]
+    return "\n\n".join(f"/* Given the following database schema: */\n{spec.schema_text}\n"
+                       f"/* Answer the following: {u} */\nSQL Query:{p}" for u, p in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +273,14 @@ def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str)
 
 def make_dense_ranker(index: RetrievalIndex, params: dict[str, np.ndarray],
                       cfg: EncoderConfig, injection: InjectionDirection | None = None):
-    """Full-ranking function over ``index``; provenance is checked once, here."""
+    """Ranking function over ``index``: the k ids nearest a query (every id
+    when k is None), ``exclude`` skipped; provenance is checked once, here."""
     _check_provenance(index, params, injection)
 
-    def rank(query: str) -> list[tuple[str, float]]:
+    def rank(query: str, k: int | None = None,
+             exclude: str | None = None) -> list[tuple[str, float]]:
         return _rank(index.ids, index.embeddings, enc.embed(query, params, cfg, injection),
-                     len(index))
+                     len(index) if k is None else k, exclude)
 
     return rank
 

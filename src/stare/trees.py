@@ -131,18 +131,17 @@ def lex_bracketed(text: str) -> list[tuple[str, str, int]]:
     return _lex(_BRACKET_TOKEN, text)
 
 
-def parse_bracketed(text: str, tokens: list[tuple[str, str, int]] | None = None) -> ParseTree:
+def parse_bracketed(text: str) -> ParseTree:
     """Parse a bracketed task-oriented form into a labeled tree.
 
     Each "[LABEL ...]" becomes a node labeled LABEL (case preserved);
     every maximal run of terminal tokens between structural children
     becomes one leaf whose label is the lowercased, whitespace-collapsed
-    span. A caller that holds ``lex_bracketed(text)`` passes it as ``tokens``.
+    span.
     """
     if not text or not text.strip():
         raise EmptyInput("empty bracketed input")
-    if tokens is None:
-        tokens = lex_bracketed(text)
+    tokens = lex_bracketed(text)
     pos = 0
 
     def parse_node() -> ParseTree:
@@ -205,18 +204,16 @@ def lex_sexpr(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse_sexpr(text: str, tokens: list[tuple[str, str, int]] | None = None) -> ParseTree:
+def parse_sexpr(text: str) -> ParseTree:
     """Parse a LISP-style S-expression.
 
     The head atom of each list becomes the parent label (case preserved);
     remaining elements become children in order. Bare atoms and string
     literals become leaves with lowercased, whitespace-collapsed labels.
-    A caller that holds ``lex_sexpr(text)`` passes it as ``tokens``.
     """
     if not text or not text.strip():
         raise EmptyInput("empty s-expression input")
-    if tokens is None:
-        tokens = lex_sexpr(text)
+    tokens = lex_sexpr(text)
     pos = 0
 
     def parse_expr() -> ParseTree:
@@ -322,21 +319,14 @@ class _SqlParser:
         tok = self.tokens[self.pos + ahead]
         return tok.kind == kind and tok.value == value
 
-    def _accept_kw(self, *names: str) -> str | None:
-        """Take the next token if it is one of the keywords ``names``; its value, else None."""
+    def _accept(self, kind: str, *values: str) -> str | None:
+        """Take the next token if it is a ``kind`` token with one of ``values``;
+        its value, else None."""
         tok = self.tokens[self.pos]
-        if tok.kind == "kw" and tok.value in names:
+        if tok.kind == kind and tok.value in values:
             self.pos += 1
             return tok.value
         return None
-
-    def _accept_punct(self, value: str) -> bool:
-        """Take the next token if it is the punctuation ``value``."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "punct" and tok.value == value:
-            self.pos += 1
-            return True
-        return False
 
     def _take(self) -> _SqlToken:
         tok = self.tokens[self.pos]
@@ -345,26 +335,24 @@ class _SqlParser:
         self.pos += 1
         return tok
 
-    def _expect_kw(self, name: str) -> None:
+    def _expect(self, kind: str, value: str) -> None:
+        """Take the next token, which must be the ``kind`` token ``value``;
+        a keyword is named bare in the error, punctuation quoted."""
         tok = self._take()
-        if tok.kind != "kw" or tok.value != name:
-            raise ParseError(f"expected {name}, found {tok.value!r}", tok.offset)
-
-    def _expect_punct(self, value: str) -> None:
-        tok = self._take()
-        if tok.kind != "punct" or tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.offset)
+        if tok.kind != kind or tok.value != value:
+            shown = value if kind == "kw" else repr(value)
+            raise ParseError(f"expected {shown}, found {tok.value!r}", tok.offset)
 
     def _comma_list(self, item: Callable[[], ParseTree]) -> list[ParseTree]:
         items = [item()]
-        while self._accept_punct(","):
+        while self._accept("punct", ","):
             items.append(item())
         return items
 
     def _chain(self, op: str, operand: Callable[[], ParseTree]) -> ParseTree:
         """``operand (op operand)*``, nested to the left."""
         node = operand()
-        while self._accept_kw(op):
+        while self._accept("kw", op):
             node = ParseTree(op, (node, operand()))
         return node
 
@@ -372,28 +360,28 @@ class _SqlParser:
 
     def parse_statement(self) -> ParseTree:
         node = self.parse_select()
-        while op := self._accept_kw(*_SET_OPS):
-            self._accept_kw("ALL")
+        while op := self._accept("kw", *_SET_OPS):
+            self._accept("kw", "ALL")
             node = ParseTree(op, (node, self.parse_select()))
         return node
 
     def parse_select(self) -> ParseTree:
-        self._expect_kw("SELECT")
-        self._accept_kw("DISTINCT")
+        self._expect("kw", "SELECT")
+        self._accept("kw", "DISTINCT")
         clauses = [ParseTree("SELECT", self._comma_list(self._parse_value))]
-        if self._accept_kw("FROM"):
+        if self._accept("kw", "FROM"):
             clauses.append(ParseTree("FROM", self._parse_table_refs()))
-        if self._accept_kw("WHERE"):
+        if self._accept("kw", "WHERE"):
             clauses.append(ParseTree("WHERE", (self._parse_condition(),)))
-        if self._accept_kw("GROUP"):
-            self._expect_kw("BY")
+        if self._accept("kw", "GROUP"):
+            self._expect("kw", "BY")
             clauses.append(ParseTree("GROUP BY", self._comma_list(self._parse_value)))
-        if self._accept_kw("HAVING"):
+        if self._accept("kw", "HAVING"):
             clauses.append(ParseTree("HAVING", (self._parse_condition(),)))
-        if self._accept_kw("ORDER"):
-            self._expect_kw("BY")
+        if self._accept("kw", "ORDER"):
+            self._expect("kw", "BY")
             clauses.append(ParseTree("ORDER BY", self._comma_list(self._parse_order_item)))
-        if self._accept_kw("LIMIT"):
+        if self._accept("kw", "LIMIT"):
             tok = self._take()
             if tok.kind != "num":
                 raise ParseError("LIMIT expects a number", tok.offset)
@@ -402,7 +390,7 @@ class _SqlParser:
 
     def _parse_order_item(self) -> ParseTree:
         value = self._parse_value()
-        self._accept_kw("ASC", "DESC")
+        self._accept("kw", "ASC", "DESC")
         return value
 
     def _parse_value(self) -> ParseTree:
@@ -415,21 +403,21 @@ class _SqlParser:
             return ParseTree(STR_PLACEHOLDER)
         if tok.kind == "punct" and tok.value == "(":
             inner = self.parse_statement()
-            self._expect_punct(")")
+            self._expect("punct", ")")
             return inner
         if tok.kind == "ident":
-            if not self._accept_punct("("):
+            if not self._accept("punct", "("):
                 return ParseTree(tok.value)
-            self._accept_kw("DISTINCT")
+            self._accept("kw", "DISTINCT")
             args = self._comma_list(self._parse_value)
-            self._expect_punct(")")
+            self._expect("punct", ")")
             return ParseTree(tok.value, args)
         raise UnsupportedSyntax(f"unsupported token {tok.value!r}", tok.offset)
 
     def _parse_table_refs(self) -> list[ParseTree]:
         refs = [self._parse_table_ref()]
         while True:
-            if self._accept_punct(","):
+            if self._accept("punct", ","):
                 refs.append(self._parse_table_ref())
             elif (join := self._maybe_parse_join()) is not None:
                 refs.append(join)
@@ -437,9 +425,9 @@ class _SqlParser:
                 return refs
 
     def _parse_table_ref(self) -> ParseTree:
-        if self._accept_punct("("):
+        if self._accept("punct", "("):
             ref = self.parse_statement()
-            self._expect_punct(")")
+            self._expect("punct", ")")
         else:
             tok = self._take()
             if tok.kind != "ident":
@@ -449,7 +437,7 @@ class _SqlParser:
         return ref
 
     def _skip_alias(self) -> None:
-        if self._accept_kw("AS"):
+        if self._accept("kw", "AS"):
             tok = self._take()
             if tok.kind != "ident":
                 raise ParseError("expected alias name", tok.offset)
@@ -458,13 +446,13 @@ class _SqlParser:
 
     def _maybe_parse_join(self) -> ParseTree | None:
         start = self.pos
-        while self._accept_kw("INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS"):
+        while self._accept("kw", "INNER", "LEFT", "RIGHT", "FULL", "OUTER", "CROSS"):
             pass
-        if not self._accept_kw("JOIN"):
+        if not self._accept("kw", "JOIN"):
             self.pos = start
             return None
         children = [self._parse_table_ref()]
-        if self._accept_kw("ON"):
+        if self._accept("kw", "ON"):
             children.append(self._parse_condition())
         return ParseTree("JOIN", children)
 
@@ -472,24 +460,24 @@ class _SqlParser:
         return self._chain("OR", lambda: self._chain("AND", self._parse_not))
 
     def _parse_not(self) -> ParseTree:
-        if self._accept_kw("NOT"):
+        if self._accept("kw", "NOT"):
             return ParseTree("NOT", (self._parse_not(),))
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ParseTree:
-        if self._accept_kw("EXISTS"):
-            self._expect_punct("(")
+        if self._accept("kw", "EXISTS"):
+            self._expect("punct", "(")
             inner = self.parse_statement()
-            self._expect_punct(")")
+            self._expect("punct", ")")
             return ParseTree("EXISTS", (inner,))
         # '(' opens either a grouped predicate or a subquery operand.
         if self._at("punct", "(") and not self._at("kw", "SELECT", 1):
             self.pos += 1
             inner = self._parse_condition()
-            self._expect_punct(")")
+            self._expect("punct", ")")
             return inner
         left = self._parse_value()
-        if self._accept_kw("NOT"):
+        if self._accept("kw", "NOT"):
             return ParseTree("NOT", (self._finish_predicate(left),))
         return self._finish_predicate(left)
 
@@ -500,19 +488,19 @@ class _SqlParser:
         if tok.kind == "op":
             self.pos += 1
             return ParseTree(tok.value, (left, self._parse_value()))
-        if self._accept_kw("IN"):
-            self._expect_punct("(")
+        if self._accept("kw", "IN"):
+            self._expect("punct", "(")
             if self._at("kw", "SELECT"):
                 members = [self.parse_statement()]
             else:
                 members = self._comma_list(self._parse_value)
-            self._expect_punct(")")
+            self._expect("punct", ")")
             return ParseTree("IN", [left, *members])
-        if self._accept_kw("LIKE"):
+        if self._accept("kw", "LIKE"):
             return ParseTree("LIKE", (left, self._parse_value()))
-        if self._accept_kw("BETWEEN"):
+        if self._accept("kw", "BETWEEN"):
             lo = self._parse_value()
-            self._expect_kw("AND")
+            self._expect("kw", "AND")
             return ParseTree("BETWEEN", (left, lo, self._parse_value()))
         raise UnsupportedSyntax(f"unsupported token {tok.value!r} in predicate", tok.offset)
 
@@ -529,7 +517,7 @@ def parse_sql_skeleton(text: str) -> ParseTree:
         raise EmptyInput("empty SQL input")
     parser = _SqlParser(_lex_sql(text))
     root = parser.parse_statement()
-    parser._accept_punct(";")
+    parser._accept("punct", ";")
     tok = parser.tokens[parser.pos]
     if tok.kind != "end":
         raise UnsupportedSyntax(f"unsupported trailing token {tok.value!r}", tok.offset)

@@ -12,7 +12,8 @@ from stare.bucketing import (DuplicateId, EmptyFeatureSet, LshIndex,
                              SignatureLengthMismatch, extract_features,
                              lsh_params, minhash, _feature_hash,
                              _hash_family)
-from stare.trees import UnbalancedBrackets
+from stare.trees import (EmptyList, UnbalancedBrackets, UnbalancedParens,
+                         UnterminatedStringLiteral)
 
 from oracles import exact_jaccard, reference_lsh_query, signature_agreement
 
@@ -46,6 +47,11 @@ class TestExtractFeatures:
     def test_propagates_parser_errors(self):
         with pytest.raises(UnbalancedBrackets):
             extract_features("[IN:X oops", "bracketed")
+        for parse, cls, position in [('(Find "x', UnterminatedStringLiteral, 6),
+                                     ("()", EmptyList, 0), ("(a b", UnbalancedParens, 0)]:
+            with pytest.raises(cls) as err:
+                extract_features(parse, "sexpr")
+            assert err.value.position == position
 
 
 class TestExactJaccard:

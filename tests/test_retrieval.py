@@ -125,6 +125,21 @@ class TestRankHead:
         with pytest.raises(KTooLarge, match=f"k={available + 1} exceeds {available} available"):
             retrieval._rank(index.ids, index.embeddings, vec, available + 1, exclude)
 
+    def test_k_below_one_raises(self, tiny_bank, tiny_params, tiny_cfg):
+        index = build_index(tiny_bank, tiny_params, tiny_cfg)
+        vec = enc.embed("remind me to call", tiny_params, tiny_cfg)
+        with pytest.raises(KTooLarge, match="k must be >= 1"):
+            retrieval._rank(index.ids, index.embeddings, vec, 0)
+
+    def test_bm25_k_rule(self, tiny_bank):
+        """BM25 ranks through the same rule, with the same messages."""
+        bm25 = Bm25(tiny_bank)
+        n = len(tiny_bank)
+        with pytest.raises(KTooLarge, match="k must be >= 1"):
+            bm25.topk("weather", 0)
+        with pytest.raises(KTooLarge, match=f"k={n + 1} exceeds {n} available records"):
+            bm25.topk("weather", n + 1)
+
 
 class TestTopk:
     def test_self_query_first_with_unit_score(self, tiny_bank, tiny_params, tiny_cfg):

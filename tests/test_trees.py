@@ -205,6 +205,8 @@ class TestSqlSkeleton:
         ("SELECT a FROM t WHERE (b = 1", ParseError, "unexpected end of SQL input", 28),
         ("SELECT a FROM t WHERE b", ParseError, "incomplete predicate", 23),
         ("SELECT a FROM t;;", UnsupportedSyntax, "unsupported trailing token ';'", 16),
+        ("SELECT a FROM t GROUP a", ParseError, "expected BY, found 'a'", 22),
+        ("SELECT a FROM t ORDER a", ParseError, "expected BY, found 'a'", 22),
     ])
     def test_error_message_and_position(self, sql, cls, message, position):
         with pytest.raises(ParseError) as err:
