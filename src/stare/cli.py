@@ -45,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_in(low: int, high: float = float("inf")):
+    """argparse type: an integer in [low, high], else a usage error naming the flag."""
+    def value(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if low <= int(text) <= high:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {text!r}")
+    return value
+
+
 class DataError(Exception):
     pass
 
@@ -115,8 +125,7 @@ def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_bucket(config: PipelineConfig, out: Path) -> None:
-    corpus = _load_corpus(config, "train")
+def cmd_bucket(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     index = _build_lsh(config, corpus)
     index.save(out / "lsh_index.json")
     shared = [(len(ids), len(union) - 1) for ids, union in index.pools()]
@@ -134,8 +143,7 @@ def cmd_bucket(config: PipelineConfig, out: Path) -> None:
                 len(shared), report["mean_pool_size"])
 
 
-def cmd_mine(config: PipelineConfig, out: Path) -> None:
-    corpus = _load_corpus(config, "train")
+def cmd_mine(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     path = _upstream(out / "lsh_index.json", "bucket")
     index = bucketing.LshIndex.load(path)
     for key in ("num_hashes", "tau", "seed"):
@@ -152,8 +160,7 @@ def cmd_mine(config: PipelineConfig, out: Path) -> None:
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
 
 
-def cmd_train(config: PipelineConfig, out: Path) -> None:
-    corpus = _load_corpus(config, "train")
+def cmd_train(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     pairs = _upstream(out / "pairs.jsonl", "mine")
     groups = mining.load_groups(pairs)
     if not groups:
@@ -176,8 +183,7 @@ def cmd_train(config: PipelineConfig, out: Path) -> None:
                 [round(x, 4) for x in curve])
 
 
-def cmd_mli(config: PipelineConfig, out: Path) -> None:
-    corpus = _load_corpus(config, "train")
+def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     dev = _load_corpus(config, "dev")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     m = config.mli
@@ -216,8 +222,8 @@ def _index_path(out: Path, injected: bool) -> Path:
     return out / ("index_trained_mli.bin" if injected else "index_trained.bin")
 
 
-def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) -> int:
-    corpus = _load_corpus(config, "train")
+def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
+                 args: argparse.Namespace) -> int:
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     injection = (_load_direction(_upstream(out / "direction.json", "mli"), cfg)
                  if args.use_direction else None)
@@ -250,8 +256,7 @@ def cmd_retrieve(config: PipelineConfig, out: Path, args: argparse.Namespace) ->
     return EXIT_OK
 
 
-def cmd_eval(config: PipelineConfig, out: Path) -> None:
-    corpus = _load_corpus(config, "train")
+def cmd_eval(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     dev = _load_corpus(config, "dev")
     trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     untrained_params = encoder.init_params(cfg)
@@ -266,7 +271,7 @@ def cmd_eval(config: PipelineConfig, out: Path) -> None:
         return retrieval.make_dense_ranker(index, params, cfg, injection)
 
     rankers = {"untrained": dense(untrained_params), "trained": dense(trained_params, save=True),
-               "bm25": retrieval.make_bm25_ranker(corpus)}
+               "bm25": retrieval.Bm25(corpus).topk}
     rankers["trained_mli"] = (rankers["trained"] if injection is None
                               else dense(trained_params, injection, save=True))
 
@@ -319,7 +324,7 @@ def make_parser() -> _Parser:
     stage("mli", "probe layers and sweep injection configurations")
     p = stage("retrieve", "retrieve exemplars for a query")
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, help="exemplars to return (default: prompt.k)")
+    p.add_argument("--k", type=_int_in(1), help="exemplars to return (default: prompt.k)")
     p.add_argument("--exclude")
     p.add_argument("--format", choices=("json", "prompt"), default="json")
     p.add_argument("--index", help="saved retrieval index (default: the one 'eval' saved for "
@@ -333,8 +338,10 @@ def make_parser() -> _Parser:
     p.add_argument("--dialect", default="bracketed", choices=[d.value for d in ParseDialect])
     p = sub.add_parser("fixture-gen", help="generate the synthetic fixture corpus")
     p.add_argument("--out", required=True)
+    bounds = {"clusters": (1, len(fixtures._BUILDERS)), "seed": (0,)}
     for f in fields(fixtures.FixtureSpec):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_int_in(*bounds.get(f.name, (1,))),
+                       default=f.default)
     return parser
 
 
@@ -353,10 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixture-gen":
             return cmd_fixture_gen(args)
         config = load_config(args.config)
+        corpus = _load_corpus(config, "train")
         if args.command == "retrieve":
-            return cmd_retrieve(config, Path(args.out), args)
+            return cmd_retrieve(config, corpus, Path(args.out), args)
         with _locked_out_dir(Path(args.out)) as out:
-            _STAGES[args.command](config, out)
+            _STAGES[args.command](config, corpus, out)
             write_json(out / "config_used.json", config.to_dict(), indent=2)
         return EXIT_OK
     except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:

@@ -88,15 +88,6 @@ class InjectionDirection:
     prop: str | None = None
 
 
-@dataclass
-class HiddenStates:
-    layers: list[np.ndarray]  # length L+1; each (tokens, d)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.layers[-1]
-
-
 def word_tokens(text: str) -> list[str]:
     """Lowercased tokens split at whitespace and punctuation boundaries."""
     return _TOKEN_RE.findall(text.lower())
@@ -301,16 +292,16 @@ def run_blocks(x: np.ndarray, params: dict[str, np.ndarray], cfg: EncoderConfig,
 
 
 def forward_ids(ids: Sequence[int], params: dict[str, np.ndarray], cfg: EncoderConfig,
-                injection: InjectionDirection | None = None) -> HiddenStates:
-    """Run the encoder stack over one sequence of token ids: ``forward_batch``
-    with a batch of one.
+                injection: InjectionDirection | None = None) -> list[np.ndarray]:
+    """The per-layer (tokens, d) states of one sequence of token ids, layer 0
+    first: ``forward_batch`` with a batch of one.
 
     The injection hook adds lam*u to every token row of layer N's output
     before block N+1 (or pooling) consumes it; lam == 0 is bit-identical
     to no injection.
     """
     [(_, states, _)] = forward_batch([ids], params, cfg, injection)
-    return HiddenStates([state[0] for state in states])
+    return [state[0] for state in states]
 
 
 def length_chunks(lengths: Sequence[int], max_tokens: int = CHUNK_TOKENS) -> list[list[int]]:
@@ -418,14 +409,15 @@ def backward_ids(d_final: np.ndarray, cache: dict, params: dict[str, np.ndarray]
 
 
 def forward(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
-            injection: InjectionDirection | None = None) -> HiddenStates:
+            injection: InjectionDirection | None = None) -> list[np.ndarray]:
+    """``forward_ids`` of the text's tokens: per-layer (tokens, d) states, layer 0 first."""
     return forward_ids(tokenize(text, cfg.vocab, cfg.max_len), params, cfg, injection)
 
 
 def embed(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
           injection: InjectionDirection | None = None) -> np.ndarray:
     """Sentence embedding: arithmetic mean of the final layer's token rows."""
-    return forward(text, params, cfg, injection).final.mean(axis=0)
+    return forward(text, params, cfg, injection)[-1].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,15 +42,6 @@ class MissingSchema(ValueError):
     pass
 
 
-def injection_provenance(injection: InjectionDirection | None) -> dict | None:
-    if injection is None:
-        return None
-    u_hash = hashlib.sha256(
-        np.ascontiguousarray(injection.u, dtype=np.float64).tobytes()).hexdigest()
-    return {"property": injection.prop, "layer": injection.layer,
-            "lambda": injection.lam, "u_sha256": u_hash}
-
-
 @dataclass
 class RetrievalIndex:
     ids: list[str]
@@ -123,6 +114,17 @@ def _inputs_sha256(ids: list[str], token_lists: list[list[int]]) -> str:
     return hashlib.sha256(json.dumps(list(zip(ids, token_lists))).encode("utf-8")).hexdigest()
 
 
+def _query_provenance(params: dict[str, np.ndarray], injection: InjectionDirection | None) -> dict:
+    """The provenance a query's embedding fixes: the params and the injection."""
+    inj = None
+    if injection is not None:
+        u_hash = hashlib.sha256(
+            np.ascontiguousarray(injection.u, dtype=np.float64).tobytes()).hexdigest()
+        inj = {"property": injection.prop, "layer": injection.layer,
+               "lambda": injection.lam, "u_sha256": u_hash}
+    return {"params_sha256": enc.params_fingerprint(params), "injection": inj}
+
+
 def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
                 injection: InjectionDirection | None = None) -> RetrievalIndex:
     """One unit-normalized utterance embedding per record, in corpus order.
@@ -134,20 +136,8 @@ def build_index(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
     token_lists = corpus_tokens(bank, cfg)
     embeddings = _unit_rows(ids, enc.embed_batch(token_lists, params, cfg, injection))
     provenance = {"inputs_sha256": _inputs_sha256(ids, token_lists),
-                  "params_sha256": enc.params_fingerprint(params),
-                  "injection": injection_provenance(injection)}
+                  **_query_provenance(params, injection)}
     return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)
-
-
-def _query_mismatch(index: RetrievalIndex, params: dict[str, np.ndarray],
-                    injection: InjectionDirection | None) -> str | None:
-    """``params_sha256`` or ``injection``, whichever first differs from the
-    params and injection a query is embedded under; None if neither does."""
-    if index.provenance["params_sha256"] != enc.params_fingerprint(params):
-        return "params_sha256"
-    if index.provenance["injection"] != injection_provenance(injection):
-        return "injection"
-    return None
 
 
 def index_mismatch(index: RetrievalIndex, bank: Corpus, params: dict[str, np.ndarray],
@@ -159,16 +149,9 @@ def index_mismatch(index: RetrievalIndex, bank: Corpus, params: dict[str, np.nda
     ids = bank.ids()
     if index.ids != ids:
         return "ids"
-    if index.provenance["inputs_sha256"] != _inputs_sha256(ids, corpus_tokens(bank, cfg)):
-        return "inputs_sha256"
-    return _query_mismatch(index, params, injection)
-
-
-def _check_provenance(index: RetrievalIndex, params: dict[str, np.ndarray],
-                      injection: InjectionDirection | None) -> None:
-    field = _query_mismatch(index, params, injection)
-    if field is not None:
-        raise ProvenanceMismatch(f"the query's {field} differs from the index's")
+    wanted = {"inputs_sha256": _inputs_sha256(ids, corpus_tokens(bank, cfg)),
+              **_query_provenance(params, injection)}
+    return next((key for key, value in wanted.items() if index.provenance[key] != value), None)
 
 
 def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray],
@@ -220,8 +203,9 @@ class Bm25:
             out[i] = s
         return out
 
-    def topk(self, query: str, k: int) -> list[tuple[str, float]]:
-        return _head(self.ids, self.scores(query), k)
+    def topk(self, query: str, k: int | None = None) -> list[tuple[str, float]]:
+        """``_head`` of the scores: every id when called with only a query."""
+        return _head(self.ids, self.scores(query), len(self.ids) if k is None else k)
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +259,14 @@ def make_dense_ranker(index: RetrievalIndex, params: dict[str, np.ndarray],
                       cfg: EncoderConfig, injection: InjectionDirection | None = None):
     """Ranking function over ``index``: the k ids nearest a query (every id
     when k is None), ``exclude`` skipped; provenance is checked once, here."""
-    _check_provenance(index, params, injection)
+    for key, value in _query_provenance(params, injection).items():
+        if index.provenance[key] != value:
+            raise ProvenanceMismatch(f"the query's {key} differs from the index's")
 
     def rank(query: str, k: int | None = None,
              exclude: str | None = None) -> list[tuple[str, float]]:
         return _rank(index.ids, index.embeddings, enc.embed(query, params, cfg, injection),
                      len(index) if k is None else k, exclude)
-
-    return rank
-
-
-def make_bm25_ranker(bank: Corpus):
-    bm25 = Bm25(bank)
-
-    def rank(query: str) -> list[tuple[str, float]]:
-        return bm25.topk(query, len(bm25.ids))
 
     return rank
 
@@ -314,6 +291,7 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
              anonymize: bool = False) -> dict[str, float]:
     """Structural retrieval quality of a ranker against each query's gold parse.
 
+    ``rank_fn``, called with only a query, returns every bank id ranked.
     mean_sim_struct_at_k: ``mean_sim_at_k`` of the top-k hits.
     mrr_structural_nn: reciprocal rank of the first bank item tied for
     the globally best structural similarity. mean_top1_sim: the ranker's
@@ -331,11 +309,10 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
             raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
         heads.append(ranking[:k])
         top1.append(ranking[0][1])
-        bank_sims = {rec.id: bank.sim(gold_id, tid) for rec, tid in zip(bank, bank_ids)}
-        best_sim = max(bank_sims.values())
-        best_ids = {rid for rid, s in bank_sims.items() if s == best_sim}
+        sims = [bank.sim(gold_id, tid) for tid in bank_ids]
+        best_sim = max(sims)
         rank_of_best = next(pos for pos, (rid, _) in enumerate(ranking, start=1)
-                            if rid in best_ids)
+                            if sims[bank.index_of[rid]] == best_sim)
         mrrs.append(1.0 / rank_of_best)
     return {
         "mean_sim_struct_at_k": mean_sim_at_k(golds, heads, bank, anonymize),

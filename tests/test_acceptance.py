@@ -314,13 +314,13 @@ def test_criterion_11_injection_identity_and_locality():
     base = enc.forward("alpha beta gamma", params, cfg)
     lam0 = enc.forward("alpha beta gamma", params, cfg,
                        enc.InjectionDirection(u=u, layer=2, lam=0.0))
-    identity = all(np.array_equal(a, b) for a, b in zip(base.layers, lam0.layers))
+    identity = all(np.array_equal(a, b) for a, b in zip(base, lam0))
     lam = 2.5
     injected = enc.forward("alpha beta gamma", params, cfg,
                            enc.InjectionDirection(u=u, layer=2, lam=lam))
-    locality = (np.array_equal(injected.layers[1], base.layers[1])
-                and np.array_equal(injected.layers[2], base.layers[2] + lam * u)
-                and not np.array_equal(injected.layers[3], base.layers[3]))
+    locality = (np.array_equal(injected[1], base[1])
+                and np.array_equal(injected[2], base[2] + lam * u)
+                and not np.array_equal(injected[3], base[3]))
     _report(11, identity and locality and time.time() - started < 5.0,
             "lambda=0 forward bit-identical; post-hook states differ by exactly "
             "lambda*u per token row", started)

@@ -131,6 +131,29 @@ class TestCliBasics:
             cli.main(["retrieve", "--config", "x.json"])  # missing required flags
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["retrieve", "--query", "q", "--k", "0"], "--k"),
+        (["retrieve", "--query", "q", "--k", "-1"], "--k"),
+        (["fixture-gen", "--per-cluster", "0"], "--per-cluster"),
+        (["fixture-gen", "--per-cluster", "-3"], "--per-cluster"),
+        (["fixture-gen", "--dev-per-cluster", "0"], "--dev-per-cluster"),
+        (["fixture-gen", "--clusters", "0"], "--clusters"),
+        (["fixture-gen", "--clusters", "6"], "--clusters"),
+        (["fixture-gen", "--seed", "-1"], "--seed"),
+        (["fixture-gen", "--seed", "one"], "--seed"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, argv, flag, tmp_path, capsys):
+        """Exit 1 naming the flag, before any file is read or written: the
+        retrieve config does not exist, which would be exit 2 if read."""
+        out = tmp_path / "out"
+        if argv[0] == "retrieve":
+            argv = [*argv, "--config", str(tmp_path / "none.json")]
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--out", str(out)])
+        assert err.value.code == 1
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_format_exits_1(self, fixture_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["retrieve", "--config", str(fixture_dir / "config.json"),
@@ -156,7 +179,7 @@ class TestCliBasics:
         out = tmp_path / "run"
         seen = []
         monkeypatch.setitem(cli._STAGES, "bucket",
-                            lambda config, out: seen.append((out / ".lock").read_text()) or 0)
+                            lambda config, corpus, out: seen.append((out / ".lock").read_text()) or 0)
         assert cli.main(["bucket", "--config", str(fixture_dir / "config.json"),
                          "--out", str(out)]) == 0
         assert seen == [str(os.getpid())]

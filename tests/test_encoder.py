@@ -52,20 +52,20 @@ class TestForward:
     def test_determinism(self, small_cfg, small_params):
         h1 = enc.forward("remind me to pack boxes", small_params, small_cfg)
         h2 = enc.forward("remind me to pack boxes", small_params, small_cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(h1.layers, h2.layers))
+        assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
 
     def test_layer_count_and_shapes(self, small_cfg, small_params):
         hidden = enc.forward("remind me", small_params, small_cfg)
-        assert len(hidden.layers) == small_cfg.layers + 1
-        assert all(layer.shape == (2, small_cfg.d) for layer in hidden.layers)
-        assert all(np.isfinite(layer).all() for layer in hidden.layers)
+        assert len(hidden) == small_cfg.layers + 1
+        assert all(layer.shape == (2, small_cfg.d) for layer in hidden)
+        assert all(np.isfinite(layer).all() for layer in hidden)
 
     def test_zero_lambda_bit_identical(self, small_cfg, small_params):
         u = np.full(small_cfg.d, 0.5)
         base = enc.forward("call ravi", small_params, small_cfg)
         injected = enc.forward("call ravi", small_params, small_cfg,
                                enc.InjectionDirection(u=u, layer=1, lam=0.0))
-        assert all(np.array_equal(a, b) for a, b in zip(base.layers, injected.layers))
+        assert all(np.array_equal(a, b) for a, b in zip(base, injected))
 
     def test_injection_shifts_exactly(self, small_cfg, small_params):
         rng = np.random.default_rng(0)
@@ -75,9 +75,9 @@ class TestForward:
         base = enc.forward("call ravi and mia", small_params, small_cfg)
         injected = enc.forward("call ravi and mia", small_params, small_cfg,
                                enc.InjectionDirection(u=u, layer=1, lam=lam))
-        assert np.array_equal(injected.layers[0], base.layers[0])
-        assert np.array_equal(injected.layers[1], base.layers[1] + lam * u)
-        assert not np.array_equal(injected.layers[2], base.layers[2])
+        assert np.array_equal(injected[0], base[0])
+        assert np.array_equal(injected[1], base[1] + lam * u)
+        assert not np.array_equal(injected[2], base[2])
 
     def test_injection_at_last_layer_moves_embedding(self, small_cfg, small_params):
         u = np.zeros(small_cfg.d)
@@ -107,9 +107,9 @@ class TestForward:
     def test_run_blocks_resumes_forward(self, small_cfg, small_params):
         hidden = enc.forward("call ravi and mia", small_params, small_cfg)
         for first in range(small_cfg.layers + 1):
-            resumed = enc.run_blocks(hidden.layers[first], small_params, small_cfg, first)
+            resumed = enc.run_blocks(hidden[first], small_params, small_cfg, first)
             assert len(resumed) == small_cfg.layers + 1 - first
-            assert all(np.array_equal(a, b) for a, b in zip(resumed, hidden.layers[first:]))
+            assert all(np.array_equal(a, b) for a, b in zip(resumed, hidden[first:]))
 
 
 class TestForwardBatch:
@@ -153,12 +153,12 @@ class TestEmbed:
     def test_single_token_equals_state(self, small_cfg, small_params):
         hidden = enc.forward("ravi", small_params, small_cfg)
         embedding = enc.embed("ravi", small_params, small_cfg)
-        assert np.array_equal(embedding, hidden.final[0])
+        assert np.array_equal(embedding, hidden[-1][0])
 
     def test_mean_pooling_linearity(self, small_cfg, small_params):
         hidden = enc.forward("how cold is oslo", small_params, small_cfg)
         embedding = enc.embed("how cold is oslo", small_params, small_cfg)
-        assert np.array_equal(embedding, hidden.final.mean(axis=0))
+        assert np.array_equal(embedding, hidden[-1].mean(axis=0))
 
     def test_order_sensitivity(self, small_cfg, small_params):
         a = enc.embed("pack boxes", small_params, small_cfg)

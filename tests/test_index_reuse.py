@@ -184,6 +184,22 @@ def test_index_mismatch_names_the_first_field():
     assert retrieval.index_mismatch(index, bank, params, cfg, injection) == "injection"
 
 
+@pytest.mark.parametrize("field", ["params_sha256", "injection"])
+def test_dense_ranker_names_the_field_index_mismatch_names(field):
+    bank = Corpus([Record("a", "call ravi", "[IN:C ]"), Record("b", "pack boxes", "[IN:P ]")],
+                  "bracketed")
+    cfg = encoder.EncoderConfig(vocab=encoder.build_vocab(["call ravi", "pack boxes"]),
+                                d=8, layers=2, heads=2, max_len=8, seed=0)
+    params = encoder.init_params(cfg)
+    injection = encoder.InjectionDirection(u=np.eye(8)[0], layer=1, lam=1.0, prop="POS")
+    index = retrieval.build_index(bank, params, cfg)
+    if field == "params_sha256":
+        params = encoder.init_params(dataclasses.replace(cfg, seed=1))
+    assert retrieval.index_mismatch(index, bank, params, cfg, injection) == field
+    with pytest.raises(retrieval.ProvenanceMismatch, match=f"^the query's {field} differs"):
+        retrieval.make_dense_ranker(index, params, cfg, injection)
+
+
 def test_version_1_index_refused(run, caplog):
     path = run[1] / "index_trained.bin"
     line, _, blob = path.read_bytes().partition(b"\n")

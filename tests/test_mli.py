@@ -105,7 +105,7 @@ class TestCollectStates:
             want_x, want_y = [], []
             for tokens, labels in sentences:
                 ids = enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
-                want_x.append(enc.forward_ids(ids, params, cfg).layers[layer])
+                want_x.append(enc.forward_ids(ids, params, cfg)[layer])
                 want_y += [labels[j] == "VERB" for j in range(len(ids))]
             assert np.array_equal(X[layer], np.vstack(want_x))
             assert list(y) == want_y
@@ -297,7 +297,7 @@ class TestSweep:
     def test_resumed_embeddings_equal_injected_forward(self, layers):
         dev, bank, params, cfg, _ = self._setup(layers)
         texts = [rec.utterance for rec in bank] + [rec.utterance for rec in dev]
-        states = [enc.forward(text, params, cfg).layers for text in texts]
+        states = [enc.forward(text, params, cfg) for text in texts]
         u = np.random.default_rng(3).standard_normal(cfg.d)
         u /= np.linalg.norm(u)
         for layer in range(1, layers + 1):

@@ -11,8 +11,7 @@ from stare import retrieval
 from stare.corpus import Corpus, Record
 from stare.retrieval import (Bm25, CountMismatch, KTooLarge, MissingSchema, PromptSpec,
                              ProvenanceMismatch, build_index, build_prompt, evaluate,
-                             load_index, make_bm25_ranker, make_dense_ranker, save_index,
-                             topk)
+                             load_index, make_dense_ranker, save_index, topk)
 
 from oracles import bm25_topk
 
@@ -234,6 +233,11 @@ class TestBm25:
         twice = dict(Bm25(tiny_bank).topk("weather weather", 4))
         assert twice["w1"] == pytest.approx(2 * once["w1"], abs=1e-12)
 
+    def test_query_alone_ranks_every_id(self, tiny_bank):
+        bm25 = Bm25(tiny_bank)
+        for query in ("weather", "remind me to call", "zebra quark"):
+            assert bm25.topk(query) == bm25.topk(query, len(tiny_bank))
+
 
 class TestPrompts:
     def _fixture_bytes(self, name):
@@ -309,13 +313,13 @@ class TestEvaluate:
         queries = Corpus([Record("q0", "sunny weather tomorrow", "[IN:W [SL:D tomorrow ] ]"),
                           Record("q1", "remind me to call", "[IN:R [SL:T call ] ]")], "bracketed")
         shuffled = Corpus(list(reversed(tiny_bank.records)), "bracketed")
-        m1 = evaluate(make_bm25_ranker(tiny_bank), queries, tiny_bank, 2)
-        m2 = evaluate(make_bm25_ranker(shuffled), queries, shuffled, 2)
+        m1 = evaluate(Bm25(tiny_bank).topk, queries, tiny_bank, 2)
+        m2 = evaluate(Bm25(shuffled).topk, queries, shuffled, 2)
         for key in m1:
             assert m1[key] == pytest.approx(m2[key], abs=1e-12)
 
     def test_bm25_ranker_metrics(self, tiny_bank):
-        metrics = evaluate(make_bm25_ranker(tiny_bank),
+        metrics = evaluate(Bm25(tiny_bank).topk,
                            Corpus([Record("q", "sunny weather tomorrow",
                                           "[IN:W [SL:D tomorrow ] ]")], "bracketed"),
                            tiny_bank, 2)
