@@ -198,7 +198,7 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
                        anonymize=config.mining["anonymize"])
     mli.write_sweep_report(result, out / "mli_grid.csv")
     best = result.best
-    mli.save_direction(best, out / "direction.json")
+    mli.save_direction(best, out / "direction.json", encoder.params_fingerprint(params))
     if best is None:
         logger.info("sweep kept the uninjected baseline (score %.4f)",
                     result.baseline_score)
@@ -209,12 +209,21 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
 
 
 def _load_direction(path: Path, cfg: EncoderConfig):
-    direction = mli.load_direction(path) if path.exists() else None
+    """The direction at ``path`` (None if the baseline won or there is no
+    file) and the params_sha256 it was fitted to (None if there is no file)."""
+    direction, fitted_to = mli.read_direction(path) if path.exists() else (None, None)
     try:  # against the params it is injected into
         encoder._validate_injection(direction, cfg)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return direction
+    return direction, fitted_to
+
+
+def _check_fitted(path: Path, fitted_to: str | None, params_sha256: str) -> None:
+    """A direction applies only to the params its sweep probed."""
+    if fitted_to is not None and fitted_to != params_sha256:
+        raise DataError(f"{path}: fitted to params with sha256 {fitted_to}, not to the "
+                        f"params in use ({params_sha256}); rerun 'mli'")
 
 
 def _index_path(out: Path, injected: bool) -> Path:
@@ -225,8 +234,9 @@ def _index_path(out: Path, injected: bool) -> Path:
 def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
                  args: argparse.Namespace) -> int:
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
-    injection = (_load_direction(_upstream(out / "direction.json", "mli"), cfg)
-                 if args.use_direction else None)
+    direction_path = out / "direction.json"
+    injection, fitted_to = (_load_direction(_upstream(direction_path, "mli"), cfg)
+                            if args.use_direction else (None, None))
     path = Path(args.index) if args.index else _index_path(out, injection is not None)
     index = None
     if args.index or path.exists():
@@ -241,6 +251,8 @@ def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
             index = None
     if index is None:
         index = retrieval.build_index(corpus, params, cfg, injection)
+    # The index now holds the digest of ``params``: a loaded one was checked against them.
+    _check_fitted(direction_path, fitted_to, index.provenance["params_sha256"])
     k = config.prompt["k"] if args.k is None else args.k
     hits = retrieval.topk(index, args.query, k, params, cfg,
                           injection=injection, exclude=args.exclude)
@@ -260,7 +272,9 @@ def cmd_eval(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     dev = _load_corpus(config, "dev")
     trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     untrained_params = encoder.init_params(cfg)
-    injection = _load_direction(out / "direction.json", cfg)
+    direction_path = out / "direction.json"
+    injection, fitted_to = _load_direction(direction_path, cfg)
+    _check_fitted(direction_path, fitted_to, encoder.params_fingerprint(trained_params))
     k = config.retrieval["k"]
     anonymize = config.mining["anonymize"]
 
@@ -361,11 +375,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_fixture_gen(args)
         config = load_config(args.config)
         corpus = _load_corpus(config, "train")
-        if args.command == "retrieve":
-            return cmd_retrieve(config, corpus, Path(args.out), args)
-        with _locked_out_dir(Path(args.out)) as out:
-            _STAGES[args.command](config, corpus, out)
-            write_json(out / "config_used.json", config.to_dict(), indent=2)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "retrieve":
+                return cmd_retrieve(config, corpus, Path(args.out), args)
+            with _locked_out_dir(Path(args.out)) as out:
+                _STAGES[args.command](config, corpus, out)
+                write_json(out / "config_used.json", config.to_dict(), indent=2)
         return EXIT_OK
     except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:
         logger.error("%s", exc)

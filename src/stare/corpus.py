@@ -10,7 +10,7 @@ import numpy as np
 
 from . import trees
 from .artifacts import fields, read_jsonl, write_jsonl
-from .ted import sim_struct
+from .ted import form, sim_struct
 from .trees import ParseDialect, ParseTree
 
 
@@ -33,11 +33,13 @@ class Corpus:
     distinct tree (equal under ``ParseTree.__eq__``) an integer id: a
     record's id is computed once per (record, anonymize), and trees from
     outside the corpus, such as gold parses, are interned into the same
-    id space. ``sim`` memoizes ``sim_struct`` per unordered
-    id pair for the life of the corpus and holds only the pairs actually
-    compared. The unordered key is exact: ``ted`` sums integer unit costs,
-    so ``ted(a, b)`` and ``ted(b, a)`` are the same float, and
-    ``max(size)`` is symmetric.
+    id space. ``sim`` memoizes ``sim_struct`` per unordered id pair, and
+    behind that per label pattern, for the life of the corpus, holding
+    only what was compared. The unordered key is exact: ``ted`` sums
+    integer unit costs, so ``ted(a, b)`` and ``ted(b, a)`` are the same
+    float, and ``max(size)`` is symmetric. The pattern key is exact too:
+    a unit-cost TED reads only the two ordered shapes and which labels
+    are equal (``ted.form``), and the sizes follow from the shapes.
     """
 
     def __init__(self, records: list[Record], dialect: ParseDialect):
@@ -53,6 +55,10 @@ class Corpus:
         self._interned: dict[ParseTree, int] = {}
         self._trees: list[ParseTree] = []
         self._sims: dict[int, float] = {}
+        # Per tree id: its form id and its labels' first-occurrence ids.
+        self._forms: list[tuple[int, dict[str, str]]] = []
+        self._form_ids: dict[tuple[tuple[int, ...], str], int] = {}
+        self._patterns: dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -86,6 +92,9 @@ class Corpus:
         if tid is None:
             tid = self._interned[tree] = len(self._trees)
             self._trees.append(tree)
+            lml, labels, ids = form(tree)
+            self._forms.append((self._form_ids.setdefault((lml, labels), len(self._form_ids)),
+                                ids))
         return tid
 
     def tree_ids(self, anonymize: bool = False) -> np.ndarray:
@@ -103,12 +112,24 @@ class Corpus:
     def sim(self, a: int, b: int) -> float:
         """``sim_struct`` of the trees with ids ``a`` and ``b``, memoized.
 
-        A miss computes ``sim_struct(tree a, tree b)`` in the order asked.
+        A miss in the id-pair table looks up the pair's label pattern: the
+        form ids of the lower-id tree and of the other, and for each
+        distinct label of the other, in first-occurrence order, its id in
+        the lower-id tree or "\\0" when absent. Pairs with one pattern
+        differ only by label names, so one ``sim_struct(tree a, tree b)``,
+        in the order first asked, serves them all.
         """
         key = a << 32 | b if a <= b else b << 32 | a  # one int per pair: smaller than a tuple
         value = self._sims.get(key)
         if value is None:
-            value = self._sims[key] = sim_struct(self._trees[a], self._trees[b])
+            (form_lo, ids_lo), (form_hi, ids_hi) = (
+                (self._forms[a], self._forms[b]) if a <= b else (self._forms[b], self._forms[a]))
+            # One str per pattern: smaller than a tuple; the two numbers delimit themselves.
+            pattern = f"{form_lo} {form_hi} " + "".join([ids_lo.get(lab, "\0") for lab in ids_hi])
+            value = self._patterns.get(pattern)
+            if value is None:
+                value = self._patterns[pattern] = sim_struct(self._trees[a], self._trees[b])
+            self._sims[key] = value
         return value
 
 

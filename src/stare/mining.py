@@ -97,9 +97,10 @@ def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
     and the sims, their stable order and first maximum are kept in
     ``pool.scored`` for every anchor with the same tree; the anchor's own
     position gets -inf when no other candidate has its tree. The table
-    keeps every pair under one unordered key, exact because unit-cost TED
-    is symmetric to the bit (see ``Corpus``), so across ``mine_all`` each
-    distinct unordered tree pair costs one TED. Random negatives draw
+    keeps every pair under one unordered key (exact: unit-cost TED is
+    symmetric to the bit) and shares one TED among the pairs with one label
+    pattern (see ``Corpus``), so across ``mine_all`` each distinct label
+    pattern costs one TED. Random negatives draw
     ``rng.choice(n_outside, take)`` ranks among the records outside
     anchor and pool, in corpus order. The rank-r outside record sits at
     r plus the number of excluded positions e_i with e_i - i <= r, which

@@ -361,12 +361,14 @@ def write_sweep_report(result: SweepResult, path: str | Path) -> None:
 # direction persistence
 # ---------------------------------------------------------------------------
 
-DIRECTION_FORMAT_VERSION = 1
+DIRECTION_FORMAT_VERSION = 2
 
 
-def save_direction(direction: InjectionDirection | None, path: str | Path) -> None:
-    """Write the sweep's pick; None records that the uninjected baseline won."""
-    payload: dict = {"format_version": DIRECTION_FORMAT_VERSION}
+def save_direction(direction: InjectionDirection | None, path: str | Path,
+                   params_sha256: str) -> None:
+    """Write the sweep's pick, fitted to the params with ``params_sha256``;
+    None records that the uninjected baseline won."""
+    payload: dict = {"format_version": DIRECTION_FORMAT_VERSION, "params_sha256": params_sha256}
     if direction is None:
         payload["baseline"] = True
     else:
@@ -375,11 +377,18 @@ def save_direction(direction: InjectionDirection | None, path: str | Path) -> No
     write_json(path, payload)
 
 
-def load_direction(path: str | Path) -> InjectionDirection | None:
+def read_direction(path: str | Path) -> tuple[InjectionDirection | None, str]:
+    """The pick ``save_direction`` wrote, and the params_sha256 it was fitted to."""
     payload = read_json(path, DIRECTION_FORMAT_VERSION)
+    (params_sha256,) = fields(str(path), payload, {"params_sha256": str})
     if payload.get("baseline"):
-        return None
+        return None, params_sha256
     u, layer, lam, prop = fields(str(path), payload, {"u": list[float], "layer": int,
                                                       "lambda": float, "property": str})
     return InjectionDirection(u=np.asarray(u, dtype=np.float64), layer=layer, lam=float(lam),
-                              prop=prop)
+                              prop=prop), params_sha256
+
+
+def load_direction(path: str | Path) -> InjectionDirection | None:
+    """``read_direction`` without the params it was fitted to."""
+    return read_direction(path)[0]

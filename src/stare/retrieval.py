@@ -296,7 +296,8 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
     mrr_structural_nn: reciprocal rank of the first bank item tied for
     the globally best structural similarity. mean_top1_sim: the ranker's
     own top-1 score. Similarities come from the bank's table, so rankers
-    evaluated against one bank share each gold-vs-bank-tree TED.
+    evaluated against one bank share each gold-vs-bank-tree similarity, and
+    the pairs with one label pattern (see ``Corpus``) share one TED.
     """
     golds = gold_ids(queries, bank, anonymize)
     bank_ids = bank.tree_ids(anonymize).tolist()

@@ -66,6 +66,22 @@ def _decompose(tree: ParseTree) -> tuple[_Side, _Side]:
     return tree._ted
 
 
+def form(tree: ParseTree) -> tuple[tuple[int, ...], str, dict[str, str]]:
+    """What a unit-cost ``ted`` reads of ``tree`` besides label names.
+
+    Its postorder leftmost-leaf indices fix its ordered shape; its
+    postorder labels, each written as the one-char id of its first
+    occurrence (from "\\x01" on), fix which of its labels are equal. Also
+    returns each label's id. ``ted(a, b)`` depends only on both forms and,
+    for each label of ``b``, on the id of the equal label of ``a``, if any.
+    """
+    labels, lml = _decompose(tree)[0][:2]
+    ids: dict[str, str] = {}
+    for lab in labels[1:]:
+        ids.setdefault(lab, chr(len(ids) + 1))
+    return lml, "".join(map(ids.__getitem__, labels[1:])), ids
+
+
 def _cheaper_sides(a: ParseTree, b: ParseTree) -> tuple[_Side, _Side]:
     """The sides ``ted`` runs on: mirrored only when strictly cheaper."""
     left_a, right_a = _decompose(a)

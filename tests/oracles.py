@@ -143,6 +143,25 @@ def ted_bruteforce(a: ParseTree, b: ParseTree) -> float:
     return best
 
 
+def label_pattern(pair, order) -> tuple:
+    """An unordered pair of trees (one tree for a self-pair) up to label names.
+
+    The tree that sorts first by ``order`` comes first. Both are relabeled
+    by one joint map, built over the first tree's labels and then the
+    second's in preorder, each label to the index of its first
+    occurrence. Two pairs share a pattern iff an injective renaming of
+    labels turns one into the other, so a unit-cost TED is one per pattern.
+    """
+    a, b = sorted(pair, key=order) if len(set(pair)) == 2 else (next(iter(pair)),) * 2
+    names: dict[str, int] = {}
+
+    def relabel(node: ParseTree) -> tuple:
+        idx = names.setdefault(node.label, len(names))
+        return idx, tuple(relabel(c) for c in node.children)
+
+    return relabel(a), relabel(b)
+
+
 def mirror(tree: ParseTree) -> ParseTree:
     """``tree`` with every child list reversed."""
     return ParseTree(tree.label, tuple(mirror(c) for c in reversed(tree.children)))

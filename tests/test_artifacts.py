@@ -63,7 +63,7 @@ def _index(d: Path):
 
 def _direction(d: Path):
     direction = enc.InjectionDirection(u=np.ones(4) / 2, layer=1, lam=1.0, prop="POS")
-    return lambda: mli.save_direction(direction, d / "target")
+    return lambda: mli.save_direction(direction, d / "target", "ab")
 
 
 def _sweep_report(d: Path):

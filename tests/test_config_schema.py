@@ -43,6 +43,15 @@ def run_dir(tmp_path):
     return config, out
 
 
+def _write_direction(out: Path, **payload) -> None:
+    """``out/direction.json`` as ``save_direction`` writes it for the params
+    in ``out``, with the keys of ``payload`` in place of the defaults."""
+    params, _ = enc.load_params(out / "encoder.params")
+    (out / "direction.json").write_text(json.dumps(
+        {"format_version": 2, "params_sha256": enc.params_fingerprint(params), "property": "POS",
+         "layer": 1, "lambda": 1.0, "u": [0.25] * 16, **payload}))
+
+
 def _retrieve(config: Path, out: Path, *extra: str) -> int:
     return cli.main(["retrieve", "--config", str(config), "--out", str(out),
                      "--query", "remind me to pack", *extra])
@@ -170,7 +179,8 @@ class TestLoaders:
     def test_direction_missing_key(self, run_dir, capsys):
         config, out = run_dir
         path = out / "direction.json"
-        path.write_text(json.dumps({"format_version": 1, "property": "POS"}))
+        path.write_text(json.dumps({"format_version": 2, "params_sha256": "ab",
+                                    "property": "POS"}))
         with pytest.raises(ValueError, match="direction.json.*'u'"):
             mli.load_direction(path)
         assert _retrieve(config, out, "--use-direction") == 2
@@ -180,9 +190,8 @@ class TestLoaders:
     def test_unreadable_direction_named(self, run_dir, caplog, damage):
         config, out = run_dir
         path = out / "direction.json"
-        path.write_bytes(damage(json.dumps(
-            {"format_version": 1, "property": "POS", "layer": 1, "lambda": 1.0,
-             "u": [0.25] * 16}).encode()))
+        _write_direction(out)
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match="direction.json"):
             mli.load_direction(path)
         assert _retrieve(config, out, "--use-direction") == 2
@@ -190,9 +199,7 @@ class TestLoaders:
 
     def test_direction_wrong_type(self, run_dir, caplog):
         config, out = run_dir
-        (out / "direction.json").write_text(json.dumps(
-            {"format_version": 1, "property": "POS", "layer": 1, "lambda": None,
-             "u": [0.0] * 16}))
+        _write_direction(out, **{"lambda": None, "u": [0.0] * 16})
         assert _retrieve(config, out, "--use-direction") == 2
         assert "direction.json" in caplog.text and "lambda" in caplog.text
 
@@ -229,9 +236,7 @@ class TestLoaders:
     @pytest.mark.parametrize("change", [{"u": [0.2] * 5}, {"layer": 9}])
     def test_direction_checked_against_params(self, run_dir, caplog, stage, change):
         config, out = run_dir
-        (out / "direction.json").write_text(json.dumps(
-            {"format_version": 1, "property": "POS", "layer": 1, "lambda": 1.0,
-             "u": [0.25] * 16, **change}))
+        _write_direction(out, **change)
         code = (_retrieve(config, out, "--use-direction") if stage == "retrieve" else
                 cli.main(["eval", "--config", str(config), "--out", str(out)]))
         assert code == 2

@@ -14,9 +14,10 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stare import cli, mli, retrieval
+from stare import cli, encoder, mli, retrieval
 from stare.artifacts import read_json, read_lines, write_json
 
 QUERY = "hey call ravi thanks"
@@ -195,9 +196,46 @@ def test_use_direction_needs_direction_json(copied_run, caplog, capsys):
     assert f"missing {run / 'direction.json'}; run 'mli' first" in caplog.text
     assert _snapshot(run) == before
 
-    mli.save_direction(None, run / "direction.json")
+    params, _ = encoder.load_params(run / "encoder.params")
+    mli.save_direction(None, run / "direction.json", encoder.params_fingerprint(params))
     assert cli.main(argv) == cli.EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+def test_direction_fitted_to_other_params_refused(copied_run, caplog, capsys, monkeypatch):
+    """After a re-``train``, ``direction.json`` names params that are no
+    longer in use: ``eval`` and ``retrieve --use-direction`` exit 2 and
+    change nothing, until ``mli`` runs again."""
+    monkeypatch.setenv("STARE_TRAINING_EPOCHS", "1")
+    assert cli.main(_argv("train", copied_run)) == cli.EXIT_OK
+    before = _snapshot(copied_run["run"])
+    for stage in ("eval", "retrieve"):
+        caplog.clear()
+        assert cli.main(_argv(stage, copied_run)) == cli.EXIT_DATA
+        assert f"{copied_run['run'] / 'direction.json'}: fitted to params" in caplog.text
+        assert "rerun 'mli'" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert _snapshot(copied_run["run"]) == before
+    assert cli.main(_argv("mli", copied_run)) == cli.EXIT_OK
+    assert cli.main(_argv("retrieve", copied_run)) == cli.EXIT_OK
+
+
+def test_float_error_in_a_stage_is_a_numeric_failure(copied_run, caplog, capsys):
+    """A NaN made inside a stage raises there (exit 3) instead of reaching
+    the output: an infinite LayerNorm bias makes inf - inf in the next
+    matmul. (A NaN already in the weights propagates without raising.)"""
+    path = copied_run["run"] / "encoder.params"
+    params, cfg = encoder.load_params(path)
+    planted = {name: np.array(value) for name, value in params.items()}
+    planted["layers.0.ln1.b"][0] = np.inf
+    encoder.save_params(path, planted, cfg)
+    before = _snapshot(copied_run["run"])
+    argv = _argv("retrieve", copied_run)
+    argv.remove("--use-direction")
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert "numeric failure: invalid value" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert _snapshot(copied_run["run"]) == before
 
 
 def test_non_finite_override_refused(copied_run, caplog, monkeypatch):

@@ -91,11 +91,15 @@ def test_matching_index_is_loaded_not_built(run, build_calls, use_direction):
 
 
 def _retrain(fix: Path, out: Path) -> None:
-    """Other params under the same config, as a rerun of ``train`` would write."""
+    """Other params under the same config, as a rerun of ``train`` would
+    write, and ``direction.json`` fitted to them, as a rerun of ``mli``
+    keeping its pick would write."""
     params, cfg = encoder.load_params(out / "encoder.params")
     params = {name: arr.copy() for name, arr in params.items()}
     params["tok_emb"][1:] *= 1.01
     encoder.save_params(out / "encoder.params", params, cfg)
+    mli.save_direction(mli.load_direction(out / "direction.json"), out / "direction.json",
+                       encoder.params_fingerprint(params))
 
 
 def _new_direction(fix: Path, out: Path) -> None:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stare import bucketing
+from stare import bucketing, fixtures
 from stare.corpus import Corpus, Record
 from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, Pool, UnknownId,
                           load_groups, mine_all, mine_group, save_groups)
+from stare.ted import sim_struct
 from stare.trees import parse
 
-from oracles import reference_mine_group, ted_bruteforce
+from oracles import label_pattern, reference_mine_group, ted_bruteforce
 
 # The package re-exports a function named ``ted``; this is the module.
 ted_module = importlib.import_module("stare.ted")
@@ -256,8 +257,8 @@ def test_edge_pools_equal_reference(pool, n_rand, flag, anonymize):
     assert (flag in group.flags) if flag else "short_random_negatives" not in group.flags
 
 
-def test_mine_all_one_ted_per_distinct_unordered_pair(fixture_data, lsh_index, mined,
-                                                       monkeypatch):
+def test_mine_all_one_ted_per_distinct_label_pattern(fixture_data, lsh_index, mined,
+                                                      monkeypatch):
     bank = Corpus(fixture_data.train, "bracketed")  # a fresh, empty table
     compared = {frozenset((bank.tree(rec.id), bank.tree(pid)))
                 for rec in bank
@@ -266,9 +267,46 @@ def test_mine_all_one_ted_per_distinct_unordered_pair(fixture_data, lsh_index, m
     monkeypatch.setattr(ted_module, "ted",
                         lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
     groups, report = mine_all(bank, lsh_index, MiningConfig())
-    assert len(calls) == len(compared)
-    assert {frozenset(pair) for pair in calls} == compared
+    patterns = {label_pattern(pair, bank.intern) for pair in compared}
+    assert len(patterns) < len(compared)  # the fixture repeats label patterns
+    assert len(calls) == len(patterns)
+    assert {label_pattern(pair, bank.intern) for pair in calls} == patterns
     assert (groups, report) == mined
+
+
+def test_pattern_memo_equals_direct_sim_struct_at_scale(monkeypatch):
+    """On the fixture bank at N = 2,000, every similarity the table serves,
+    nearly all of them from another pair's TED, equals ``sim_struct`` of the
+    pair, bit for bit."""
+    bank = Corpus(fixtures.generate(fixtures.FixtureSpec(per_cluster=400, seed=0)).train,
+                  "bracketed")
+    index = _index_for(bank)
+    real_sim, served = Corpus.sim, {}
+    monkeypatch.setattr(Corpus, "sim", lambda self, a, b: served.setdefault(
+        (a, b), real_sim(self, a, b)))
+    real_ted, calls = ted_module.ted, []
+    monkeypatch.setattr(ted_module, "ted",
+                        lambda a, b, *rest: calls.append(1) or real_ted(a, b, *rest))
+    mine_all(bank, index, MiningConfig())
+    assert len(calls) * 10 < len(served)
+    tree = {tid: bank.tree(rec.id) for tid, rec in zip(bank.tree_ids().tolist(), bank)}
+    assert not [(tree[a], tree[b]) for (a, b), value in served.items()
+                if value.hex() != sim_struct(tree[a], tree[b]).hex()]
+
+
+def test_pattern_memo_is_per_corpus(monkeypatch):
+    """Nothing is shared across ``Corpus`` objects: a fresh one runs its TEDs again."""
+    parses = ["[F [X p ] ]", "[F [X q ] ]", "[G [Y a ] ]", "[F p q ]", "[H [Z b ] ]"]
+    real, calls = ted_module.ted, []
+    monkeypatch.setattr(ted_module, "ted",
+                        lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+    counts = []
+    for _ in range(2):
+        corpus = _corpus(parses)
+        mine_all(corpus, _index_for(corpus, num_hashes=16, tau=0.1, seed=1), MiningConfig())
+        counts.append(len(calls))
+    assert 0 < counts[0] < len(parses) * (len(parses) - 1) // 2
+    assert counts[1] == 2 * counts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +346,22 @@ def test_mine_all_equals_per_anchor_reference(anonymize, n_hard, n_rand, seed, m
     real, calls = ted_module.ted, []
     monkeypatch.setattr(ted_module, "ted",
                         lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+    real_sim, asked = Corpus.sim, set()
+    monkeypatch.setattr(Corpus, "sim",
+                        lambda self, a, b: asked.add((a, b)) or real_sim(self, a, b))
 
     groups, report = mine_all(corpus, index, cfg)
 
     assert groups == expected
     assert report.mean_pool_size == sum(map(len, pools.values())) / len(corpus)
     assert report.skipped_empty_pool == len(corpus) - len(expected)
-    # The table is not asked such an anchor's tree against itself.
-    assert not [t for t in lone if (t, t) in calls]
+    # The table is not asked such an anchor's tree against itself. (Asked,
+    # not computed: another self-pair with its label pattern could serve it.)
+    assert not [t for t in lone if (corpus.intern(t),) * 2 in asked]
     compared = {frozenset((tree[rid], tree[pid])) for rid, pool in pools.items() for pid in pool}
-    assert sorted(map(frozenset, calls), key=str) == sorted(compared, key=str)
+    patterns = {label_pattern(pair, corpus.intern) for pair in compared}
+    assert len(calls) == len(patterns)
+    assert {label_pattern(pair, corpus.intern) for pair in calls} == patterns
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -375,8 +375,9 @@ def test_fixture_sweep_equals_reference(dev_queries, bank, trained_params, enc_c
 
 
 # A direction.json as ``save_direction`` writes it.
-_SAVED_DIRECTION = {"format_version": 1, "property": "POS", "layer": 2, "lambda": 5.0,
-                    "u": [0.6, 0.8]}
+_PARAMS_SHA256 = "0123456789abcdef" * 4
+_SAVED_DIRECTION = {"format_version": 2, "params_sha256": _PARAMS_SHA256, "property": "POS",
+                    "layer": 2, "lambda": 5.0, "u": [0.6, 0.8]}
 
 
 class TestDirectionPersistence:
@@ -386,16 +387,25 @@ class TestDirectionPersistence:
         u /= np.linalg.norm(u)
         direction = enc.InjectionDirection(u=u, layer=3, lam=2.5, prop="DEPS")
         path = tmp_path / "direction.json"
-        mli.save_direction(direction, path)
-        loaded = mli.load_direction(path)
+        mli.save_direction(direction, path, _PARAMS_SHA256)
+        loaded, params_sha256 = mli.read_direction(path)
         assert np.array_equal(loaded.u, u)
         assert (loaded.layer, loaded.lam, loaded.prop) == (3, 2.5, "DEPS")
+        assert params_sha256 == _PARAMS_SHA256
+        assert np.array_equal(mli.load_direction(path).u, u)
+
+    def test_baseline_records_its_params(self, tmp_path):
+        path = tmp_path / "direction.json"
+        mli.save_direction(None, path, _PARAMS_SHA256)
+        assert json.loads(path.read_text()) == {"format_version": 2, "baseline": True,
+                                                "params_sha256": _PARAMS_SHA256}
+        assert mli.read_direction(path) == (None, _PARAMS_SHA256)
 
     def test_saved_keys(self, tmp_path):
         direction = enc.InjectionDirection(u=np.array([0.6, 0.8]), layer=2, lam=5.0,
                                            prop="POS")
         path = tmp_path / "direction.json"
-        mli.save_direction(direction, path)
+        mli.save_direction(direction, path, _PARAMS_SHA256)
         assert json.loads(path.read_text()) == _SAVED_DIRECTION
 
     def test_reads_file_with_converged_key(self, tmp_path):
@@ -406,12 +416,16 @@ class TestDirectionPersistence:
         assert (loaded.layer, loaded.lam, loaded.prop) == (2, 5.0, "POS")
 
     @pytest.mark.parametrize("payload", [
-        [], {"format_version": 2}, {"format_version": 1, "property": "POS"},
+        [], {"format_version": 2},
+        {"format_version": 2, "params_sha256": _PARAMS_SHA256, "property": "POS"},
         {**_SAVED_DIRECTION, "lambda": None}, {**_SAVED_DIRECTION, "lambda": True},
         {**_SAVED_DIRECTION, "layer": [2]}, {**_SAVED_DIRECTION, "layer": 2.7},
         {**_SAVED_DIRECTION, "layer": True}, {**_SAVED_DIRECTION, "property": 3},
         {**_SAVED_DIRECTION, "u": ["a"]}, {**_SAVED_DIRECTION, "u": 0.6},
-        {**_SAVED_DIRECTION, "u": [0.6, False]}])
+        {**_SAVED_DIRECTION, "u": [0.6, False]},
+        {**_SAVED_DIRECTION, "format_version": 1},
+        {k: v for k, v in _SAVED_DIRECTION.items() if k != "params_sha256"},
+        {**_SAVED_DIRECTION, "params_sha256": 7}])
     def test_malformed_file_named(self, tmp_path, payload):
         path = tmp_path / "direction.json"
         path.write_text(json.dumps(payload))

@@ -13,7 +13,7 @@ from stare.retrieval import (Bm25, CountMismatch, KTooLarge, MissingSchema, Prom
                              ProvenanceMismatch, build_index, build_prompt, evaluate,
                              load_index, make_dense_ranker, save_index, topk)
 
-from oracles import bm25_topk
+from oracles import bm25_topk, label_pattern
 
 
 @pytest.fixture(scope="module")
@@ -358,8 +358,10 @@ class TestIndexPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_eval_one_ted_per_distinct_gold_bank_pair(pipeline_runs, tmp_path, monkeypatch):
-    """The four rankers of ``eval`` share one set of gold-vs-bank similarities."""
+def test_eval_one_ted_per_distinct_gold_bank_label_pattern(pipeline_runs, tmp_path,
+                                                           monkeypatch):
+    """The four rankers of ``eval`` share one set of gold-vs-bank similarities,
+    and gold-vs-bank pairs that differ only by label names share one TED."""
     from stare import cli
     from stare.config import load_config
     from stare.corpus import load_corpus
@@ -379,7 +381,11 @@ def test_eval_one_ted_per_distinct_gold_bank_pair(pipeline_runs, tmp_path, monke
     real, calls = ted_module.ted, []
     monkeypatch.setattr(ted_module, "ted",
                         lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
+    loaded = []  # the corpora ``eval`` reads, the bank first
+    monkeypatch.setattr(cli, "load_corpus",
+                        lambda *args: loaded.append(load_corpus(*args)) or loaded[-1])
     assert cli.main(["eval", "--config", str(fix_dir / "config.json"), "--out", str(out)]) == 0
-    assert len(calls) <= len(pairs)
-    assert {frozenset(pair) for pair in calls} == pairs
+    patterns = {label_pattern(pair, loaded[0].intern) for pair in pairs}
+    assert len(calls) == len(patterns)
+    assert {label_pattern(pair, loaded[0].intern) for pair in calls} == patterns
     assert (out / "eval_metrics.json").read_bytes() == (run_a / "eval_metrics.json").read_bytes()

@@ -250,6 +250,27 @@ def test_ted_symmetric_exhaustive(max_nodes, alphabet):
             _assert_symmetric(a, b)
 
 
+def _relabel(tree: ParseTree, names: dict[str, str]) -> ParseTree:
+    return ParseTree(names[tree.label], tuple(_relabel(c, names) for c in tree.children))
+
+
+@pytest.mark.parametrize("max_nodes,alphabet", [(3, ("A", "B", "C")), (4, ("A", "B"))])
+def test_ted_invariant_under_injective_relabeling(max_nodes, alphabet):
+    """A unit-cost TED reads only shapes and label equality, so renaming the
+    joint alphabet one to one (a fresh seeded map per pair) keeps it, and
+    both equal the brute-force oracle: the premise of ``Corpus.sim``'s
+    label-pattern memo."""
+    trees = all_trees(max_nodes, alphabet)
+    rng = np.random.default_rng(22)
+    targets = [*alphabet, "D", "IN:X", "a", "b"]
+    for a in trees:
+        for b in trees:
+            names = dict(zip(alphabet, rng.permutation(targets)[: len(alphabet)].tolist()))
+            d = ted(a, b)
+            assert ted(_relabel(a, names), _relabel(b, names)) == d == ted_bruteforce(a, b), \
+                (a, b, names)
+
+
 # ---------------------------------------------------------------------------
 # keyroot pairs with a single-node side, in closed form; the column plan
 # ---------------------------------------------------------------------------
