@@ -121,14 +121,16 @@ def read_header_blob(path: str | Path, version: int,
                      hints: dict[str, object]) -> tuple[list, bytearray]:
     """The values of ``hints``' header keys, and the blob, of a
     ``write_header_blob`` file; a ValueError naming the file if the header is
-    unreadable or fails ``hints``. Loaded arrays view the one blob buffer, so
-    each value is held once."""
+    unreadable or fails ``hints``, or the blob holds a NaN or infinity.
+    Loaded arrays view the one blob buffer, so each value is held once."""
     with open(path, "rb") as fh:
         header = read_json(path, version, read_text(path, fh.readline()))
         values = fields(str(path), header, hints)
         blob = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
         if fh.readinto(blob) != len(blob):
             raise ValueError(f"{path}: file changed while it was read")
+    if not np.isfinite(np.frombuffer(blob, np.float64, len(blob) // 8)).all():
+        raise ValueError(f"{path}: holds a NaN or infinity")
     return values, blob
 
 

@@ -95,7 +95,7 @@ def _locked_out_dir(out: Path):
 
 def _load_corpus(config: PipelineConfig, split: str) -> Corpus:
     path = config.path(config.corpus[split])
-    corpus = load_corpus(path, config.corpus["dialect"])
+    corpus = load_corpus(path, config.corpus["dialect"], config.mining["anonymize"])
     if not len(corpus):
         raise DataError(f"{path}: empty corpus")
     return corpus
@@ -194,8 +194,7 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]), lambdas=m["lambdas"])
     result = mli.sweep(dev, corpus, params, cfg, label_corpora, grid,
-                       k=m["k"], probe_config=ProbeConfig(**m["probe"]),
-                       anonymize=config.mining["anonymize"])
+                       k=m["k"], probe_config=ProbeConfig(**m["probe"]))
     mli.write_sweep_report(result, out / "mli_grid.csv")
     best = result.best
     mli.save_direction(best, out / "direction.json", encoder.params_fingerprint(params))
@@ -276,7 +275,6 @@ def cmd_eval(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     injection, fitted_to = _load_direction(direction_path, cfg)
     _check_fitted(direction_path, fitted_to, encoder.params_fingerprint(trained_params))
     k = config.retrieval["k"]
-    anonymize = config.mining["anonymize"]
 
     def dense(params, injection=None, save=False):
         index = retrieval.build_index(corpus, params, cfg, injection)
@@ -289,7 +287,7 @@ def cmd_eval(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     rankers["trained_mli"] = (rankers["trained"] if injection is None
                               else dense(trained_params, injection, save=True))
 
-    metrics = {name: retrieval.evaluate(rank, dev, corpus, k, anonymize)
+    metrics = {name: retrieval.evaluate(rank, dev, corpus, k)
                for name, rank in rankers.items()}
     payload = {"k": k, "metrics": metrics}
     write_json(out / "eval_metrics.json", payload, indent=2)

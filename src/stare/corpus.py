@@ -29,29 +29,31 @@ class Corpus:
     """Ordered record collection with cached parse trees and one
     structural-similarity table.
 
-    Records with equal parse strings share one tree. The table gives every
-    distinct tree (equal under ``ParseTree.__eq__``) an integer id: a
-    record's id is computed once per (record, anonymize), and trees from
-    outside the corpus, such as gold parses, are interned into the same
-    id space. ``sim`` memoizes ``sim_struct`` per unordered id pair, and
-    behind that per label pattern, for the life of the corpus, holding
-    only what was compared. The unordered key is exact: ``ted`` sums
-    integer unit costs, so ``ted(a, b)`` and ``ted(b, a)`` are the same
-    float, and ``max(size)`` is symmetric. The pattern key is exact too:
-    a unit-cost TED reads only the two ordered shapes and which labels
-    are equal (``ted.form``), and the sizes follow from the shapes.
+    Records with equal parse strings share one tree. ``anonymize`` is the
+    one comparison rule: when set, every tree the table compares, its own
+    and outside ones such as gold parses, has its non-structural leaves
+    relabeled (``trees.anonymize_leaves``). The table gives every distinct
+    compared tree (equal under ``ParseTree.__eq__``) an integer id. ``sim``
+    memoizes ``sim_struct`` per unordered id pair, and behind that per
+    label pattern, for the life of the corpus, holding only what was
+    compared. The unordered key is exact: ``ted`` sums integer unit costs,
+    so ``ted(a, b)`` and ``ted(b, a)`` are the same float, and
+    ``max(size)`` is symmetric. The pattern key is exact too: a unit-cost
+    TED reads only the two ordered shapes and which labels are equal
+    (``ted.form``), and the sizes follow from the shapes.
     """
 
-    def __init__(self, records: list[Record], dialect: ParseDialect):
+    def __init__(self, records: list[Record], dialect: ParseDialect, anonymize: bool = False):
         self.records = list(records)
         self.dialect = ParseDialect(dialect)
+        self.anonymize = anonymize
         self.index_of: dict[str, int] = {}
         for i, rec in enumerate(self.records):
             if rec.id in self.index_of:
                 raise CorpusFormatError(f"duplicate record id {rec.id!r}")
             self.index_of[rec.id] = i
-        self._tree_cache: dict[tuple[str, bool], ParseTree] = {}
-        self._tree_id_arrays: dict[bool, np.ndarray] = {}
+        self._tree_cache: dict[str, ParseTree] = {}
+        self._tree_ids: np.ndarray | None = None
         self._interned: dict[ParseTree, int] = {}
         self._trees: list[ParseTree] = []
         self._sims: dict[int, float] = {}
@@ -75,19 +77,22 @@ class Corpus:
     def ids(self) -> list[str]:
         return [rec.id for rec in self.records]
 
-    def tree(self, record_id: str, anonymize: bool = False) -> ParseTree:
-        """The record's parse tree, parsed once per (parse string, anonymize)."""
-        key = (self.get(record_id).parse, anonymize)
-        cached = self._tree_cache.get(key)
+    def tree(self, record_id: str) -> ParseTree:
+        """The record's tree as the table compares it, parsed once per parse string."""
+        parse = self.get(record_id).parse
+        cached = self._tree_cache.get(parse)
         if cached is None:
-            cached = trees.parse(key[0], self.dialect)
-            if anonymize:
-                cached = trees.anonymize_leaves(cached)
-            self._tree_cache[key] = cached
+            cached = self._tree_cache[parse] = self._compared(trees.parse(parse, self.dialect))
         return cached
 
+    def _compared(self, tree: ParseTree) -> ParseTree:
+        return trees.anonymize_leaves(tree) if self.anonymize else tree
+
     def intern(self, tree: ParseTree) -> int:
-        """The table id of ``tree``; equal trees share one id."""
+        """The table id of ``tree`` as the table compares it; equal trees share one id."""
+        return self._intern(self._compared(tree))
+
+    def _intern(self, tree: ParseTree) -> int:
         tid = self._interned.get(tree)
         if tid is None:
             tid = self._interned[tree] = len(self._trees)
@@ -97,17 +102,13 @@ class Corpus:
                                 ids))
         return tid
 
-    def tree_ids(self, anonymize: bool = False) -> np.ndarray:
-        """The table id of every record's ``tree(id, anonymize)``, in corpus
-        order, as a read-only array kept for the life of the corpus."""
-        ids = self._tree_id_arrays.get(anonymize)
-        if ids is None:
-            ids = np.fromiter((self.intern(self.tree(rec.id, anonymize))
-                               for rec in self.records),
-                              dtype=np.intp, count=len(self.records))
-            ids.flags.writeable = False
-            self._tree_id_arrays[anonymize] = ids
-        return ids
+    def tree_ids(self) -> np.ndarray:
+        """Each record's ``tree`` table id, in corpus order: one read-only array."""
+        if self._tree_ids is None:
+            self._tree_ids = np.fromiter((self._intern(self.tree(rec.id)) for rec in self.records),
+                                         dtype=np.intp, count=len(self.records))
+            self._tree_ids.flags.writeable = False
+        return self._tree_ids
 
     def sim(self, a: int, b: int) -> float:
         """``sim_struct`` of the trees with ids ``a`` and ``b``, memoized.
@@ -133,14 +134,14 @@ class Corpus:
         return value
 
 
-def load_corpus(path: str | Path, dialect: ParseDialect | str) -> Corpus:
+def load_corpus(path: str | Path, dialect: ParseDialect | str, anonymize: bool = False) -> Corpus:
     """Read one JSON object per line; errors name the offending line, or the
     file for a repeated id. An integer id is read as its decimal string."""
     records = [Record(str(rid), utterance, parse) for rid, utterance, parse in (
         fields(where, obj, {"id": str | int, "utterance": str, "parse": str})
         for where, obj in read_jsonl(path))]
     try:
-        return Corpus(records, ParseDialect(dialect))
+        return Corpus(records, ParseDialect(dialect), anonymize)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from None
 

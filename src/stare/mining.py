@@ -72,7 +72,7 @@ def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:
 
 class Pool:
     """Candidates that anchors share: ascending corpus positions, and a memo
-    of their similarities per (anonymize, anchor tree id, anchor inside)."""
+    of their similarities per (anchor tree id, anchor inside)."""
 
     def __init__(self, corpus: Corpus, ids: set[str]):
         try:
@@ -81,7 +81,7 @@ class Pool:
         except KeyError as exc:
             raise UnknownId(exc.args[0]) from None
         self.positions.sort()
-        self.scored: dict[tuple[bool, int, bool], tuple[np.ndarray, np.ndarray, int]] = {}
+        self.scored: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
@@ -116,10 +116,10 @@ def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
         return None
     records = corpus.records
 
-    anchor = int(corpus.tree_ids(config.anonymize)[anchor_pos])
-    key = (config.anonymize, anchor, inside)
+    anchor = int(corpus.tree_ids()[anchor_pos])
+    key = (anchor, inside)
     if key not in pool.scored:
-        tids = corpus.tree_ids(config.anonymize)[positions].tolist()
+        tids = corpus.tree_ids()[positions].tolist()
         sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tids)
                   if tid != anchor or not inside or tids.count(tid) > 1}
         sim_of.setdefault(anchor, -np.inf)
@@ -158,8 +158,12 @@ def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
 def mine_all(corpus: Corpus, index: LshIndex,
              config: MiningConfig) -> tuple[list[ContrastiveGroup], MiningReport]:
     """One group per anchor with a non-empty pool, in corpus order, plus
-    summary counts. Each LSH union is queried and turned into a ``Pool``
-    once, mined for every anchor sharing its signature, and dropped."""
+    summary counts; ``config.anonymize`` must be the corpus's. Each LSH
+    union is queried and turned into a ``Pool`` once, mined for every
+    anchor sharing its signature, and dropped."""
+    if config.anonymize != corpus.anonymize:
+        raise ValueError(f"mining anonymize={config.anonymize} differs from the corpus's "
+                         f"anonymize={corpus.anonymize}")
     if set(index.signatures) != set(corpus.index_of):
         raise IndexCorpusMismatch("index ids do not match corpus ids")
     slots: list[ContrastiveGroup | None] = [None] * len(corpus)

@@ -267,11 +267,9 @@ def resumed_embedding(states: list[np.ndarray], injection: InjectionDirection,
     return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=-2)
 
 
-def sweep(queries: Corpus, bank: Corpus,
-          params: dict[str, np.ndarray], cfg: EncoderConfig,
-          label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid,
-          k: int, probe_config: ProbeConfig = ProbeConfig(),
-          anonymize: bool = False) -> SweepResult:
+def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
+          label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid, k: int,
+          probe_config: ProbeConfig = ProbeConfig()) -> SweepResult:
     """Score every grid cell by mean structural similarity at k.
 
     Probes are trained once per (property, layer), on states collected
@@ -288,12 +286,11 @@ def sweep(queries: Corpus, bank: Corpus,
     """
     rows: list[SweepRow] = []
     probes: dict[tuple[str, int], Probe] = {}
-    golds = retrieval.gold_ids(queries, bank, anonymize)
+    golds = retrieval.gold_ids(queries, bank)
 
     index = retrieval.build_index(bank, params, cfg)
     baseline = retrieval.mean_sim_at_k(
-        golds, [retrieval.topk(index, rec.utterance, k, params, cfg) for rec in queries],
-        bank, anonymize)
+        golds, [retrieval.topk(index, rec.utterance, k, params, cfg) for rec in queries], bank)
     bank_chunks = list(enc.forward_batch(retrieval.corpus_tokens(bank, cfg), params, cfg))
     query_chunks = list(enc.forward_batch(retrieval.corpus_tokens(queries, cfg), params, cfg))
 
@@ -307,7 +304,7 @@ def sweep(queries: Corpus, bank: Corpus,
         embeddings = retrieval._unit_rows(index.ids, resumed(bank_chunks, len(bank), injection))
         hits = [retrieval._rank(index.ids, embeddings, vec, k)
                 for vec in resumed(query_chunks, len(queries), injection)]
-        return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
+        return retrieval.mean_sim_at_k(golds, hits, bank)
 
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))
     best: InjectionDirection | None = None

@@ -271,24 +271,22 @@ def make_dense_ranker(index: RetrievalIndex, params: dict[str, np.ndarray],
     return rank
 
 
-def gold_ids(queries: Corpus, bank: Corpus, anonymize: bool = False) -> list[int]:
-    """The bank's table id of each query's gold tree, in query order."""
-    return [bank.intern(queries.tree(rec.id, anonymize)) for rec in queries]
+def gold_ids(queries: Corpus, bank: Corpus) -> list[int]:
+    """The bank's table id of each query's gold tree, by the bank's rule."""
+    return [bank.intern(queries.tree(rec.id)) for rec in queries]
 
 
-def mean_sim_at_k(golds: list[int], hits: list[list[tuple[str, float]]],
-                  bank: Corpus, anonymize: bool = False) -> float:
+def mean_sim_at_k(golds: list[int], hits: list[list[tuple[str, float]]], bank: Corpus) -> float:
     """Mean over queries of the mean structural similarity between the
     gold tree (a ``gold_ids`` entry) and the parses of that query's
     retrieved bank ids, read from the bank's similarity table."""
-    bank_ids = bank.tree_ids(anonymize).tolist()
+    bank_ids = bank.tree_ids().tolist()
     return float(np.mean([
         float(np.mean([bank.sim(gold_id, bank_ids[bank.index_of[rid]]) for rid, _ in head]))
         for gold_id, head in zip(golds, hits)]))
 
 
-def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
-             anonymize: bool = False) -> dict[str, float]:
+def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int) -> dict[str, float]:
     """Structural retrieval quality of a ranker against each query's gold parse.
 
     ``rank_fn``, called with only a query, returns every bank id ranked.
@@ -299,8 +297,8 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
     evaluated against one bank share each gold-vs-bank-tree similarity, and
     the pairs with one label pattern (see ``Corpus``) share one TED.
     """
-    golds = gold_ids(queries, bank, anonymize)
-    bank_ids = bank.tree_ids(anonymize).tolist()
+    golds = gold_ids(queries, bank)
+    bank_ids = bank.tree_ids().tolist()
     heads = []
     mrrs = []
     top1 = []
@@ -316,7 +314,7 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int,
                             if sims[bank.index_of[rid]] == best_sim)
         mrrs.append(1.0 / rank_of_best)
     return {
-        "mean_sim_struct_at_k": mean_sim_at_k(golds, heads, bank, anonymize),
+        "mean_sim_struct_at_k": mean_sim_at_k(golds, heads, bank),
         "mrr_structural_nn": float(np.mean(mrrs)),
         "mean_top1_sim": float(np.mean(top1)),
     }

@@ -219,8 +219,6 @@ def parse_sexpr(text: str) -> ParseTree:
     def parse_expr() -> ParseTree:
         nonlocal pos
         kind, value, off = tokens[pos]
-        if kind == "close":
-            raise UnbalancedParens("unexpected ')'", off)
         if kind in ("atom", "string"):
             pos += 1
             return ParseTree(_norm_span(value.split()) or '""')

@@ -303,19 +303,19 @@ def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
 
 
 def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
-                    probe_config=mli.ProbeConfig(), anonymize=False) -> mli.SweepResult:
+                    probe_config=mli.ProbeConfig()) -> mli.SweepResult:
     """``mli.sweep`` by brute force: every cell rebuilds the retrieval index
     under its injection and ranks each dev query with ``topk``."""
     rows: list[mli.SweepRow] = []
     probes: dict = {}
     directions: dict = {}
-    golds = retrieval.gold_ids(queries, bank, anonymize)
+    golds = retrieval.gold_ids(queries, bank)
 
     def score_cell(injection):
         index = retrieval.build_index(bank, params, cfg, injection)
         hits = [retrieval.topk(index, rec.utterance, k, params, cfg, injection=injection)
                 for rec in queries]
-        return retrieval.mean_sim_at_k(golds, hits, bank, anonymize)
+        return retrieval.mean_sim_at_k(golds, hits, bank)
 
     baseline = score_cell(None)
     rows.append(mli.SweepRow(prop="", layer=0, lam=0.0, score=baseline))
@@ -366,9 +366,9 @@ def reference_mine_group(anchor_id: str, pool: set[str], corpus,
     if not pool:
         return None
 
-    anchor_tree = corpus.tree(anchor_id, config.anonymize)
+    anchor_tree = corpus.tree(anchor_id)
     ranked = sorted(
-        ((sim_struct(anchor_tree, corpus.tree(pid, config.anonymize)), corpus.index_of[pid], pid)
+        ((sim_struct(anchor_tree, corpus.tree(pid)), corpus.index_of[pid], pid)
          for pid in pool),
         key=lambda t: (-t[0], t[1]))
     positive_sim, _, positive_id = ranked[0]

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -327,10 +328,8 @@ def test_criterion_11_injection_identity_and_locality():
 
 
 def test_criterion_12_prompt_byte_exactness():
-    import importlib.resources
-
     started = time.time()
-    fixtures_dir = importlib.resources.files("stare.data").joinpath("fixtures")
+    fixtures_dir = Path(__file__).parent / "data"
     conv = build_prompt(
         PromptSpec(task_name="MTop", k=1, template="conversational"),
         [("Whats weather forecast for tomorrow?",
@@ -348,7 +347,7 @@ def test_criterion_12_prompt_byte_exactness():
     sql_ok = sql.encode("utf-8") == fixtures_dir.joinpath(
         "prompt_sql_k1.txt").read_bytes()
     _report(12, conv_ok and sql_ok and time.time() - started < 1.0,
-            "conversational and SQL one-shot prompts match shipped fixtures "
+            "conversational and SQL one-shot prompts match the golden files "
             "byte-for-byte", started)
 
 

@@ -434,10 +434,10 @@ class TestPipeline:
         assert len(json.loads(capsys.readouterr().out)) == 2
 
     def test_retrieve_prompt_reproduces_shipped_fixture(self, tmp_path, capsys):
-        # A one-record bank whose sole exemplar is the shipped fixture's;
-        # the CLI must render that fixture byte-for-byte (plus one newline
+        # A one-record bank whose sole exemplar is the golden prompt's;
+        # the CLI must render that prompt byte-for-byte (plus one newline
         # from print).
-        import importlib.resources
+        from pathlib import Path
 
         from stare import encoder as enc_mod
         from stare.corpus import Record, save_corpus
@@ -462,8 +462,7 @@ class TestPipeline:
                          "--out", str(out), "--query", "Will it be sunny on Friday?",
                          "--k", "1", "--format", "prompt"])
         assert code == 0
-        expected = (importlib.resources.files("stare.data").joinpath("fixtures")
-                    .joinpath("prompt_conversational_k1.txt").read_bytes())
+        expected = (Path(__file__).parent / "data" / "prompt_conversational_k1.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected + b"\n"
 
     def test_mli_grid_lambda_zero_matches_baseline(self, pipeline_runs):

@@ -3,21 +3,26 @@ data error (exit 2) that names the file, without a traceback, and leaves the
 run directory byte-unchanged. Below the table: a failed stage keeps the old
 ``config_used.json``, ``mine`` refuses an LSH index built under another
 ``bucketing`` section, a missing ``direction.json`` under ``--use-direction``,
-the non-finite rule, and the reader of ``stare.artifacts`` that the table
-rests on."""
+the non-finite rule, a ``train`` killed mid-run, and the reader of
+``stare.artifacts`` that the table rests on."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import select
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stare import cli, encoder, mli, retrieval
+from stare import bucketing, cli, encoder, mining, mli, retrieval
 from stare.artifacts import read_json, read_lines, write_json
 
 QUERY = "hey call ravi thanks"
@@ -46,6 +51,13 @@ def _nan(pattern: bytes):
     return lambda data: re.sub(pattern, rb"\1NaN", data, count=1)
 
 
+def _nan_blob(data: bytes) -> bytes:
+    """The first float64 after the header line set to NaN: ``tok_emb[0, 0]``
+    (the UNK row) of ``encoder.params``, the first row's first value of an index."""
+    start = data.index(b"\n") + 1
+    return data[:start] + np.float64(np.nan).tobytes() + data[start + 8:]
+
+
 CORRUPTIONS = {"truncated": _truncate, "empty": lambda data: b"", "list": lambda data: b"[]",
                "not_utf8": lambda data: b"\xff" + data}
 STAGES = ("bucket", "mine", "train", "mli", "eval", "retrieve")
@@ -58,7 +70,8 @@ INPUTS = {
     "pos.tsv": ("fixture", ("mli",), {}),
     "lsh_index.json": ("run", ("mine",), {"nan": _nan(rb'("tau": )[-+.\deE]+')}),
     "pairs.jsonl": ("run", ("train",), {"nan": _nan(rb'("positive_sim": )[-+.\deE]+')}),
-    "encoder.params": ("run", ("mli", "eval", "retrieve"), {"flipped_blob": _flip_blob_byte}),
+    "encoder.params": ("run", ("mli", "eval", "retrieve"), {"flipped_blob": _flip_blob_byte,
+                                                              "nan_blob": _nan_blob}),
     "direction.json": ("run", ("eval", "retrieve"), {"nan": _nan(rb'("u": \[)[^,\]]+')}),
 }
 
@@ -123,14 +136,14 @@ def test_corrupt_input_is_a_named_data_error(copied_run, caplog, capsys,
     assert _snapshot(copied_run["run"]) == before
 
 
-@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+@pytest.mark.parametrize("corruption", [*CORRUPTIONS, "nan_blob"])
 @pytest.mark.parametrize("name", ["index_trained.bin", "index_trained_mli.bin"])
 def test_corrupt_saved_index_is_a_named_data_error(copied_run, caplog, capsys, name,
                                                    corruption):
     """``retrieve`` reads the index ``eval`` saved for its injection; an
     unreadable one is exit 2 naming it, not a silent rebuild."""
     path = copied_run["run"] / name
-    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    path.write_bytes({**CORRUPTIONS, "nan_blob": _nan_blob}[corruption](path.read_bytes()))
     before = _snapshot(copied_run["run"])
     argv = _argv("retrieve", copied_run)
     if name == "index_trained.bin":
@@ -220,15 +233,15 @@ def test_direction_fitted_to_other_params_refused(copied_run, caplog, capsys, mo
     assert cli.main(_argv("retrieve", copied_run)) == cli.EXIT_OK
 
 
-def test_float_error_in_a_stage_is_a_numeric_failure(copied_run, caplog, capsys):
+def test_float_error_in_a_stage_is_a_numeric_failure(copied_run, caplog, capsys, monkeypatch):
     """A NaN made inside a stage raises there (exit 3) instead of reaching
     the output: an infinite LayerNorm bias makes inf - inf in the next
-    matmul. (A NaN already in the weights propagates without raising.)"""
-    path = copied_run["run"] / "encoder.params"
-    params, cfg = encoder.load_params(path)
+    matmul. ``load_params`` refuses an infinity in the file (the table's
+    ``nan_blob`` case), so the bias is planted after loading."""
+    params, cfg = encoder.load_params(copied_run["run"] / "encoder.params")
     planted = {name: np.array(value) for name, value in params.items()}
     planted["layers.0.ln1.b"][0] = np.inf
-    encoder.save_params(path, planted, cfg)
+    monkeypatch.setattr(encoder, "load_params", lambda path: (planted, cfg))
     before = _snapshot(copied_run["run"])
     argv = _argv("retrieve", copied_run)
     argv.remove("--use-direction")
@@ -267,6 +280,72 @@ def test_non_finite_metric_is_a_numeric_failure(copied_run, caplog, monkeypatch)
     assert str(path) in caplog.text
     assert path.read_bytes() == old
     assert not list(copied_run["run"].glob("*.tmp*"))
+
+
+# Each file a killed ``train`` can find under its final name, and its loader.
+LOADERS = {"bucket_report.json": read_json, "mining_report.json": read_json,
+           "config_used.json": read_json, "lsh_index.json": bucketing.LshIndex.load,
+           "pairs.jsonl": mining.load_groups, "encoder.params": encoder.load_params,
+           "loss_curve.csv": lambda path: list(read_lines(path))}
+
+
+def _train(config: Path, out: Path, pause: str | None = None) -> subprocess.Popen:
+    """``stare train`` in a child process; with ``pause``, through
+    ``paused_stage.py``, which holds its first artifact write there."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    launcher = ([str(Path(__file__).with_name("paused_stage.py")), pause] if pause
+                else ["-m", "stare.cli"])
+    return subprocess.Popen(
+        [sys.executable, *launcher, "train", "--config", str(config), "--out", str(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+
+
+@pytest.fixture
+def spawned():
+    """Child processes that a test starts; any still running at its end is killed."""
+    procs: list[subprocess.Popen] = []
+    yield procs
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+
+
+def test_killed_train_leaves_loadable_artifacts_and_a_stale_lock(tmp_path, caplog, spawned):
+    """SIGKILL ``train`` before it writes anything, then inside the
+    ``encoder.params`` write: every file under its final name still loads,
+    a rerun names the stale lock (exit 2), and once the lock is removed the
+    rerun writes the params an uninterrupted run writes."""
+    fix, run, ref = tmp_path / "fixture", tmp_path / "run", tmp_path / "ref"
+    assert cli.main(["fixture-gen", "--out", str(fix), "--per-cluster", "4"]) == cli.EXIT_OK
+    config, lock = fix / "config.json", run / ".lock"
+    for stage in ("bucket", "mine"):
+        assert cli.main([stage, "--config", str(config), "--out", str(run)]) == cli.EXIT_OK
+    shutil.copytree(run, ref)
+
+    for pause in ("open", "first_chunk"):
+        spawned.append(proc := _train(config, run, pause))
+        assert select.select([proc.stdout], [], [], 300)[0], "train never paused"
+        assert proc.stdout.readline() == f"paused {run / 'encoder.params'}\n"
+        proc.send_signal(signal.SIGKILL)
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert not (run / "encoder.params").exists()
+        assert (run / f"encoder.params.tmp{proc.pid}").exists() == (pause == "first_chunk")
+        for path in run.iterdir():
+            if path.name != ".lock" and ".tmp" not in path.name:
+                LOADERS[path.name](path)
+        caplog.clear()
+        assert cli.main(["train", "--config", str(config), "--out", str(run)]) == cli.EXIT_DATA
+        assert f"stale lock left by PID {proc.pid}; remove {lock}" in caplog.text
+        lock.unlink()
+
+    for out in (run, ref):
+        spawned.append(proc := _train(config, out))
+        assert proc.wait(timeout=600) == cli.EXIT_OK
+    assert (run / "encoder.params").read_bytes() == (ref / "encoder.params").read_bytes()
 
 
 def test_read_lines_splits_as_text_mode_open(tmp_path):

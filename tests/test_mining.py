@@ -19,9 +19,9 @@ ted_module = importlib.import_module("stare.ted")
 trees_module = importlib.import_module("stare.trees")
 
 
-def _corpus(parses, dialect="bracketed"):
+def _corpus(parses, dialect="bracketed", anonymize=False):
     return Corpus([Record(f"r{i}", f"utterance {i}", p) for i, p in enumerate(parses)],
-                  dialect)
+                  dialect, anonymize)
 
 
 # Six tiny parses (every tree is within the brute-force oracle's reach).
@@ -228,7 +228,8 @@ def _mining_case(draw):
 @given(_mining_case())
 def test_mine_group_equals_reference(case):
     parses, anchor, pool, cfg = case
-    corpus, fresh = _corpus(parses), _corpus(parses)
+    corpus, fresh = (_corpus(parses, anonymize=cfg.anonymize),
+                     _corpus(parses, anonymize=cfg.anonymize))
     # Warm the table with every other anchor first, so hits are exercised.
     for rec in corpus:
         if rec.id != anchor:
@@ -248,12 +249,12 @@ def test_mine_group_equals_reference(case):
 ])
 def test_edge_pools_equal_reference(pool, n_rand, flag, anonymize):
     cfg = MiningConfig(n_hard=2, n_rand=n_rand, seed=5, anonymize=anonymize)
-    corpus = _corpus(SIX)
+    corpus = _corpus(SIX, anonymize=anonymize)
     group = mine_group("r0", Pool(corpus, pool), corpus, cfg)
     # An anchor is never its own candidate: a pool holding it mines as one without it.
     others = pool - {"r0"}
     assert group == mine_group("r0", Pool(corpus, others), corpus, cfg)
-    assert group == reference_mine_group("r0", others, _corpus(SIX), cfg)
+    assert group == reference_mine_group("r0", others, _corpus(SIX, anonymize=anonymize), cfg)
     assert (flag in group.flags) if flag else "short_random_negatives" not in group.flags
 
 
@@ -322,7 +323,7 @@ _SHARED = ["[F p q ]", "[F q p ]", "[F p q ]", "[F [X p ] ]", "[F [X p ] ]", "[F
 def _per_record_reference(corpus, index, cfg):
     """``mine_all`` as one ``query`` and one ``reference_mine_group`` per anchor."""
     pools = {rec.id: index.query(index.signatures[rec.id], exclude=rec.id) for rec in corpus}
-    fresh = _corpus([rec.parse for rec in corpus])
+    fresh = _corpus([rec.parse for rec in corpus], anonymize=corpus.anonymize)
     groups = [g for g in (reference_mine_group(rid, pool, fresh, cfg)
                           for rid, pool in pools.items()) if g is not None]
     return groups, pools
@@ -331,14 +332,14 @@ def _per_record_reference(corpus, index, cfg):
 @pytest.mark.parametrize("anonymize", [False, True])
 @pytest.mark.parametrize("n_hard,n_rand,seed", [(3, 2, 0), (1, 9, 7), (0, 0, 3)])
 def test_mine_all_equals_per_anchor_reference(anonymize, n_hard, n_rand, seed, monkeypatch):
-    corpus = _corpus(_SHARED)
+    corpus = _corpus(_SHARED, anonymize=anonymize)
     index = _index_for(corpus, num_hashes=16, tau=0.5, seed=1)
     cfg = MiningConfig(n_hard=n_hard, n_rand=n_rand, seed=seed, anonymize=anonymize)
     sig_of = {rec.id: index.signatures[rec.id].tobytes() for rec in corpus}
     assert sig_of["r0"] == sig_of["r1"] == sig_of["r2"]       # repeated signature,
-    assert corpus.tree("r0") != corpus.tree("r1")             # two trees under it
+    assert _corpus(_SHARED).tree("r0") != _corpus(_SHARED).tree("r1")  # two parses under it
     expected, pools = _per_record_reference(corpus, index, cfg)
-    tree = {rec.id: corpus.tree(rec.id, anonymize) for rec in corpus}
+    tree = {rec.id: corpus.tree(rec.id) for rec in corpus}
     # Anchor trees that no per-record pool holds a second time.
     lone = ({tree[rid] for rid, pool in pools.items() if pool}
             - {tree[pid] for rid, pool in pools.items() for pid in pool if tree[pid] == tree[rid]})
@@ -368,10 +369,18 @@ def test_mine_all_equals_per_anchor_reference(anonymize, n_hard, n_rand, seed, m
 @given(st.lists(st.sampled_from(_SHARED), min_size=1, max_size=12),
        st.integers(0, 4), st.integers(0, 5), st.booleans())
 def test_mine_all_equals_reference_on_random_corpora(parses, n_hard, n_rand, anonymize):
-    corpus = _corpus(parses)
+    corpus = _corpus(parses, anonymize=anonymize)
     index = _index_for(corpus, num_hashes=16, tau=0.5, seed=1)
     cfg = MiningConfig(n_hard=n_hard, n_rand=n_rand, seed=11, anonymize=anonymize)
     assert mine_all(corpus, index, cfg)[0] == _per_record_reference(corpus, index, cfg)[0]
+
+
+def test_mine_all_refuses_a_config_that_compares_otherwise():
+    """The corpus fixes whether leaf text counts; a config that says
+    otherwise is refused, naming both values."""
+    corpus = _corpus(SIX)
+    with pytest.raises(ValueError, match=r"anonymize=True differs .* anonymize=False$"):
+        mine_all(corpus, _index_for(corpus), MiningConfig(anonymize=True))
 
 
 def test_build_lsh_sketches_each_distinct_parse_once(pipeline_runs, monkeypatch):
@@ -393,12 +402,14 @@ def test_build_lsh_sketches_each_distinct_parse_once(pipeline_runs, monkeypatch)
 
 
 def test_corpus_parses_once_per_distinct_parse_and_anonymize(monkeypatch):
-    corpus = _corpus(_SHARED)
     real, calls = trees_module.parse, []
     monkeypatch.setattr(trees_module, "parse", lambda *args: calls.append(args) or real(*args))
-    for anonymize in (False, True, False):
-        got = [corpus.tree(rec.id, anonymize) for rec in corpus]
-        assert got == [real(p, "bracketed") if not anonymize
-                       else trees_module.anonymize_leaves(real(p, "bracketed")) for p in _SHARED]
+    for anonymize in (False, True):  # one corpus per setting, each read twice
+        corpus = _corpus(_SHARED, anonymize=anonymize)
+        for _ in range(2):
+            got = [corpus.tree(rec.id) for rec in corpus]
+            assert got == [real(p, "bracketed") if not anonymize
+                           else trees_module.anonymize_leaves(real(p, "bracketed"))
+                           for p in _SHARED]
+        assert corpus.tree("r0") is corpus.tree("r2")
     assert len(calls) == 2 * len(set(_SHARED))
-    assert corpus.tree("r0") is corpus.tree("r2")

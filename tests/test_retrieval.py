@@ -1,7 +1,7 @@
 import importlib
-import importlib.resources
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,8 +241,7 @@ class TestBm25:
 
 class TestPrompts:
     def _fixture_bytes(self, name):
-        return (importlib.resources.files("stare.data")
-                .joinpath("fixtures").joinpath(name).read_bytes())
+        return (Path(__file__).parent / "data" / name).read_bytes()
 
     def test_conversational_matches_fixture(self):
         spec = PromptSpec(task_name="MTop", k=1, template="conversational")
@@ -371,10 +370,10 @@ def test_eval_one_ted_per_distinct_gold_bank_label_pattern(pipeline_runs, tmp_pa
     shutil.copytree(run_a, out)
     config = load_config(fix_dir / "config.json", env={})
     dialect, anonymize = config.corpus["dialect"], config.mining["anonymize"]
-    bank = load_corpus(config.path(config.corpus["train"]), dialect)
-    dev = load_corpus(config.path(config.corpus["dev"]), dialect)
-    golds = [dev.tree(rec.id, anonymize) for rec in dev]
-    pairs = {frozenset((gold, bank.tree(rec.id, anonymize))) for gold in golds for rec in bank}
+    bank = load_corpus(config.path(config.corpus["train"]), dialect, anonymize)
+    dev = load_corpus(config.path(config.corpus["dev"]), dialect, anonymize)
+    golds = [dev.tree(rec.id) for rec in dev]
+    pairs = {frozenset((gold, bank.tree(rec.id))) for gold in golds for rec in bank}
     assert len({rec.parse for rec in dev}) > 1 and len(pairs) < len(golds) * len(bank)
 
     ted_module = importlib.import_module("stare.ted")

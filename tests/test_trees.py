@@ -92,6 +92,16 @@ class TestSexpr:
         with pytest.raises(EmptyInput):
             parse_sexpr("  ")
 
+    @pytest.mark.parametrize("text,cls,message,position", [
+        ("(", UnbalancedParens, "unclosed '('", 0),
+        ('("x")', ParseError, "list head must be an atom", 1),
+    ])
+    def test_error_message_and_position(self, text, cls, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_sexpr(text)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at offset {position})"
+
 
 class TestSqlSkeleton:
     def test_count_star(self):
@@ -207,6 +217,7 @@ class TestSqlSkeleton:
         ("SELECT a FROM t;;", UnsupportedSyntax, "unsupported trailing token ';'", 16),
         ("SELECT a FROM t GROUP a", ParseError, "expected BY, found 'a'", 22),
         ("SELECT a FROM t ORDER a", ParseError, "expected BY, found 'a'", 22),
+        ("SELECT a FROM t WHERE a b", UnsupportedSyntax, "unsupported token 'b' in predicate", 24),
     ])
     def test_error_message_and_position(self, sql, cls, message, position):
         with pytest.raises(ParseError) as err:
@@ -214,6 +225,10 @@ class TestSqlSkeleton:
         assert type(err.value) is cls
         assert str(err.value) == f"{message} (at offset {position})"
         assert err.value.position == position
+
+    def test_blank_input(self):
+        with pytest.raises(EmptyInput, match="^empty SQL input$"):
+            parse_sql_skeleton("  ")
 
 
 class TestAnonymize:
