@@ -175,13 +175,12 @@ class LshIndex:
         for bucket, key in zip(self.buckets, self._band_keys(sig)):
             bucket.setdefault(key, []).append(record_id)
 
-    def query(self, sig: np.ndarray, exclude: str | None = None) -> set[str]:
+    def query(self, sig: np.ndarray) -> set[str]:
         """Union of bucket members colliding in at least one band."""
         self._check_signature(sig)
         pool: set[str] = set()
         for bucket, key in zip(self.buckets, self._band_keys(sig)):
             pool.update(bucket.get(key, ()))
-        pool.discard(exclude)
         return pool
 
     def pools(self) -> Iterator[tuple[list[str], set[str]]]:

@@ -59,10 +59,10 @@ class DataError(Exception):
     pass
 
 
-def _dead_owner(lock: Path) -> int | None:
-    """The PID a lock records, if no process with that PID is running."""
+def _dead_pid(text: str | bytes) -> int | None:
+    """The PID that ``text`` spells, if no process with that PID is running."""
     with contextlib.suppress(OSError, OverflowError, ValueError):
-        pid = int(lock.read_text(encoding="ascii"))
+        pid = int(text)
         if pid > 0:
             try:
                 os.kill(pid, 0)
@@ -73,13 +73,18 @@ def _dead_owner(lock: Path) -> int | None:
 
 @contextlib.contextmanager
 def _locked_out_dir(out: Path):
-    """Hold ``<out>/.lock``, created exclusively and holding this PID, for a stage."""
+    """Hold ``<out>/.lock``, created exclusively and holding this PID, for a
+    stage. No other stage writes in ``out`` then, so the ``atomic_write``
+    temp files of dead PIDs, left by killed stages, are removed."""
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     try:
         fd = os.open(lock, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
     except FileExistsError:
-        pid = _dead_owner(lock)
+        try:
+            pid = _dead_pid(lock.read_bytes())
+        except OSError:  # removed meanwhile
+            pid = None
         if pid is not None:
             raise DataError(f"stale lock left by PID {pid}; remove {lock}") from None
         raise DataError(f"output directory {out} is locked by another run "
@@ -87,6 +92,9 @@ def _locked_out_dir(out: Path):
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(str(os.getpid()))
+        for tmp in out.glob("*.tmp[0-9]*"):
+            if _dead_pid(tmp.name.rpartition(".tmp")[2]):
+                tmp.unlink(missing_ok=True)
         yield out
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -232,6 +240,9 @@ def _index_path(out: Path, injected: bool) -> Path:
 
 def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
                  args: argparse.Namespace) -> int:
+    if args.exclude is not None and args.exclude not in corpus:
+        raise DataError(f"--exclude {args.exclude!r}: no such record in the bank "
+                        f"{config.path(config.corpus['train'])}")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     direction_path = out / "direction.json"
     injection, fitted_to = (_load_direction(_upstream(direction_path, "mli"), cfg)

@@ -146,6 +146,8 @@ def validate(config: PipelineConfig) -> PipelineConfig:
 
     mli = config.mli
     layers = config.encoder["layers"]
+    for key in ("layers", "properties", "lambdas"):  # null layers: the default ones
+        _require(mli[key] != [], f"mli.{key}", "an empty list sweeps nothing")
     for n in mli["layers"] or ():
         _require(1 <= n <= layers, "mli.layers", f"layer {n!r} outside [1, {layers}]")
     for prop in mli["properties"]:

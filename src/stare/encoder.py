@@ -548,19 +548,16 @@ def group_texts(group, corpus) -> list[str]:
         corpus.get(nid).utterance for nid in group.negative_ids()]
 
 
-def train(groups, corpus, cfg: EncoderConfig, train_cfg: TrainConfig,
-          params: dict[str, np.ndarray] | None = None
+def train(groups, corpus, cfg: EncoderConfig, train_cfg: TrainConfig
           ) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Minimize mean InfoNCE over groups; deterministic in fixed order.
+    """Minimize mean InfoNCE over groups from ``init_params(cfg)``;
+    deterministic in fixed order.
 
     Returns the trained parameters and the per-epoch mean step loss.
     """
     if not groups:
         raise ValueError("no training groups")
-    if params is None:
-        params = init_params(cfg)
-    else:
-        params = {k: v.copy() for k, v in params.items()}
+    params = init_params(cfg)
     opt = AdamW(params, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     curve: list[float] = []
     for _ in range(train_cfg.epochs):

@@ -71,8 +71,8 @@ def _anchor_rng(seed: int, anchor_id: str) -> np.random.Generator:
 
 
 class Pool:
-    """Candidates that anchors share: ascending corpus positions, and a memo
-    of their similarities per (anchor tree id, anchor inside)."""
+    """An LSH union, which holds the anchors it was queried for: ascending
+    corpus positions, and a memo of their similarities per anchor tree id."""
 
     def __init__(self, corpus: Corpus, ids: set[str]):
         try:
@@ -81,17 +81,16 @@ class Pool:
         except KeyError as exc:
             raise UnknownId(exc.args[0]) from None
         self.positions.sort()
-        self.scored: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray, int]] = {}
+        self.scored: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
                config: MiningConfig) -> ContrastiveGroup | None:
-    """One contrastive group, or None when the pool holds no record but the
-    anchor: an anchor is never its own candidate. Positive: the candidates'
-    argmax of structural similarity (ties to the smallest corpus index).
-    Hard negatives: the lowest-similarity candidates, positive excluded.
-    Random negatives: seeded uniform draws from the rest of the corpus;
-    shortage is flagged, not fatal.
+    """One group from a pool holding the anchor (else ``UnknownId``), or None
+    when it holds no other record. Positive: the candidates' argmax of
+    structural similarity (ties to the smallest corpus index). Hard negatives:
+    the lowest-similarity candidates, positive excluded. Random negatives:
+    seeded uniform draws from the rest of the corpus, shortage flagged.
 
     The corpus's table is asked once per distinct pool tree, anchor first,
     and the sims, their stable order and first maximum are kept in
@@ -101,52 +100,48 @@ def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
     symmetric to the bit) and shares one TED among the pairs with one label
     pattern (see ``Corpus``), so across ``mine_all`` each distinct label
     pattern costs one TED. Random negatives draw
-    ``rng.choice(n_outside, take)`` ranks among the records outside
-    anchor and pool, in corpus order. The rank-r outside record sits at
-    r plus the number of excluded positions e_i with e_i - i <= r, which
-    a ``searchsorted`` finds, so an anchor costs O(pool log pool), not O(N).
+    ``rng.choice(n_outside, take)`` ranks among the records outside the
+    pool, in corpus order. The rank-r outside record sits at r plus the
+    number of pool positions e_i with e_i - i <= r, which a
+    ``searchsorted`` finds, so an anchor costs O(pool log pool), not O(N).
     """
-    if anchor_id not in corpus:
-        raise UnknownId(anchor_id)
-    anchor_pos = corpus.index_of[anchor_id]
     positions = pool.positions
+    anchor_pos = corpus.index_of.get(anchor_id, -1)
     own = int(np.searchsorted(positions, anchor_pos))
-    inside = own < len(positions) and positions[own] == anchor_pos
-    if len(positions) == inside:
+    if own == len(positions) or positions[own] != anchor_pos:
+        raise UnknownId(anchor_id)
+    if len(positions) == 1:
         return None
     records = corpus.records
 
     anchor = int(corpus.tree_ids()[anchor_pos])
-    key = (anchor, inside)
-    if key not in pool.scored:
+    if anchor not in pool.scored:
         tids = corpus.tree_ids()[positions].tolist()
         sim_of = {tid: corpus.sim(anchor, tid) for tid in dict.fromkeys(tids)
-                  if tid != anchor or not inside or tids.count(tid) > 1}
+                  if tid != anchor or tids.count(tid) > 1}
         sim_of.setdefault(anchor, -np.inf)
         sims = np.fromiter(map(sim_of.__getitem__, tids), dtype=np.float64, count=len(tids))
         # Positions ascend, so argmax's first maximum breaks ties to the
         # smallest index, and a stable sort by sim orders by (sim, index).
-        pool.scored[key] = (sims, np.argsort(sims, kind="stable"), int(np.argmax(sims)))
-    sims, ascending, best = pool.scored[key]
-    if inside and best == own:  # another candidate has the anchor's tree: the next maximum
+        pool.scored[anchor] = (sims, np.argsort(sims, kind="stable"), int(np.argmax(sims)))
+    sims, ascending, best = pool.scored[anchor]
+    if best == own:  # another candidate has the anchor's tree: the next maximum
         best = own + 1 + int(np.argmax(sims[own + 1:]))
     positive_id = records[positions[best]].id
 
     flags: list[str] = []
-    hard = [records[positions[i]].id
-            for i in ascending[: config.n_hard + 2].tolist()
-            if i != best and not (inside and i == own)][: config.n_hard]
+    hard = [records[positions[i]].id for i in ascending[: config.n_hard + 2].tolist()
+            if i != best and i != own][: config.n_hard]
     if len(hard) < config.n_hard:
         flags.append("short_hard_negatives")
 
-    excluded = positions if inside else np.insert(positions, own, anchor_pos)
-    n_outside = len(corpus) - len(excluded)
+    n_outside = len(corpus) - len(positions)
     rng = _anchor_rng(config.seed, anchor_id)
     take = min(config.n_rand, n_outside)
     rand: list[str] = []
     if take:
         ranks = np.sort(rng.choice(n_outside, size=take, replace=False))
-        shifted = excluded - np.arange(len(excluded))
+        shifted = positions - np.arange(len(positions))
         rand = [records[pos].id for pos in
                 (ranks + np.searchsorted(shifted, ranks, side="right")).tolist()]
     if take < config.n_rand:

@@ -100,8 +100,6 @@ def load_token_label_corpus(path: str | Path, prop: str) -> TokenLabelCorpus:
 class Probe:
     W: np.ndarray  # (k, d)
     b: np.ndarray  # (k,)
-    layer: int
-    prop: str
     training_accuracy: float
     loss_curve: list[float] = field(default_factory=list)
 
@@ -170,8 +168,8 @@ def probe_loss_and_grads(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndar
     return loss, dW, z.sum(axis=0)
 
 
-def train_probe(X: np.ndarray, y: np.ndarray, layer: int, prop: str,
-                n_labels: int, config: ProbeConfig = ProbeConfig()) -> Probe:
+def train_probe(X: np.ndarray, y: np.ndarray, n_labels: int,
+                config: ProbeConfig = ProbeConfig()) -> Probe:
     """Full-batch gradient descent from zero init; deterministic.
 
     The objective is convex, so the loss curve must not increase; if a
@@ -201,14 +199,13 @@ def train_probe(X: np.ndarray, y: np.ndarray, layer: int, prop: str,
             break
         curve.append(loss)
     accuracy = float(np.mean(np.argmax(X @ W.T + b, axis=1) == y))
-    return Probe(W=W, b=b, layer=layer, prop=prop, training_accuracy=accuracy,
-                 loss_curve=curve)
+    return Probe(W=W, b=b, training_accuracy=accuracy, loss_curve=curve)
 
 
-def extract_direction(probe: Probe) -> InjectionDirection:
+def extract_direction(probe: Probe) -> np.ndarray:
     """Top right singular vector of the probe weights, from ``np.linalg.svd``.
 
-    The sign is fixed so the first nonzero component is positive.
+    The unit vector's sign is fixed so its first nonzero component is positive.
     """
     W = np.asarray(probe.W, dtype=np.float64)
     if not np.any(W):
@@ -217,7 +214,7 @@ def extract_direction(probe: Probe) -> InjectionDirection:
     nonzero = np.flatnonzero(v)
     if nonzero.size and v[nonzero[0]] < 0:
         v = -v
-    return InjectionDirection(u=v, layer=probe.layer, lam=0.0, prop=probe.prop)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +321,9 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
                     # One forward serves every in-range layer; an
                     # out-of-range layer raises its own error row.
                     states, y = collect_states(corpus, params, cfg, [layer, *in_range])
-                probes[prop, layer] = train_probe(states[layer], y, layer, prop,
-                                                  len(corpus.label_set), probe_config)
-                u = extract_direction(probes[prop, layer]).u
+                probes[prop, layer] = train_probe(states[layer], y, len(corpus.label_set),
+                                                  probe_config)
+                u = extract_direction(probes[prop, layer])
             except (ValueError, ArithmeticError) as exc:  # bad data fails the cell
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
                                      score=float("nan"), error=str(exc)))

@@ -292,22 +292,20 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int) -> dict[str, float]
     ``rank_fn``, called with only a query, returns every bank id ranked.
     mean_sim_struct_at_k: ``mean_sim_at_k`` of the top-k hits.
     mrr_structural_nn: reciprocal rank of the first bank item tied for
-    the globally best structural similarity. mean_top1_sim: the ranker's
-    own top-1 score. Similarities come from the bank's table, so rankers
-    evaluated against one bank share each gold-vs-bank-tree similarity, and
-    the pairs with one label pattern (see ``Corpus``) share one TED.
+    the globally best structural similarity. Similarities come from the
+    bank's table, so rankers evaluated against one bank share each
+    gold-vs-bank-tree similarity, and the pairs with one label pattern (see
+    ``Corpus``) share one TED.
     """
     golds = gold_ids(queries, bank)
     bank_ids = bank.tree_ids().tolist()
     heads = []
     mrrs = []
-    top1 = []
     for query, gold_id in zip(queries, golds):
         ranking = rank_fn(query.utterance)
         if k > len(ranking):
             raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
         heads.append(ranking[:k])
-        top1.append(ranking[0][1])
         sims = [bank.sim(gold_id, tid) for tid in bank_ids]
         best_sim = max(sims)
         rank_of_best = next(pos for pos, (rid, _) in enumerate(ranking, start=1)
@@ -316,7 +314,6 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int) -> dict[str, float]
     return {
         "mean_sim_struct_at_k": mean_sim_at_k(golds, heads, bank),
         "mrr_structural_nn": float(np.mean(mrrs)),
-        "mean_top1_sim": float(np.mean(top1)),
     }
 
 

@@ -331,7 +331,7 @@ def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
             try:
                 if key not in directions:
                     X, y = mli.collect_states(corpus, params, cfg, [layer])
-                    probes[key] = mli.train_probe(X[layer], y, layer, prop, len(corpus.label_set),
+                    probes[key] = mli.train_probe(X[layer], y, len(corpus.label_set),
                                                   probe_config)
                     directions[key] = mli.extract_direction(probes[key])
             except Exception as exc:
@@ -339,7 +339,7 @@ def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
                                          score=float("nan"), error=str(exc)))
                 continue
             for lam in grid.lambdas:
-                injection = InjectionDirection(u=directions[key].u, layer=layer,
+                injection = InjectionDirection(u=directions[key], layer=layer,
                                                lam=float(lam), prop=prop)
                 try:
                     score = baseline if lam == 0.0 else score_cell(injection)
@@ -480,7 +480,7 @@ def _band_digest(band: np.ndarray) -> int:
     return int.from_bytes(hashlib.blake2b(band.tobytes(), digest_size=8).digest(), "big")
 
 
-def reference_lsh_query(index: LshIndex, sig: np.ndarray, exclude: str | None = None) -> set[str]:
+def reference_lsh_query(index: LshIndex, sig: np.ndarray) -> set[str]:
     """``LshIndex.query`` with buckets keyed by one 64-bit blake2b digest per
     band, rebuilt from ``index.signatures`` in insertion order."""
     def digests(s: np.ndarray) -> list[int]:
@@ -491,6 +491,4 @@ def reference_lsh_query(index: LshIndex, sig: np.ndarray, exclude: str | None = 
     for rid, s in index.signatures.items():
         for bucket, key in zip(buckets, digests(s)):
             bucket.setdefault(key, []).append(rid)
-    pool = {rid for bucket, key in zip(buckets, digests(sig)) for rid in bucket.get(key, ())}
-    pool.discard(exclude)
-    return pool
+    return {rid for bucket, key in zip(buckets, digests(sig)) for rid in bucket.get(key, ())}

@@ -114,7 +114,7 @@ def test_criterion_04_lsh_recall_and_pool_size():
     sigs = [minhash(s, 128, 13) for s in sets]
     for i, sig in enumerate(sigs):
         index.insert(f"s{i}", sig)
-    pools = [index.query(sigs[i], exclude=f"s{i}") for i in range(len(sets))]
+    pools = [index.query(sigs[i]) - {f"s{i}"} for i in range(len(sets))]
     eligible = collide = 0
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
@@ -135,7 +135,7 @@ def test_criterion_04_lsh_recall_and_pool_size():
             big_sigs.append(minhash(frozenset(variant), 128, 5))
     for i, sig in enumerate(big_sigs):
         big_index.insert(f"r{i}", sig)
-    pool_sizes = [len(big_index.query(sig, exclude=f"r{i}"))
+    pool_sizes = [len(big_index.query(sig) - {f"r{i}"})
                   for i, sig in enumerate(big_sigs)]
     mean_fraction = float(np.mean(pool_sizes)) / len(big_sigs)
     elapsed = time.time() - started
@@ -160,7 +160,8 @@ def test_criterion_05_mining_matches_bruteforce():
     expected_pos = min((r for r in pool if sims[r] == best), key=corpus.index_of.get)
     expected_hard = sorted((r for r in pool if r != expected_pos),
                            key=lambda r: (sims[r], corpus.index_of[r]))[:3]
-    group = mine_group("r0", Pool(corpus, pool), corpus, MiningConfig(n_hard=3, n_rand=1, seed=4))
+    group = mine_group("r0", Pool(corpus, pool | {"r0"}), corpus,
+                       MiningConfig(n_hard=3, n_rand=1, seed=4))
     ok = (group.positive_id == expected_pos
           and group.hard_negative_ids == expected_hard
           and group.positive_sim == sims[expected_pos]
@@ -281,21 +282,20 @@ def test_criterion_10_svd_direction():
         k = int(rng.integers(2, 31))
         d = int(rng.integers(4, 65))
         W = rng.standard_normal((k, d))
-        probe = mli.Probe(W=W, b=np.zeros(k), layer=1, prop="POS",
-                          training_accuracy=0.0)
-        u = mli.extract_direction(probe).u
+        probe = mli.Probe(W=W, b=np.zeros(k), training_accuracy=0.0)
+        u = mli.extract_direction(probe)
         worst = min(worst, abs(float(u @ jacobi_svd_top_right(W))))
     v = np.array([0.0, 3.0, -4.0, 0.0])
     W1 = np.zeros((3, 4))
     W1[1] = v
-    u1 = mli.extract_direction(mli.Probe(W1, np.zeros(3), 1, "POS", 0.0)).u
+    u1 = mli.extract_direction(mli.Probe(W1, np.zeros(3), 0.0))
     expected = v / np.linalg.norm(v)
     if expected[np.flatnonzero(expected)[0]] < 0:
         expected = -expected
     rank1_err = float(np.abs(u1 - expected).max())
     W2 = np.zeros((2, 5))
     W2[0, 0], W2[1, 1] = 3.0, 1.0
-    u2 = mli.extract_direction(mli.Probe(W2, np.zeros(2), 1, "POS", 0.0)).u
+    u2 = mli.extract_direction(mli.Probe(W2, np.zeros(2), 0.0))
     diag_err = max(abs(float(u2[0]) - 1.0), float(np.abs(u2[1:]).max()))
     elapsed = time.time() - started
     _report(10, worst >= 0.999 and rank1_err <= 1e-9 and diag_err <= 1e-9

@@ -166,12 +166,6 @@ class TestLshIndex:
         with pytest.raises(SignatureLengthMismatch):
             index.query(np.zeros(8, dtype=np.uint64))
 
-    def test_exclude(self):
-        index = LshIndex(num_hashes=16, tau=0.5, seed=0)
-        sig = self._sig({"a"}, index)
-        index.insert("x", sig)
-        assert index.query(sig, exclude="x") == set()
-
     def test_disjoint_sets_do_not_collide(self):
         index = LshIndex(num_hashes=128, tau=0.5, seed=11)
         index.insert("x", self._sig({f"left{i}" for i in range(20)}, index))
@@ -269,7 +263,7 @@ def test_recall_and_pool_size_on_synthetic_sets():
         index.insert(f"s{i}", sig)
     eligible = collide = 0
     for i in range(len(sets)):
-        pool = index.query(sigs[i], exclude=f"s{i}")
+        pool = index.query(sigs[i]) - {f"s{i}"}
         for j in range(i + 1, len(sets)):
             if exact_jaccard(sets[i], sets[j]) >= 0.6:
                 eligible += 1
@@ -356,7 +350,6 @@ def test_query_equals_blake2b_reference(case):
     for i, sig in enumerate(sigs):
         index.insert(f"s{i}", sig)
     for i, sig in enumerate(sigs):
-        assert index.query(sig, exclude=f"s{i}") == reference_lsh_query(index, sig, f"s{i}")
         assert index.query(sig) == reference_lsh_query(index, sig)
     assert index.query(probe) == reference_lsh_query(index, probe)
 
@@ -383,8 +376,6 @@ def test_pools_partition_ids_by_signature(case, copies):
     for ids, union in pools:
         sig = index.signatures[ids[0]]
         assert union == index.query(sig) == reference_lsh_query(index, sig)
-        for rid in ids:
-            assert index.query(sig, exclude=rid) == union - {rid}
 
 
 def test_bucket_report_pool_sizes_equal_per_record_queries(pipeline_runs):
@@ -392,7 +383,7 @@ def test_bucket_report_pool_sizes_equal_per_record_queries(pipeline_runs):
     the report holds the sizes that one query per record gives."""
     _, run, _ = pipeline_runs
     index = LshIndex.load(run / "lsh_index.json")
-    sizes = [len(index.query(sig, exclude=rid)) for rid, sig in index.signatures.items()]
+    sizes = [len(index.query(sig) - {rid}) for rid, sig in index.signatures.items()]
     report = json.loads((run / "bucket_report.json").read_text(encoding="utf-8"))
     assert len(list(index.pools())) < len(index)  # the fixture repeats signatures
     assert report["pool_size_histogram"] == {str(n): sizes.count(n) for n in set(sizes)}

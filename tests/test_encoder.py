@@ -342,12 +342,13 @@ class TestTrain:
         final = mean_group_loss(groups, corpus, params, cfg, 0.07)
         assert final < initial
 
-    def test_nonfinite_loss_names_group(self):
+    def test_nonfinite_loss_names_group(self, monkeypatch):
         corpus, groups, cfg = self._toy()
         params = enc.init_params(cfg)
         params["tok_emb"][:] = np.nan
+        monkeypatch.setattr(enc, "init_params", lambda cfg: params)
         with pytest.raises(enc.NonFiniteLoss, match="a1"):
-            enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=1), params=params)
+            enc.train(groups, corpus, cfg, enc.TrainConfig(epochs=1))
 
     def test_one_backward_per_step_and_length_chunk(self, monkeypatch):
         corpus, _, cfg = self._toy()

@@ -260,13 +260,27 @@ def test_non_finite_override_refused(copied_run, caplog, monkeypatch):
 
 
 @pytest.mark.parametrize("key,value", [("properties", '["POS", "POS"]'), ("layers", "[2, 2]"),
-                                       ("lambdas", "[1.0, 0.5, 1]")])
+                                       ("lambdas", "[1.0, 0.5, 1]"), ("properties", "[]"),
+                                       ("layers", "[]"), ("lambdas", "[]")])
 def test_repeated_grid_entry_refused(copied_run, caplog, monkeypatch, key, value):
-    """A repeated sweep cell would be scored and written twice."""
+    """A repeated sweep cell would be scored and written twice, and an empty
+    list sweeps nothing (``mli.layers: null`` means the default layers)."""
     monkeypatch.setenv(f"STARE_MLI_{key.upper()}", value)
     before = _snapshot(copied_run["run"])
     assert cli.main(_argv("mli", copied_run)) == cli.EXIT_DATA
     assert f"mli.{key}" in caplog.text
+    assert _snapshot(copied_run["run"]) == before
+
+
+def test_unknown_excluded_id_refused(copied_run, caplog, capsys, monkeypatch):
+    """``retrieve --exclude`` of an id that is not in the bank names the id
+    and the bank, before the params are read."""
+    monkeypatch.setattr(encoder, "load_params", lambda path: pytest.fail("params read"))
+    before = _snapshot(copied_run["run"])
+    assert cli.main([*_argv("retrieve", copied_run), "--exclude", "ghost"]) == cli.EXIT_DATA
+    assert (f"--exclude 'ghost': no such record in the bank "
+            f"{copied_run['fixture'] / 'train.jsonl'}") in caplog.text
+    assert capsys.readouterr().out == ""
     assert _snapshot(copied_run["run"]) == before
 
 
@@ -346,6 +360,19 @@ def test_killed_train_leaves_loadable_artifacts_and_a_stale_lock(tmp_path, caplo
         spawned.append(proc := _train(config, out))
         assert proc.wait(timeout=600) == cli.EXIT_OK
     assert (run / "encoder.params").read_bytes() == (ref / "encoder.params").read_bytes()
+    assert not list(run.glob("*.tmp*"))
+
+
+def test_locked_stage_removes_temp_files_of_dead_pids(tmp_path):
+    """A stage holding the lock removes ``<name>.tmp<pid>`` files whose PID
+    is not running, and leaves every other file alone."""
+    done = subprocess.Popen([sys.executable, "-c", ""])
+    done.wait()
+    kept = [f"b.json.tmp{os.getpid()}", "c.tmp", "d.tmpx1", "e.tmp12x"]
+    for name in [f"a.json.tmp{done.pid}", *kept]:
+        (tmp_path / name).write_text("")
+    with cli._locked_out_dir(tmp_path):
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([".lock", *kept])
 
 
 def test_read_lines_splits_as_text_mode_open(tmp_path):

@@ -45,7 +45,7 @@ class TestMineGroup:
     def test_matches_bruteforce_ranking(self):
         corpus = _corpus(SIX)
         pool = {"r1", "r2", "r3", "r4"}
-        group = mine_group("r0", Pool(corpus, pool), corpus,
+        group = mine_group("r0", Pool(corpus, pool | {"r0"}), corpus,
                            MiningConfig(n_hard=2, n_rand=1, seed=4))
         sims = {rid: _oracle_sim(corpus, "r0", rid) for rid in pool}
         expected_positive = min((rid for rid in pool
@@ -61,7 +61,7 @@ class TestMineGroup:
 
     def test_pool_of_one_flagged_short(self):
         corpus = _corpus(SIX[:3])
-        group = mine_group("r0", Pool(corpus, {"r2"}), corpus,
+        group = mine_group("r0", Pool(corpus, {"r0", "r2"}), corpus,
                            MiningConfig(n_hard=3, n_rand=0, seed=0))
         assert group.positive_id == "r2"
         assert group.hard_negative_ids == []
@@ -69,17 +69,18 @@ class TestMineGroup:
 
     def test_identical_parse_wins(self):
         corpus = _corpus(SIX)
-        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3"}), corpus, MiningConfig(seed=0))
+        group = mine_group("r0", Pool(corpus, {"r0", "r1", "r2", "r3"}), corpus,
+                           MiningConfig(seed=0))
         assert group.positive_id == "r1"
         assert group.positive_sim == 1.0
 
     def test_empty_pool_skipped(self):
         corpus = _corpus(SIX)
-        assert mine_group("r0", Pool(corpus, set()), corpus, MiningConfig()) is None
+        assert mine_group("r0", Pool(corpus, {"r0"}), corpus, MiningConfig()) is None
 
     def test_corpus_too_small_flags_random(self):
         corpus = _corpus(SIX[:4])
-        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3"}), corpus,
+        group = mine_group("r0", Pool(corpus, {"r0", "r1", "r2", "r3"}), corpus,
                            MiningConfig(n_hard=1, n_rand=2, seed=0))
         assert group.random_negative_ids == []
         assert "short_random_negatives" in group.flags
@@ -89,19 +90,24 @@ class TestMineGroup:
         with pytest.raises(UnknownId):
             mine_group("missing", Pool(corpus, {"r1"}), corpus, MiningConfig())
         with pytest.raises(UnknownId):
-            mine_group("r0", Pool(corpus, {"ghost"}), corpus, MiningConfig())
+            mine_group("r0", Pool(corpus, {"r0", "ghost"}), corpus, MiningConfig())
+
+    def test_anchor_outside_its_pool_is_unknown(self):
+        corpus = _corpus(SIX)
+        with pytest.raises(UnknownId, match="r0"):
+            mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, MiningConfig())
 
     def test_deterministic_random_negatives(self):
         corpus = _corpus(SIX)
         cfg = MiningConfig(n_hard=1, n_rand=2, seed=42)
-        g1 = mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, cfg)
-        g2 = mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, cfg)
+        g1 = mine_group("r0", Pool(corpus, {"r0", "r1", "r2"}), corpus, cfg)
+        g2 = mine_group("r0", Pool(corpus, {"r0", "r1", "r2"}), corpus, cfg)
         assert g1.random_negative_ids == g2.random_negative_ids
         assert set(g1.random_negative_ids) <= {"r3", "r4", "r5"}
 
     def test_anchor_never_in_own_group(self):
         corpus = _corpus(SIX)
-        group = mine_group("r0", Pool(corpus, {"r1", "r2", "r3", "r4"}), corpus,
+        group = mine_group("r0", Pool(corpus, {"r0", "r1", "r2", "r3", "r4"}), corpus,
                            MiningConfig(n_hard=2, n_rand=2, seed=1))
         ids = [group.positive_id] + group.negative_ids()
         assert "r0" not in ids
@@ -146,8 +152,7 @@ class TestMineAll:
             assert (fixture_data.cluster_of[group.positive_id]
                     == fixture_data.cluster_of[group.anchor_id])
             for rid in group.random_negative_ids:
-                pool = lsh_index.query(lsh_index.signatures[group.anchor_id],
-                                       exclude=group.anchor_id)
+                pool = lsh_index.query(lsh_index.signatures[group.anchor_id]) - {group.anchor_id}
                 assert rid not in pool
 
     def test_positive_sim_dominates_hard_negatives(self, bank, mined):
@@ -233,11 +238,10 @@ def test_mine_group_equals_reference(case):
     # Warm the table with every other anchor first, so hits are exercised.
     for rec in corpus:
         if rec.id != anchor:
-            mine_group(rec.id, Pool(corpus, set(corpus.ids()) - {rec.id}), corpus, cfg)
-    # An anchor is never its own candidate: a pool holding it mines as one without it.
+            mine_group(rec.id, Pool(corpus, set(corpus.ids())), corpus, cfg)
+    # A pool holds its anchor, which is never its own candidate.
     others = pool - {anchor}
-    group = mine_group(anchor, Pool(corpus, pool), corpus, cfg)
-    assert group == mine_group(anchor, Pool(corpus, others), corpus, cfg)
+    group = mine_group(anchor, Pool(corpus, others | {anchor}), corpus, cfg)
     assert group == reference_mine_group(anchor, others, fresh, cfg)
 
 
@@ -250,10 +254,9 @@ def test_mine_group_equals_reference(case):
 def test_edge_pools_equal_reference(pool, n_rand, flag, anonymize):
     cfg = MiningConfig(n_hard=2, n_rand=n_rand, seed=5, anonymize=anonymize)
     corpus = _corpus(SIX, anonymize=anonymize)
-    group = mine_group("r0", Pool(corpus, pool), corpus, cfg)
-    # An anchor is never its own candidate: a pool holding it mines as one without it.
+    group = mine_group("r0", Pool(corpus, pool | {"r0"}), corpus, cfg)
+    # A pool holds its anchor, which is never its own candidate.
     others = pool - {"r0"}
-    assert group == mine_group("r0", Pool(corpus, others), corpus, cfg)
     assert group == reference_mine_group("r0", others, _corpus(SIX, anonymize=anonymize), cfg)
     assert (flag in group.flags) if flag else "short_random_negatives" not in group.flags
 
@@ -263,7 +266,7 @@ def test_mine_all_one_ted_per_distinct_label_pattern(fixture_data, lsh_index, mi
     bank = Corpus(fixture_data.train, "bracketed")  # a fresh, empty table
     compared = {frozenset((bank.tree(rec.id), bank.tree(pid)))
                 for rec in bank
-                for pid in lsh_index.query(lsh_index.signatures[rec.id], exclude=rec.id)}
+                for pid in lsh_index.query(lsh_index.signatures[rec.id]) - {rec.id}}
     real, calls = ted_module.ted, []
     monkeypatch.setattr(ted_module, "ted",
                         lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))
@@ -322,7 +325,7 @@ _SHARED = ["[F p q ]", "[F q p ]", "[F p q ]", "[F [X p ] ]", "[F [X p ] ]", "[F
 
 def _per_record_reference(corpus, index, cfg):
     """``mine_all`` as one ``query`` and one ``reference_mine_group`` per anchor."""
-    pools = {rec.id: index.query(index.signatures[rec.id], exclude=rec.id) for rec in corpus}
+    pools = {rec.id: index.query(index.signatures[rec.id]) - {rec.id} for rec in corpus}
     fresh = _corpus([rec.parse for rec in corpus], anonymize=corpus.anonymize)
     groups = [g for g in (reference_mine_group(rid, pool, fresh, cfg)
                           for rid, pool in pools.items()) if g is not None]

@@ -117,14 +117,14 @@ class TestTrainProbe:
         X = np.vstack([rng.standard_normal((60, 8)) * 0.1 + [4, 0, 0, 0, 0, 0, 0, 0],
                        rng.standard_normal((60, 8)) * 0.1 - [4, 0, 0, 0, 0, 0, 0, 0]])
         y = np.array([0] * 60 + [1] * 60)
-        probe = mli.train_probe(X, y, layer=2, prop="POS", n_labels=2, config=probe_cfg)
+        probe = mli.train_probe(X, y, n_labels=2, config=probe_cfg)
         assert probe.training_accuracy >= 0.99
 
     def test_chance_level_on_random_labels(self, probe_cfg):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((400, 8))
         y = rng.integers(0, 4, size=400)
-        probe = mli.train_probe(X, y, 1, "POS", 4, probe_cfg)
+        probe = mli.train_probe(X, y, 4, probe_cfg)
         assert abs(probe.training_accuracy - 0.25) <= 0.1
 
     def test_gradient_matches_finite_differences(self):
@@ -168,7 +168,7 @@ class TestTrainProbe:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 6))
         y = rng.integers(0, 3, size=100)
-        probe = mli.train_probe(X, y, 1, "POS", 3, probe_cfg)
+        probe = mli.train_probe(X, y, 3, probe_cfg)
         curve = probe.loss_curve
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
@@ -176,19 +176,18 @@ class TestTrainProbe:
         X = np.ones((10, 4))
         y = np.zeros(10, dtype=int)
         with pytest.raises(mli.DegenerateLabels):
-            mli.train_probe(X, y, 1, "POS", 2, probe_cfg)
+            mli.train_probe(X, y, 2, probe_cfg)
 
 
 class TestExtractDirection:
     def _probe(self, W):
-        return mli.Probe(W=W, b=np.zeros(W.shape[0]), layer=2, prop="POS",
-                         training_accuracy=0.0)
+        return mli.Probe(W=W, b=np.zeros(W.shape[0]), training_accuracy=0.0)
 
     def test_rank_one(self):
         v = np.array([0.0, 3.0, -4.0, 0.0])
         W = np.zeros((3, 4))
         W[1] = v
-        u = mli.extract_direction(self._probe(W)).u
+        u = mli.extract_direction(self._probe(W))
         expected = v / np.linalg.norm(v)
         if expected[np.flatnonzero(expected)[0]] < 0:
             expected = -expected
@@ -197,7 +196,7 @@ class TestExtractDirection:
     def test_diagonal(self):
         W = np.zeros((2, 5))
         W[0, 0], W[1, 1] = 3.0, 1.0
-        u = mli.extract_direction(self._probe(W)).u
+        u = mli.extract_direction(self._probe(W))
         assert abs(u[0] - 1.0) <= 1e-9
         assert np.abs(u[1:]).max() <= 1e-9
 
@@ -206,7 +205,7 @@ class TestExtractDirection:
         for _ in range(20):
             k, d = int(rng.integers(2, 12)), int(rng.integers(4, 40))
             W = rng.standard_normal((k, d))
-            u = mli.extract_direction(self._probe(W)).u
+            u = mli.extract_direction(self._probe(W))
             oracle = jacobi_svd_top_right(W)
             assert abs(float(u @ oracle)) >= 0.999
 
@@ -214,15 +213,15 @@ class TestExtractDirection:
         rng = np.random.default_rng(5)
         for _ in range(10):
             W = rng.standard_normal((4, 9))
-            u = mli.extract_direction(self._probe(W)).u
+            u = mli.extract_direction(self._probe(W))
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-9
             assert u[np.flatnonzero(u)[0]] > 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         W = rng.standard_normal((5, 12))
-        u1 = mli.extract_direction(self._probe(W)).u
-        u2 = mli.extract_direction(self._probe(2.5 * W)).u
+        u1 = mli.extract_direction(self._probe(W))
+        u2 = mli.extract_direction(self._probe(2.5 * W))
         assert np.allclose(u1, u2, atol=1e-9)
 
     def test_zero_matrix(self):
@@ -235,15 +234,8 @@ class TestExtractDirection:
         left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         right = np.linalg.qr(rng.standard_normal((8, 3)))[0]
         W = left @ np.diag([1.0, 1.0 - gap, 0.5]) @ right.T
-        u = mli.extract_direction(self._probe(W)).u
+        u = mli.extract_direction(self._probe(W))
         assert abs(float(u @ right[:, 0])) >= 1 - 1e-12
-
-    def test_layer_and_property_carried(self):
-        rng = np.random.default_rng(7)
-        direction = mli.extract_direction(self._probe(rng.standard_normal((3, 6))))
-        assert direction.layer == 2
-        assert direction.prop == "POS"
-        assert direction.lam == 0.0
 
 
 def test_jacobi_oracle_self_check():
