@@ -122,12 +122,12 @@ class ProbeConfig:
 def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
                    cfg: EncoderConfig, layers: Sequence[int]
                    ) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Each of ``layers``' token states stacked over the corpus, with label
-    indices; one forward over the corpus serves every layer.
+    """Each of ``layers``' token states over the corpus, one (rows, d) array
+    per layer in corpus order, with label indices. One ``enc.forward_batch``
+    pass serves every layer; each chunk's rows are copied in as it arrives.
 
-    Corpus tokens are fed to the encoder one id per token (no
-    re-tokenization), so rows align with labels; both are truncated at
-    max_len together. Sentences run in ``enc.forward_batch`` chunks.
+    Corpus tokens are fed to the encoder one id per token (no re-tokenization),
+    so rows align with labels; both are truncated at max_len together.
     """
     for layer in layers:
         if not 1 <= layer <= cfg.layers:
@@ -135,15 +135,15 @@ def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
     id_lists = [enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
                 for tokens, _ in corpus.sentences]
-    xs: dict[int, list[np.ndarray]] = {layer: [np.empty(0)] * len(id_lists) for layer in layers}
+    starts = np.cumsum([0, *map(len, id_lists)])  # sentence i owns rows starts[i]:starts[i+1]
+    xs = {layer: np.empty((starts[-1], cfg.d)) for layer in layers}
     for positions, states, _ in enc.forward_batch(id_lists, params, cfg):
-        for layer, rows in xs.items():
+        for layer, X in xs.items():
             for b, pos in enumerate(positions):
-                rows[pos] = states[layer][b]
+                X[starts[pos]:starts[pos + 1]] = states[layer][b]
     ys = [label_index[lab] for ids, (_, labels) in zip(id_lists, corpus.sentences)
           for lab in labels[: len(ids)]]
-    return ({layer: np.vstack(rows) for layer, rows in xs.items()},
-            np.asarray(ys, dtype=np.int64))
+    return xs, np.asarray(ys, dtype=np.int64)
 
 
 def probe_loss_and_grads(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -252,14 +252,13 @@ class SweepResult:
     best_score: float
     baseline_score: float
     rows: list[SweepRow] = field(default_factory=list)
-    probes: dict[tuple[str, int], Probe] = field(default_factory=dict)
 
 
-def resumed_embedding(states: list[np.ndarray], injection: InjectionDirection,
+def resumed_embedding(states: list[np.ndarray | None], injection: InjectionDirection,
                       params: dict[str, np.ndarray], cfg: EncoderConfig) -> np.ndarray:
-    """``enc.embed`` under ``injection``, from the uninjected layer states of
-    the same text (one sequence, or a ``forward_batch`` chunk giving one row
-    per sequence): only the blocks after the injection layer run."""
+    """``enc.embed`` under ``injection``, running only the blocks after its layer
+    from ``states[injection.layer]``, the uninjected state of the same text (one
+    sequence, or a ``forward_batch`` chunk); the other entries may be None."""
     x = states[injection.layer] + injection.lam * np.asarray(injection.u)
     return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=-2)
 
@@ -273,27 +272,30 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
     by one forward over the property's label corpus. The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
     An injection after layer L cannot change layers 0..L, so the bank's
-    and the queries' uninjected states are computed once, in
-    ``enc.forward_batch`` chunks, and a cell resumes every chunk from its
-    layer-L states plus lam*u. The cost is two forwards per sequence
-    plus, per injected cell, the blocks after L; the scores equal those
-    of rebuilding the index per cell bit for bit. Cell failures are
-    recorded in the report rather than raised. The baseline row always
-    comes first and wins ties.
+    and the queries' uninjected states of the in-range grid layers (only
+    those) are kept per ``enc.forward_batch`` chunk, and a cell resumes
+    every chunk from its layer-L states plus lam*u. The cost is two
+    forwards per sequence plus, per injected cell, the blocks after L; the
+    scores equal those of rebuilding the index per cell bit for bit. Cell
+    failures are recorded in the report rather than raised. The baseline
+    row always comes first and wins ties.
     """
     rows: list[SweepRow] = []
-    probes: dict[tuple[str, int], Probe] = {}
     golds = retrieval.gold_ids(queries, bank)
+    in_range = [layer for layer in grid.layers if 1 <= layer <= cfg.layers]
 
     index = retrieval.build_index(bank, params, cfg)
     baseline = retrieval.mean_sim_at_k(
         golds, [retrieval.topk(index, rec.utterance, k, params, cfg) for rec in queries], bank)
-    bank_chunks = list(enc.forward_batch(retrieval.corpus_tokens(bank, cfg), params, cfg))
-    query_chunks = list(enc.forward_batch(retrieval.corpus_tokens(queries, cfg), params, cfg))
+    def kept_chunks(corpus: Corpus) -> list[tuple[list[int], list[np.ndarray | None]]]:
+        return [(positions, [x if layer in in_range else None for layer, x in enumerate(states)])
+                for positions, states, _ in enc.forward_batch(
+                    retrieval.corpus_tokens(corpus, cfg), params, cfg)]
+    bank_chunks, query_chunks = kept_chunks(bank), kept_chunks(queries)
 
     def resumed(chunks, n: int, injection: InjectionDirection) -> np.ndarray:
         out = np.empty((n, cfg.d))
-        for positions, states, _ in chunks:
+        for positions, states in chunks:
             out[positions] = resumed_embedding(states, injection, params, cfg)
         return out
 
@@ -307,7 +309,6 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
     best: InjectionDirection | None = None
     best_score = baseline
 
-    in_range = [layer for layer in grid.layers if 1 <= layer <= cfg.layers]
     for prop in grid.properties:
         corpus = label_corpora.get(prop)
         if corpus is None:
@@ -321,9 +322,8 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
                     # One forward serves every in-range layer; an
                     # out-of-range layer raises its own error row.
                     states, y = collect_states(corpus, params, cfg, [layer, *in_range])
-                probes[prop, layer] = train_probe(states[layer], y, len(corpus.label_set),
-                                                  probe_config)
-                u = extract_direction(probes[prop, layer])
+                u = extract_direction(train_probe(states[layer], y, len(corpus.label_set),
+                                                  probe_config))
             except (ValueError, ArithmeticError) as exc:  # bad data fails the cell
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
                                      score=float("nan"), error=str(exc)))
@@ -339,8 +339,7 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
                 rows.append(SweepRow(prop=prop, layer=layer, lam=float(lam), score=score))
                 if score > best_score:
                     best, best_score = injection, score
-    return SweepResult(best=best, best_score=best_score, baseline_score=baseline,
-                       rows=rows, probes=probes)
+    return SweepResult(best=best, best_score=best_score, baseline_score=baseline, rows=rows)
 
 
 def write_sweep_report(result: SweepResult, path: str | Path) -> None:

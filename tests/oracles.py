@@ -351,7 +351,7 @@ def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
                 if score > best_score:
                     best, best_score = injection, score
     return mli.SweepResult(best=best, best_score=best_score, baseline_score=baseline,
-                           rows=rows, probes=probes)
+                           rows=rows)
 
 
 def reference_mine_group(anchor_id: str, pool: set[str], corpus,

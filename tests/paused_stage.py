@@ -3,10 +3,11 @@ can SIGKILL the process at a known point.
 
     python paused_stage.py open|first_chunk <stare arguments>
 
-``open`` pauses as the first ``artifacts.atomic_write`` is entered, before
-any byte of an artifact exists; ``first_chunk`` pauses once that write's
-first chunk is flushed to its temp file. At the pause the process prints
-``paused <target path>`` on stdout and sleeps until it is killed.
+``open`` pauses as the first ``artifacts.atomic_write`` is entered (also
+where a module imported it by name), before any byte of an artifact exists;
+``first_chunk`` pauses once that write's first chunk is flushed to its temp
+file. At the pause the process prints ``paused <target path>`` on stdout and
+sleeps until it is killed.
 """
 
 from __future__ import annotations
@@ -51,5 +52,8 @@ if __name__ == "__main__":
     when, argv = sys.argv[1], sys.argv[2:]
     if when not in ("open", "first_chunk"):
         sys.exit(f"unknown pause point {when!r}")
-    artifacts.atomic_write = held_atomic_write(when)
+    real, held = artifacts.atomic_write, held_atomic_write(when)
+    for module in list(sys.modules.values()):  # also where it was imported by name
+        if getattr(module, "atomic_write", None) is real:
+            module.atomic_write = held
     sys.exit(cli.main(argv))

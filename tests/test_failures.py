@@ -3,7 +3,7 @@ data error (exit 2) that names the file, without a traceback, and leaves the
 run directory byte-unchanged. Below the table: a failed stage keeps the old
 ``config_used.json``, ``mine`` refuses an LSH index built under another
 ``bucketing`` section, a missing ``direction.json`` under ``--use-direction``,
-the non-finite rule, a ``train`` killed mid-run, and the reader of
+the non-finite rule, a ``train`` or ``mli`` killed mid-run, and the reader of
 ``stare.artifacts`` that the table rests on."""
 
 from __future__ import annotations
@@ -296,15 +296,17 @@ def test_non_finite_metric_is_a_numeric_failure(copied_run, caplog, monkeypatch)
     assert not list(copied_run["run"].glob("*.tmp*"))
 
 
-# Each file a killed ``train`` can find under its final name, and its loader.
+# Each file a killed ``train`` or ``mli`` can find under its final name, and its loader.
 LOADERS = {"bucket_report.json": read_json, "mining_report.json": read_json,
            "config_used.json": read_json, "lsh_index.json": bucketing.LshIndex.load,
            "pairs.jsonl": mining.load_groups, "encoder.params": encoder.load_params,
-           "loss_curve.csv": lambda path: list(read_lines(path))}
+           "loss_curve.csv": lambda path: list(read_lines(path)),
+           "mli_grid.csv": lambda path: list(read_lines(path)),
+           "direction.json": mli.read_direction}
 
 
-def _train(config: Path, out: Path, pause: str | None = None) -> subprocess.Popen:
-    """``stare train`` in a child process; with ``pause``, through
+def _stage(stage: str, config: Path, out: Path, pause: str | None = None) -> subprocess.Popen:
+    """``stare <stage>`` in a child process; with ``pause``, through
     ``paused_stage.py``, which holds its first artifact write there."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -312,7 +314,7 @@ def _train(config: Path, out: Path, pause: str | None = None) -> subprocess.Pope
     launcher = ([str(Path(__file__).with_name("paused_stage.py")), pause] if pause
                 else ["-m", "stare.cli"])
     return subprocess.Popen(
-        [sys.executable, *launcher, "train", "--config", str(config), "--out", str(out)],
+        [sys.executable, *launcher, stage, "--config", str(config), "--out", str(out)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
 
 
@@ -328,38 +330,44 @@ def spawned():
         proc.stdout.close()
 
 
-def test_killed_train_leaves_loadable_artifacts_and_a_stale_lock(tmp_path, caplog, spawned):
-    """SIGKILL ``train`` before it writes anything, then inside the
-    ``encoder.params`` write: every file under its final name still loads,
-    a rerun names the stale lock (exit 2), and once the lock is removed the
-    rerun writes the params an uninterrupted run writes."""
+@pytest.mark.parametrize("stage,written", [("train", ["encoder.params"]),
+                                           ("mli", ["mli_grid.csv", "direction.json"])],
+                         ids=["train-encoder.params", "mli-mli_grid.csv"])
+def test_killed_stage_leaves_loadable_artifacts_and_a_stale_lock(tmp_path, caplog, spawned,
+                                                                 stage, written):
+    """SIGKILL ``stage`` before it writes anything, then inside the write of
+    its first artifact (``written[0]``): every file under its final name
+    still loads, a rerun names the stale lock (exit 2), and once the lock is
+    removed the rerun writes the files an uninterrupted run writes."""
     fix, run, ref = tmp_path / "fixture", tmp_path / "run", tmp_path / "ref"
     assert cli.main(["fixture-gen", "--out", str(fix), "--per-cluster", "4"]) == cli.EXIT_OK
-    config, lock = fix / "config.json", run / ".lock"
-    for stage in ("bucket", "mine"):
-        assert cli.main([stage, "--config", str(config), "--out", str(run)]) == cli.EXIT_OK
+    config, lock, target = fix / "config.json", run / ".lock", run / written[0]
+    for upstream in STAGES[:STAGES.index(stage)]:
+        assert cli.main([upstream, "--config", str(config), "--out", str(run)]) == cli.EXIT_OK
     shutil.copytree(run, ref)
 
     for pause in ("open", "first_chunk"):
-        spawned.append(proc := _train(config, run, pause))
-        assert select.select([proc.stdout], [], [], 300)[0], "train never paused"
-        assert proc.stdout.readline() == f"paused {run / 'encoder.params'}\n"
+        spawned.append(proc := _stage(stage, config, run, pause))
+        assert select.select([proc.stdout], [], [], 300)[0], f"{stage} never paused"
+        assert proc.stdout.readline() == f"paused {target}\n"
         proc.send_signal(signal.SIGKILL)
         assert proc.wait(timeout=60) == -signal.SIGKILL
-        assert not (run / "encoder.params").exists()
-        assert (run / f"encoder.params.tmp{proc.pid}").exists() == (pause == "first_chunk")
+        assert not any((run / name).exists() for name in written)
+        assert (run / f"{target.name}.tmp{proc.pid}").exists() == (pause == "first_chunk")
         for path in run.iterdir():
             if path.name != ".lock" and ".tmp" not in path.name:
                 LOADERS[path.name](path)
         caplog.clear()
-        assert cli.main(["train", "--config", str(config), "--out", str(run)]) == cli.EXIT_DATA
+        assert cli.main([stage, "--config", str(config), "--out", str(run)]) == cli.EXIT_DATA
         assert f"stale lock left by PID {proc.pid}; remove {lock}" in caplog.text
         lock.unlink()
 
     for out in (run, ref):
-        spawned.append(proc := _train(config, out))
+        spawned.append(proc := _stage(stage, config, out))
         assert proc.wait(timeout=600) == cli.EXIT_OK
-    assert (run / "encoder.params").read_bytes() == (ref / "encoder.params").read_bytes()
+    for name in written:
+        assert (run / name).read_bytes() == (ref / name).read_bytes()
+        LOADERS[name](run / name)
     assert not list(run.glob("*.tmp*"))
 
 

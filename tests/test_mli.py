@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ class TestCollectStates:
                 want_y += [labels[j] == "VERB" for j in range(len(ids))]
             assert np.array_equal(X[layer], np.vstack(want_x))
             assert list(y) == want_y
+
+    def test_peak_memory_near_output(self):
+        """The layer arrays are filled as chunks arrive: nothing else of the
+        size of the output is held (stacking per-sentence rows needs about 2x)."""
+        words = [f"w{i}" for i in range(50)]
+        cfg = enc.EncoderConfig(vocab=enc.build_vocab([" ".join(words)]), d=64, layers=2,
+                                heads=2, max_len=8, seed=0)
+        params = enc.init_params(cfg)
+        rng = np.random.default_rng(0)
+        sentences = []
+        for n in rng.integers(1, 9, 1000):
+            sentences.append(([words[j] for j in rng.integers(0, 50, n)],
+                              [("NOUN", "VERB")[j % 2] for j in range(n)]))
+        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")
+        tracemalloc.start()
+        try:
+            X, y = mli.collect_states(corpus, params, cfg, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(x.nbytes for x in X.values()) + y.nbytes
+        assert len(y) > 4000
+        assert peak < 1.5 * returned
 
 
 class TestTrainProbe:
@@ -341,6 +365,25 @@ class TestSweep:
         with pytest.raises(TypeError, match="bug"):
             mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
 
+    def test_chunks_keep_only_grid_layers(self, monkeypatch):
+        """A cell resumes from the kept states of its grid layer; no other
+        layer of a bank or query chunk, layer 0 included, is held."""
+        dev, bank, params, cfg, corpora = self._setup(layers=4)
+        resumed_embedding = mli.resumed_embedding
+        seen = []
+
+        def capturing(states, *args):
+            seen.append(states)
+            return resumed_embedding(states, *args)
+
+        monkeypatch.setattr(mli, "resumed_embedding", capturing)
+        grid = mli.SweepGrid(layers=[2, 3, 6], properties=["POS"], lambdas=[1.0])
+        mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+        assert seen
+        for states in seen:
+            assert len(states) == cfg.layers + 1
+            assert [layer for layer, x in enumerate(states) if x is not None] == [2, 3]
+
     def test_default_layers(self):
         assert mli.default_sweep_layers(4) == [2, 3, 4]
         assert mli.default_sweep_layers(12) == [4, 8, 12]
@@ -446,7 +489,12 @@ def test_fixture_sweep_rise_then_decline(sweep_result):
     assert found
 
 
-def test_fixture_probes_beat_chance(sweep_result, label_corpora):
-    for (prop, _layer), probe in sweep_result.probes.items():
-        chance = 1.0 / len(label_corpora[prop].label_set)
-        assert probe.training_accuracy > chance + 0.2
+def test_fixture_probes_beat_chance(trained_params, enc_cfg, label_corpora):
+    """Each probe of the fixture sweep's grid (layers 2-4 of every property,
+    the default probe config) beats chance."""
+    for prop, corpus in label_corpora.items():
+        X, y = mli.collect_states(corpus, trained_params, enc_cfg, [2, 3, 4])
+        chance = 1.0 / len(corpus.label_set)
+        for layer, states in X.items():
+            probe = mli.train_probe(states, y, len(corpus.label_set))
+            assert probe.training_accuracy > chance + 0.2, (prop, layer)
