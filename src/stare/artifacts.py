@@ -25,10 +25,6 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 @contextlib.contextmanager
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """A file open for writing whose bytes replace ``path`` on a clean exit;
@@ -66,14 +62,14 @@ def write_header_blob(path: str | Path, header: dict,
     """Write a params or index file: the JSON header line, then each
     (name, array, shape) array as raw float64, in order.
 
-    Every shape is checked before anything is written (DimensionMismatch
+    Every shape is checked before anything is written (a ValueError
     naming the array); ``atomic_write`` writes the file whole.
     """
     blobs = []
     for name, arr, shape in arrays:
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         if arr.shape != tuple(shape):
-            raise DimensionMismatch(f"{name}: {arr.shape} != {tuple(shape)}")
+            raise ValueError(f"{name}: {arr.shape} != {tuple(shape)}")
         blobs.append(arr)
     with atomic_write(path, binary=True) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")

@@ -35,15 +35,7 @@ _SQL_NON_FEATURES = {"SELECT_STMT", trees.NUM_PLACEHOLDER, trees.STR_PLACEHOLDER
 _SQL_OPERATOR = re.compile(r"^[=<>!]+$")
 
 
-class EmptyFeatureSet(ValueError):
-    pass
-
-
 class DuplicateId(ValueError):
-    pass
-
-
-class SignatureLengthMismatch(ValueError):
     pass
 
 
@@ -102,7 +94,7 @@ def minhash(features: frozenset[str] | set[str], num_hashes: int = DEFAULT_NUM_H
     a pairwise-independent multiply-add family seeded by (seed, i).
     """
     if not features:
-        raise EmptyFeatureSet("cannot sketch an empty feature set")
+        raise ValueError("cannot sketch an empty feature set")
     if num_hashes < 1:
         raise ValueError("num_hashes must be >= 1")
     a, b = _hash_family(num_hashes, seed)
@@ -159,7 +151,7 @@ class LshIndex:
 
     def _check_signature(self, sig: np.ndarray) -> None:
         if sig.shape != (self.num_hashes,):
-            raise SignatureLengthMismatch(
+            raise ValueError(
                 f"signature length {sig.shape} does not match index P={self.num_hashes}")
 
     def _band_keys(self, sig: np.ndarray) -> list[bytes]:
@@ -239,8 +231,8 @@ class LshIndex:
                 raise ValueError(f"{path}: record {n} ({rid!r}): signature is not "
                                  "base64") from None
             if len(raw) != width:
-                raise SignatureLengthMismatch(f"{path}: record {n} ({rid!r}): signature "
-                                              f"has {len(raw)} bytes, not 8 * P = {width}")
+                raise ValueError(f"{path}: record {n} ({rid!r}): signature "
+                                 f"has {len(raw)} bytes, not 8 * P = {width}")
             records[n] = None
             try:
                 index.insert(rid, np.frombuffer(raw, "<u8").astype(_U64, copy=False))

@@ -23,13 +23,13 @@ import numpy as np
 
 from . import bucketing, encoder, fixtures, mining, mli, retrieval
 from .artifacts import atomic_write, write_json
-from .config import ConfigError, PipelineConfig, load_config
+from .config import PipelineConfig, load_config
 from .corpus import Corpus, load_corpus
 from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
 from .mli import ProbeConfig, SweepGrid
 from .ted import sim_struct, sim_struct_raw, ted
-from .trees import ParseDialect, ParseError, parse
+from .trees import ParseDialect, parse
 
 logger = logging.getLogger("stare")
 
@@ -53,10 +53,6 @@ def _int_in(low: int, high: float = float("inf")):
                 return int(text)
         raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {text!r}")
     return value
-
-
-class DataError(Exception):
-    pass
 
 
 def _dead_pid(text: str | bytes) -> int | None:
@@ -86,9 +82,9 @@ def _locked_out_dir(out: Path):
         except OSError:  # removed meanwhile
             pid = None
         if pid is not None:
-            raise DataError(f"stale lock left by PID {pid}; remove {lock}") from None
-        raise DataError(f"output directory {out} is locked by another run "
-                        f"(remove {lock} if stale)") from None
+            raise ValueError(f"stale lock left by PID {pid}; remove {lock}") from None
+        raise ValueError(f"output directory {out} is locked by another run "
+                         f"(remove {lock} if stale)") from None
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(str(os.getpid()))
@@ -105,14 +101,14 @@ def _load_corpus(config: PipelineConfig, split: str) -> Corpus:
     path = config.path(config.corpus[split])
     corpus = load_corpus(path, config.corpus["dialect"], config.mining["anonymize"])
     if not len(corpus):
-        raise DataError(f"{path}: empty corpus")
+        raise ValueError(f"{path}: empty corpus")
     return corpus
 
 
 def _upstream(path: Path, stage: str) -> Path:
-    """An artifact that an earlier stage writes; DataError if it is missing."""
+    """An artifact that an earlier stage writes; a ValueError if it is missing."""
     if not path.exists():
-        raise DataError(f"missing {path}; run '{stage}' first")
+        raise ValueError(f"missing {path}; run '{stage}' first")
     return path
 
 
@@ -156,13 +152,13 @@ def cmd_mine(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     index = bucketing.LshIndex.load(path)
     for key in ("num_hashes", "tau", "seed"):
         if getattr(index, key) != config.bucketing[key]:
-            raise DataError(f"{path}: built with bucketing.{key} = {getattr(index, key)!r}, "
-                            f"but the config has {config.bucketing[key]!r}; rerun 'bucket'")
+            raise ValueError(f"{path}: built with bucketing.{key} = {getattr(index, key)!r}, "
+                             f"but the config has {config.bucketing[key]!r}; rerun 'bucket'")
     try:
         groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     except mining.IndexCorpusMismatch:
-        raise DataError(f"{path}: its ids are not those of the corpus {config.corpus['train']} "
-                        f"({len(index)} vs {len(corpus)} records)") from None
+        raise ValueError(f"{path}: its ids are not those of the corpus {config.corpus['train']} "
+                         f"({len(index)} vs {len(corpus)} records)") from None
     mining.save_groups(groups, out / "pairs.jsonl")
     write_json(out / "mining_report.json", asdict(report), indent=2)
     logger.info("mined %d groups (%d skipped)", len(groups), report.skipped_empty_pool)
@@ -172,13 +168,13 @@ def cmd_train(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     pairs = _upstream(out / "pairs.jsonl", "mine")
     groups = mining.load_groups(pairs)
     if not groups:
-        raise DataError(f"{pairs}: no contrastive groups to train on")
+        raise ValueError(f"{pairs}: no contrastive groups to train on")
     unknown = next((rid for g in groups for rid in (g.anchor_id, g.positive_id,
                                                     *g.negative_ids())
                     if rid not in corpus), None)
     if unknown is not None:
-        raise DataError(f"{pairs}: id {unknown!r} is not in the train corpus "
-                        f"{config.corpus['train']}")
+        raise ValueError(f"{pairs}: id {unknown!r} is not in the train corpus "
+                         f"{config.corpus['train']}")
     vocab = encoder.build_vocab([rec.utterance for rec in corpus])
     cfg = EncoderConfig(vocab=vocab, **config.encoder)
     params, curve = encoder.train(groups, corpus, cfg, TrainConfig(**config.training))
@@ -196,13 +192,19 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     m = config.mli
     if not m["label_corpora"]:
-        raise DataError("mli.label_corpora is empty; nothing to probe")
+        raise ValueError("mli.label_corpora is empty; nothing to probe")
     label_corpora = {prop: mli.load_token_label_corpus(config.path(m["label_corpora"][prop]), prop)
                      for prop in m["properties"] if prop in m["label_corpora"]}
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]), lambdas=m["lambdas"])
     result = mli.sweep(dev, corpus, params, cfg, label_corpora, grid,
                        k=m["k"], probe_config=ProbeConfig(**m["probe"]))
+    cells = [row for row in result.rows if row.prop]  # the baseline row has no property
+    failed = [row for row in cells if row.error]
+    if failed and len(failed) == len(cells):
+        first = failed[0]
+        raise ValueError(f"no injected cell scored: all {len(failed)} sweep rows failed; "
+                         f"the first, {first.prop} layer {first.layer}: {first.error}")
     mli.write_sweep_report(result, out / "mli_grid.csv")
     best = result.best
     mli.save_direction(best, out / "direction.json", encoder.params_fingerprint(params))
@@ -213,6 +215,9 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
         logger.info("sweep best: %s layer %d lambda %.2f (%.4f vs baseline %.4f)",
                     best.prop, best.layer, best.lam, result.best_score,
                     result.baseline_score)
+    if failed:
+        logger.warning("%d of %d injected sweep rows failed; see %s", len(failed), len(cells),
+                       out / "mli_grid.csv")
 
 
 def _load_direction(path: Path, cfg: EncoderConfig):
@@ -222,15 +227,15 @@ def _load_direction(path: Path, cfg: EncoderConfig):
     try:  # against the params it is injected into
         encoder._validate_injection(direction, cfg)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return direction, fitted_to
 
 
 def _check_fitted(path: Path, fitted_to: str | None, params_sha256: str) -> None:
     """A direction applies only to the params its sweep probed."""
     if fitted_to is not None and fitted_to != params_sha256:
-        raise DataError(f"{path}: fitted to params with sha256 {fitted_to}, not to the "
-                        f"params in use ({params_sha256}); rerun 'mli'")
+        raise ValueError(f"{path}: fitted to params with sha256 {fitted_to}, not to the "
+                         f"params in use ({params_sha256}); rerun 'mli'")
 
 
 def _index_path(out: Path, injected: bool) -> Path:
@@ -241,8 +246,8 @@ def _index_path(out: Path, injected: bool) -> Path:
 def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
                  args: argparse.Namespace) -> int:
     if args.exclude is not None and args.exclude not in corpus:
-        raise DataError(f"--exclude {args.exclude!r}: no such record in the bank "
-                        f"{config.path(config.corpus['train'])}")
+        raise ValueError(f"--exclude {args.exclude!r}: no such record in the bank "
+                         f"{config.path(config.corpus['train'])}")
     params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
     direction_path = out / "direction.json"
     injection, fitted_to = (_load_direction(_upstream(direction_path, "mli"), cfg)
@@ -254,8 +259,8 @@ def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
         field = retrieval.index_mismatch(index, corpus, params, cfg, injection)
         if field is not None:
             if args.index:
-                raise DataError(f"{path}: its {field} differs from that of the bank "
-                                f"{config.corpus['train']}, params and injection in use")
+                raise ValueError(f"{path}: its {field} differs from that of the bank "
+                                 f"{config.corpus['train']}, params and injection in use")
             logger.info("%s: its %s differs from this run's; building the index in memory",
                         path, field)
             index = None
@@ -391,10 +396,10 @@ def main(argv: list[str] | None = None) -> int:
                 _STAGES[args.command](config, corpus, out)
                 write_json(out / "config_used.json", config.to_dict(), indent=2)
         return EXIT_OK
-    except (ConfigError, DataError, ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
-    except (encoder.NonFiniteLoss, FloatingPointError, ZeroDivisionError) as exc:
+    except (FloatingPointError, ZeroDivisionError) as exc:
         logger.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
 

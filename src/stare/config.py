@@ -30,10 +30,6 @@ from .retrieval import PromptSpec
 from .trees import ParseDialect
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # Every schema, sections in file order: a dataclass or {key: (type, default)}.
 # "mli.probe" is the object at key "probe" of section "mli".
 _SCHEMAS: dict[str, type | dict[str, tuple]] = {
@@ -99,7 +95,7 @@ def apply_env_overrides(sections: dict, env: dict[str, str]) -> dict:
 
 def _require(cond: bool, field_name: str, message: str) -> None:
     if not cond:
-        raise ConfigError(f"{field_name}: {message}")
+        raise ValueError(f"{field_name}: {message}")
 
 
 def _keys(name: str) -> dict[str, tuple]:
@@ -129,8 +125,8 @@ def _section(name: str, given: dict) -> dict:
         schema(**_NOT_KEYS.get(schema, {}), **values)
     except ValueError as exc:
         key, _, reason = str(exc).partition(" ")
-        raise ConfigError(f"{name}.{key}: {reason}" if key in values
-                          else f"{name}: {exc}") from exc
+        raise ValueError(f"{name}.{key}: {reason}" if key in values
+                         else f"{name}: {exc}") from exc
     return values
 
 
@@ -168,15 +164,15 @@ def load_config(path: str | Path, env: dict[str, str] | None = None) -> Pipeline
     try:
         raw = read_json(path)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise ValueError(f"{path}: top level must be an object")
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
     for name, given in raw.items():
         if not isinstance(given, dict):
-            raise ConfigError(f"{name}: section must be an object")
+            raise ValueError(f"{name}: section must be an object")
 
     sections = apply_env_overrides({name: {} for name in _SECTIONS} | raw,
                                    env if env is not None else dict(os.environ))

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .artifacts import DimensionMismatch, read_header_blob, write_header_blob
+from .artifacts import read_header_blob, write_header_blob
 
 logger = logging.getLogger(__name__)
 
@@ -40,18 +40,6 @@ CHUNK_TOKENS = 64
 
 
 class EmptyInput(ValueError):
-    pass
-
-
-class LayerOutOfRange(ValueError):
-    pass
-
-
-class ZeroVector(ValueError):
-    pass
-
-
-class NonFiniteLoss(ArithmeticError):
     pass
 
 
@@ -235,9 +223,9 @@ def _validate_injection(injection: InjectionDirection | None, cfg: EncoderConfig
     if injection is None:
         return
     if not 1 <= injection.layer <= cfg.layers:
-        raise LayerOutOfRange(f"injection layer {injection.layer} outside [1, {cfg.layers}]")
+        raise ValueError(f"injection layer {injection.layer} outside [1, {cfg.layers}]")
     if np.asarray(injection.u).shape != (cfg.d,):
-        raise DimensionMismatch(
+        raise ValueError(
             f"injection dimension {np.asarray(injection.u).shape} != ({cfg.d},)")
 
 
@@ -427,7 +415,7 @@ def embed(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
 def _checked_norm(vec: np.ndarray, role: str) -> float:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise ZeroVector(f"{role} embedding has zero norm")
+        raise ValueError(f"{role} embedding has zero norm")
     return norm
 
 
@@ -568,7 +556,7 @@ def train(groups, corpus, cfg: EncoderConfig, train_cfg: TrainConfig
             loss = step_loss_and_grads([group_texts(group, corpus) for group in batch],
                                        params, cfg, train_cfg.temperature, grads) / len(batch)
             if not np.isfinite(loss):
-                raise NonFiniteLoss(f"non-finite loss at group {batch[0].anchor_id}")
+                raise FloatingPointError(f"non-finite loss at group {batch[0].anchor_id}")
             for g in grads.values():
                 g /= len(batch)
             opt.step(params, grads)

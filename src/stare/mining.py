@@ -22,10 +22,6 @@ from .corpus import Corpus
 logger = logging.getLogger(__name__)
 
 
-class UnknownId(ValueError):
-    pass
-
-
 class IndexCorpusMismatch(ValueError):
     pass
 
@@ -79,14 +75,14 @@ class Pool:
             self.positions = np.fromiter(map(corpus.index_of.__getitem__, ids),
                                          dtype=np.intp, count=len(ids))
         except KeyError as exc:
-            raise UnknownId(exc.args[0]) from None
+            raise ValueError(exc.args[0]) from None
         self.positions.sort()
         self.scored: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
                config: MiningConfig) -> ContrastiveGroup | None:
-    """One group from a pool holding the anchor (else ``UnknownId``), or None
+    """One group from a pool holding the anchor (else a ValueError), or None
     when it holds no other record. Positive: the candidates' argmax of
     structural similarity (ties to the smallest corpus index). Hard negatives:
     the lowest-similarity candidates, positive excluded. Random negatives:
@@ -109,7 +105,7 @@ def mine_group(anchor_id: str, pool: Pool, corpus: Corpus,
     anchor_pos = corpus.index_of.get(anchor_id, -1)
     own = int(np.searchsorted(positions, anchor_pos))
     if own == len(positions) or positions[own] != anchor_pos:
-        raise UnknownId(anchor_id)
+        raise ValueError(anchor_id)
     if len(positions) == 1:
         return None
     records = corpus.records

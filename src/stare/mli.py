@@ -29,22 +29,6 @@ PROPERTIES = ("POS", "DEPS", "PT")
 _LABEL_FILES = {"POS": "labels_pos.txt", "DEPS": "labels_deps.txt", "PT": "labels_pt.txt"}
 
 
-class LabelSetMismatch(ValueError):
-    pass
-
-
-class EmptySentence(ValueError):
-    pass
-
-
-class DegenerateLabels(ValueError):
-    pass
-
-
-class ZeroMatrix(ValueError):
-    pass
-
-
 @dataclass
 class TokenLabelCorpus:
     sentences: list[tuple[list[str], list[str]]]
@@ -55,13 +39,13 @@ class TokenLabelCorpus:
         known = set(self.label_set)
         for tokens, labels in self.sentences:
             if not tokens:
-                raise EmptySentence("token-label corpus contains an empty sentence")
+                raise ValueError("token-label corpus contains an empty sentence")
             if len(tokens) != len(labels):
-                raise LabelSetMismatch(
+                raise ValueError(
                     f"token/label length mismatch: {len(tokens)} vs {len(labels)}")
             for lab in labels:
                 if lab not in known:
-                    raise LabelSetMismatch(f"label {lab!r} not in label set")
+                    raise ValueError(f"label {lab!r} not in label set")
 
 
 def default_label_set(prop: str) -> list[str]:
@@ -85,7 +69,7 @@ def load_token_label_corpus(path: str | Path, prop: str) -> TokenLabelCorpus:
             if len(parts) != 2:
                 raise ValueError(f"{where}: expected 'token<TAB>label'")
             if parts[1] not in label_set:
-                raise LabelSetMismatch(f"{where}: label {parts[1]!r} not in the {prop} set")
+                raise ValueError(f"{where}: label {parts[1]!r} not in the {prop} set")
             tokens.append(parts[0])
             labels.append(parts[1])
         elif tokens:
@@ -131,7 +115,7 @@ def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
     """
     for layer in layers:
         if not 1 <= layer <= cfg.layers:
-            raise enc.LayerOutOfRange(f"layer {layer} outside [1, {cfg.layers}]")
+            raise ValueError(f"layer {layer} outside [1, {cfg.layers}]")
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
     id_lists = [enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
                 for tokens, _ in corpus.sentences]
@@ -177,7 +161,7 @@ def train_probe(X: np.ndarray, y: np.ndarray, n_labels: int,
     retried.
     """
     if len(np.unique(y)) < 2:
-        raise DegenerateLabels("probe training needs at least 2 distinct labels")
+        raise ValueError("probe training needs at least 2 distinct labels")
     d = X.shape[1]
     W = np.zeros((n_labels, d))
     b = np.zeros(n_labels)
@@ -209,7 +193,7 @@ def extract_direction(probe: Probe) -> np.ndarray:
     """
     W = np.asarray(probe.W, dtype=np.float64)
     if not np.any(W):
-        raise ZeroMatrix("probe weight matrix is all zeros")
+        raise ValueError("probe weight matrix is all zeros")
     v = np.linalg.svd(W, full_matrices=False)[2][0]
     nonzero = np.flatnonzero(v)
     if nonzero.size and v[nonzero[0]] < 0:

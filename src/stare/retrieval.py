@@ -26,22 +26,6 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-class KTooLarge(ValueError):
-    pass
-
-
-class ProvenanceMismatch(ValueError):
-    pass
-
-
-class CountMismatch(ValueError):
-    pass
-
-
-class MissingSchema(ValueError):
-    pass
-
-
 @dataclass
 class RetrievalIndex:
     ids: list[str]
@@ -58,7 +42,7 @@ def _unit_rows(ids: list[str], embeddings: np.ndarray) -> np.ndarray:
     for rid, vec in zip(ids, embeddings):
         norm = np.linalg.norm(vec)
         if norm == 0.0:
-            raise enc.ZeroVector(f"record {rid!r} embeds to the zero vector")
+            raise ValueError(f"record {rid!r} embeds to the zero vector")
         vec /= norm
     return embeddings
 
@@ -68,7 +52,7 @@ def _head(ids: list[str], scores: np.ndarray, k: int,
     """The k (id, score) pairs of highest score, ties to lower index, with
     ``exclude`` skipped: the one top-k rule of every ranker."""
     if k < 1:
-        raise KTooLarge("k must be >= 1")
+        raise ValueError("k must be >= 1")
     head = []
     for i in np.argsort(-scores, kind="stable"):
         if len(head) == k:
@@ -76,7 +60,7 @@ def _head(ids: list[str], scores: np.ndarray, k: int,
         if ids[i] != exclude:
             head.append(i)
     if len(head) < k:  # the scan ran out: head holds every available record
-        raise KTooLarge(f"k={k} exceeds {len(head)} available records")
+        raise ValueError(f"k={k} exceeds {len(head)} available records")
     return [(ids[i], float(scores[i])) for i in head]
 
 
@@ -90,7 +74,7 @@ def _rank(ids: list[str], embeddings: np.ndarray, vec: np.ndarray, k: int,
     """
     norm = np.linalg.norm(vec)
     if norm == 0.0:
-        raise enc.ZeroVector("query embeds to the zero vector")
+        raise ValueError("query embeds to the zero vector")
     return _head(ids, embeddings @ (vec / norm), k, exclude)
 
 
@@ -160,7 +144,7 @@ def topk(index: RetrievalIndex, query: str, k: int, params: dict[str, np.ndarray
     """k bank ids with the highest cosine to the query, ties to lower index.
 
     The query must be embedded under the same parameters and injection
-    the index was built with; mismatches raise ProvenanceMismatch.
+    the index was built with; a mismatch is a ValueError naming the field.
     """
     return make_dense_ranker(index, params, cfg, injection)(query, k, exclude)
 
@@ -229,14 +213,14 @@ class PromptSpec:
         if self.template not in (TEMPLATE_CONVERSATIONAL, TEMPLATE_SQL_SCHEMA):
             raise ValueError(f"template {self.template!r} is unknown")
         if self.template == TEMPLATE_SQL_SCHEMA and not self.schema_text:
-            raise MissingSchema("schema_text is required for the sql_schema template")
+            raise ValueError("schema_text is required for the sql_schema template")
 
 
 def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str) -> str:
     """Render the final prompt; exemplars must already be in ascending
     similarity order (the most similar sits closest to the query)."""
     if len(exemplars) != spec.k:
-        raise CountMismatch(f"expected {spec.k} exemplars, got {len(exemplars)}")
+        raise ValueError(f"expected {spec.k} exemplars, got {len(exemplars)}")
     if spec.template == TEMPLATE_CONVERSATIONAL:
         header = (f"Below are examples of converting user utterances into "
                   f"{spec.task_name} semantic parses:")
@@ -245,7 +229,7 @@ def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str)
         blocks.append(f"Query\nUser: {query}\nParse:")
         return header + "\n\n" + "\n\n".join(blocks)
     if spec.schema_text is None:
-        raise MissingSchema("sql_schema template requires schema_text")
+        raise ValueError("sql_schema template requires schema_text")
     cases = [(u, f" {p}") for u, p in exemplars] + [(query, "")]
     return "\n\n".join(f"/* Given the following database schema: */\n{spec.schema_text}\n"
                        f"/* Answer the following: {u} */\nSQL Query:{p}" for u, p in cases)
@@ -261,7 +245,7 @@ def make_dense_ranker(index: RetrievalIndex, params: dict[str, np.ndarray],
     when k is None), ``exclude`` skipped; provenance is checked once, here."""
     for key, value in _query_provenance(params, injection).items():
         if index.provenance[key] != value:
-            raise ProvenanceMismatch(f"the query's {key} differs from the index's")
+            raise ValueError(f"the query's {key} differs from the index's")
 
     def rank(query: str, k: int | None = None,
              exclude: str | None = None) -> list[tuple[str, float]]:
@@ -304,7 +288,7 @@ def evaluate(rank_fn, queries: Corpus, bank: Corpus, k: int) -> dict[str, float]
     for query, gold_id in zip(queries, golds):
         ranking = rank_fn(query.utterance)
         if k > len(ranking):
-            raise KTooLarge(f"k={k} exceeds ranking of {len(ranking)}")
+            raise ValueError(f"k={k} exceeds ranking of {len(ranking)}")
         heads.append(ranking[:k])
         sims = [bank.sim(gold_id, tid) for tid in bank_ids]
         best_sim = max(sims)

@@ -23,30 +23,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class EmptyInput(ParseError):
-    pass
-
-
-class UnbalancedBrackets(ParseError):
-    pass
-
-
-class UnbalancedParens(ParseError):
-    pass
-
-
-class UnterminatedStringLiteral(ParseError):
-    pass
-
-
-class EmptyList(ParseError):
-    pass
-
-
-class UnsupportedSyntax(ParseError):
-    pass
-
-
 class ParseDialect(str, Enum):
     BRACKETED = "bracketed"
     SEXPR = "sexpr"
@@ -140,7 +116,7 @@ def parse_bracketed(text: str) -> ParseTree:
     span.
     """
     if not text or not text.strip():
-        raise EmptyInput("empty bracketed input")
+        raise ParseError("empty bracketed input")
     tokens = lex_bracketed(text)
     pos = 0
 
@@ -148,7 +124,7 @@ def parse_bracketed(text: str) -> ParseTree:
         nonlocal pos
         kind, _, open_off = tokens[pos]
         if kind != "open":
-            raise UnbalancedBrackets("expected '['", open_off)
+            raise ParseError("expected '['", open_off)
         pos += 1
         if pos >= len(tokens) or tokens[pos][0] != "atom":
             off = tokens[pos][2] if pos < len(tokens) else len(text)
@@ -175,11 +151,11 @@ def parse_bracketed(text: str) -> ParseTree:
             else:
                 span.append(value)
                 pos += 1
-        raise UnbalancedBrackets("unclosed '['", open_off)
+        raise ParseError("unclosed '['", open_off)
 
     root = parse_node()
     if pos != len(tokens):
-        raise UnbalancedBrackets("unexpected trailing content", tokens[pos][2])
+        raise ParseError("unexpected trailing content", tokens[pos][2])
     return root
 
 
@@ -200,7 +176,7 @@ def lex_sexpr(text: str) -> list[tuple[str, str, int]]:
     tokens = _lex(_SEXPR_TOKEN, text)
     for kind, _, off in tokens:
         if kind == "quote":
-            raise UnterminatedStringLiteral("unterminated string literal", off)
+            raise ParseError("unterminated string literal", off)
     return tokens
 
 
@@ -212,7 +188,7 @@ def parse_sexpr(text: str) -> ParseTree:
     literals become leaves with lowercased, whitespace-collapsed labels.
     """
     if not text or not text.strip():
-        raise EmptyInput("empty s-expression input")
+        raise ParseError("empty s-expression input")
     tokens = lex_sexpr(text)
     pos = 0
 
@@ -225,10 +201,10 @@ def parse_sexpr(text: str) -> ParseTree:
         # kind == "open"
         pos += 1
         if pos >= len(tokens):
-            raise UnbalancedParens("unclosed '('", off)
+            raise ParseError("unclosed '('", off)
         head_kind, head_value, head_off = tokens[pos]
         if head_kind == "close":
-            raise EmptyList("'()' has no head atom", off)
+            raise ParseError("'()' has no head atom", off)
         if head_kind != "atom":
             raise ParseError("list head must be an atom", head_off)
         pos += 1
@@ -238,13 +214,13 @@ def parse_sexpr(text: str) -> ParseTree:
                 pos += 1
                 return ParseTree(head_value, children)
             children.append(parse_expr())
-        raise UnbalancedParens("unclosed '('", off)
+        raise ParseError("unclosed '('", off)
 
     if tokens[0][0] != "open":
         raise ParseError("expected '(' at top level", tokens[0][2])
     root = parse_expr()
     if pos != len(tokens):
-        raise UnbalancedParens("unexpected trailing content", tokens[pos][2])
+        raise ParseError("unexpected trailing content", tokens[pos][2])
     return root
 
 
@@ -410,7 +386,7 @@ class _SqlParser:
             args = self._comma_list(self._parse_value)
             self._expect("punct", ")")
             return ParseTree(tok.value, args)
-        raise UnsupportedSyntax(f"unsupported token {tok.value!r}", tok.offset)
+        raise ParseError(f"unsupported token {tok.value!r}", tok.offset)
 
     def _parse_table_refs(self) -> list[ParseTree]:
         refs = [self._parse_table_ref()]
@@ -500,7 +476,7 @@ class _SqlParser:
             lo = self._parse_value()
             self._expect("kw", "AND")
             return ParseTree("BETWEEN", (left, lo, self._parse_value()))
-        raise UnsupportedSyntax(f"unsupported token {tok.value!r} in predicate", tok.offset)
+        raise ParseError(f"unsupported token {tok.value!r} in predicate", tok.offset)
 
 
 def parse_sql_skeleton(text: str) -> ParseTree:
@@ -512,13 +488,13 @@ def parse_sql_skeleton(text: str) -> ParseTree:
     placeholders and subqueries recurse as full skeletons.
     """
     if not text or not text.strip():
-        raise EmptyInput("empty SQL input")
+        raise ParseError("empty SQL input")
     parser = _SqlParser(_lex_sql(text))
     root = parser.parse_statement()
     parser._accept("punct", ";")
     tok = parser.tokens[parser.pos]
     if tok.kind != "end":
-        raise UnsupportedSyntax(f"unsupported trailing token {tok.value!r}", tok.offset)
+        raise ParseError(f"unsupported trailing token {tok.value!r}", tok.offset)
     return root
 
 

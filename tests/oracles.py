@@ -10,7 +10,7 @@ import numpy as np
 
 from stare import encoder as enc
 from stare import mining, mli, retrieval
-from stare.bucketing import LshIndex, SignatureLengthMismatch
+from stare.bucketing import LshIndex
 from stare.encoder import InjectionDirection
 from stare.ted import sim_struct
 from stare.trees import ParseTree
@@ -359,10 +359,10 @@ def reference_mine_group(anchor_id: str, pool: set[str], corpus,
     """``mining.mine_group`` by brute force: one ``sim_struct`` per pool
     member and random negatives indexed from the explicit outside list."""
     if anchor_id not in corpus:
-        raise mining.UnknownId(anchor_id)
+        raise ValueError(anchor_id)
     for pid in pool:
         if pid not in corpus:
-            raise mining.UnknownId(pid)
+            raise ValueError(pid)
     if not pool:
         return None
 
@@ -472,7 +472,7 @@ def exact_jaccard(a: frozenset[str] | set[str], b: frozenset[str] | set[str]) ->
 def signature_agreement(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     """Fraction of matching positions; unbiased Jaccard estimate."""
     if sig_a.shape != sig_b.shape:
-        raise SignatureLengthMismatch(f"{sig_a.shape} vs {sig_b.shape}")
+        raise ValueError(f"{sig_a.shape} vs {sig_b.shape}")
     return float(np.mean(sig_a == sig_b))
 
 

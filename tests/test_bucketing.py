@@ -8,12 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stare import fixtures
-from stare.bucketing import (DuplicateId, EmptyFeatureSet, LshIndex,
-                             SignatureLengthMismatch, extract_features,
-                             lsh_params, minhash, _feature_hash,
-                             _hash_family)
-from stare.trees import (EmptyList, UnbalancedBrackets, UnbalancedParens,
-                         UnterminatedStringLiteral)
+from stare.bucketing import (DuplicateId, LshIndex, extract_features, lsh_params, minhash,
+                             _feature_hash, _hash_family)
+from stare.trees import ParseError
 
 from oracles import exact_jaccard, reference_lsh_query, signature_agreement
 
@@ -45,12 +42,14 @@ class TestExtractFeatures:
         assert extract_features(src, "bracketed") == extract_features(src, "bracketed")
 
     def test_propagates_parser_errors(self):
-        with pytest.raises(UnbalancedBrackets):
+        with pytest.raises(ParseError, match=r"^unclosed '\['"):
             extract_features("[IN:X oops", "bracketed")
-        for parse, cls, position in [('(Find "x', UnterminatedStringLiteral, 6),
-                                     ("()", EmptyList, 0), ("(a b", UnbalancedParens, 0)]:
-            with pytest.raises(cls) as err:
+        for parse, message, position in [('(Find "x', "unterminated string literal", 6),
+                                         ("()", "'()' has no head atom", 0),
+                                         ("(a b", "unclosed '('", 0)]:
+            with pytest.raises(ParseError) as err:
                 extract_features(parse, "sexpr")
+            assert str(err.value) == f"{message} (at offset {position})"
             assert err.value.position == position
 
 
@@ -85,7 +84,7 @@ class TestMinhash:
         assert np.array_equal(sig, expected)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyFeatureSet):
+        with pytest.raises(ValueError, match="^cannot sketch an empty feature set$"):
             minhash(frozenset(), 16, 0)
 
     def test_agreement_estimates_jaccard(self):
@@ -126,9 +125,9 @@ class TestLshParams:
         assert r_hi >= r_lo
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tau must be in \(0, 1\)$"):
             lsh_params(0.0, 128)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^num_hashes must be >= 2$"):
             lsh_params(0.5, 1)
 
 
@@ -161,9 +160,10 @@ class TestLshIndex:
 
     def test_signature_length_mismatch(self):
         index = LshIndex(num_hashes=16, tau=0.5, seed=0)
-        with pytest.raises(SignatureLengthMismatch):
+        message = r"^signature length \(8,\) does not match index P=16$"
+        with pytest.raises(ValueError, match=message):
             index.insert("x", np.zeros(8, dtype=np.uint64))
-        with pytest.raises(SignatureLengthMismatch):
+        with pytest.raises(ValueError, match=message):
             index.query(np.zeros(8, dtype=np.uint64))
 
     def test_disjoint_sets_do_not_collide(self):

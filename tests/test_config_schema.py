@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from stare import cli, encoder as enc, mli, retrieval
-from stare.config import ConfigError, load_config
+from stare.config import load_config
 from stare.corpus import Corpus, Record, load_corpus, save_corpus
 from stare.mli import ProbeConfig
 from stare.ted import sim_struct
@@ -64,25 +64,25 @@ class TestStrictness:
     @pytest.mark.parametrize("value", [1.5, 64.0])
     def test_int_field_rejects_float(self, tmp_path, section, key, value):
         config = _write_config(tmp_path, **{section: {key: value}})
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}: "):
             load_config(config, env={})
         assert cli.main(["bucket", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 2
 
     def test_bool_field_rejects_string(self, tmp_path):
         config = _write_config(tmp_path, mining={"anonymize": "yes"})
-        with pytest.raises(ConfigError, match=r"^mining\.anonymize: "):
+        with pytest.raises(ValueError, match=r"^mining\.anonymize: "):
             load_config(config, env={})
 
     @pytest.mark.parametrize("section,key", [
         ("bucketing", "tua"), ("mli", "lamdbas"), ("retrieval", "kk"), ("corpus", "tarin")])
     def test_unknown_key_rejected(self, tmp_path, section, key):
         config = _write_config(tmp_path, **{section: {key: 1}})
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key"):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}: unknown key"):
             load_config(config, env={})
 
     def test_unknown_env_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"^bucketing\.tua: "):
+        with pytest.raises(ValueError, match=r"^bucketing\.tua: "):
             load_config(_write_config(tmp_path), env={"STARE_BUCKETING_TUA": "0.4"})
 
     def test_partial_probe_gets_dataclass_defaults(self, tmp_path):
@@ -98,12 +98,12 @@ class TestStrictness:
             config = _write_config(tmp_path, mli={"probe": {key: value}})
         else:
             config = _write_config(tmp_path, **{section: {key: value}})
-        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}: "):
             load_config(config, env={})
 
     def test_missing_schema_names_key(self, tmp_path):
         config = _write_config(tmp_path, prompt={"template": "sql_schema"})
-        with pytest.raises(ConfigError, match=r"^prompt\.schema_text: "):
+        with pytest.raises(ValueError, match=r"^prompt\.schema_text: "):
             load_config(config, env={})
 
     def test_seeds_default_to_dataclass_zero(self, tmp_path):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from stare.artifacts import fits
-from stare.config import _SCHEMAS, ConfigError, _keys, load_config
+from stare.config import _SCHEMAS, _keys, load_config
 
 # JSON values of every kind; each key is given every one its type refuses.
 _VALUES = [None, True, 3, 1.5, "x", [1], ["x"], {"a": "x"}]
@@ -28,7 +28,7 @@ def _load(root, name: str, given: dict, env: dict | None = None):
 
 @pytest.mark.parametrize("name", list(_SCHEMAS))
 def test_unknown_key_names_it(tmp_path, name):
-    with pytest.raises(ConfigError, match=rf"^{re.escape(name)}\.bogus: unknown key"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}\.bogus: unknown key"):
         _load(tmp_path, name, {"bogus": 1})
 
 
@@ -38,7 +38,7 @@ def test_wrong_type_names_key(tmp_path, name, key):
     wrong = [value for value in _VALUES if not fits(value, hint)]
     assert wrong
     for value in wrong:
-        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}\.{key}: "):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}\.{key}: "):
             _load(tmp_path, name, {key: value})
 
 
@@ -50,7 +50,7 @@ def test_corpus_path_required(tmp_path, key, value):
         del given[key]
     else:
         given[key] = value
-    with pytest.raises(ConfigError, match=rf"^corpus\.{key}: "):
+    with pytest.raises(ValueError, match=rf"^corpus\.{key}: "):
         _load(tmp_path, "corpus", given)
 
 
@@ -67,5 +67,5 @@ def test_defaults_are_fresh_per_load(tmp_path):
 def test_probe_overridden_whole_from_env(tmp_path):
     config = _load(tmp_path, "mli", {}, env={"STARE_MLI_PROBE": '{"epochs": 50}'})
     assert config.mli["probe"] == {"epochs": 50, "lr": 0.5, "l2": 1e-4}
-    with pytest.raises(ConfigError, match=r"^mli\.probe_epochs: unknown key"):
+    with pytest.raises(ValueError, match=r"^mli\.probe_epochs: unknown key"):
         _load(tmp_path, "mli", {}, env={"STARE_MLI_PROBE_EPOCHS": "50"})

@@ -200,7 +200,7 @@ def test_dense_ranker_names_the_field_index_mismatch_names(field):
     if field == "params_sha256":
         params = encoder.init_params(dataclasses.replace(cfg, seed=1))
     assert retrieval.index_mismatch(index, bank, params, cfg, injection) == field
-    with pytest.raises(retrieval.ProvenanceMismatch, match=f"^the query's {field} differs"):
+    with pytest.raises(ValueError, match=f"^the query's {field} differs from the index's$"):
         retrieval.make_dense_ranker(index, params, cfg, injection)
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from stare import bucketing, fixtures
 from stare.corpus import Corpus, Record
-from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, Pool, UnknownId,
-                          load_groups, mine_all, mine_group, save_groups)
+from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, Pool, load_groups,
+                          mine_all, mine_group, save_groups)
 from stare.ted import sim_struct
 from stare.trees import parse
 
@@ -87,14 +87,14 @@ class TestMineGroup:
 
     def test_unknown_ids(self):
         corpus = _corpus(SIX[:2])
-        with pytest.raises(UnknownId):
+        with pytest.raises(ValueError, match="^missing$"):
             mine_group("missing", Pool(corpus, {"r1"}), corpus, MiningConfig())
-        with pytest.raises(UnknownId):
+        with pytest.raises(ValueError, match="^ghost$"):
             mine_group("r0", Pool(corpus, {"r0", "ghost"}), corpus, MiningConfig())
 
     def test_anchor_outside_its_pool_is_unknown(self):
         corpus = _corpus(SIX)
-        with pytest.raises(UnknownId, match="r0"):
+        with pytest.raises(ValueError, match="^r0$"):
             mine_group("r0", Pool(corpus, {"r1", "r2"}), corpus, MiningConfig())
 
     def test_deterministic_random_negatives(self):

@@ -1,10 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stare.trees import (EmptyInput, EmptyList, ParseError, ParseTree, UnbalancedBrackets,
-                         UnbalancedParens, UnsupportedSyntax, UnterminatedStringLiteral,
-                         anonymize_leaves, parse, parse_bracketed, parse_sexpr,
-                         parse_sql_skeleton)
+from stare.trees import (ParseError, ParseTree, anonymize_leaves, parse, parse_bracketed,
+                         parse_sexpr, parse_sql_skeleton)
 
 
 def t(label, *children):
@@ -37,21 +35,22 @@ class TestBracketed:
 
     @pytest.mark.parametrize("bad", ["", "   ", "\n"])
     def test_empty_input(self, bad):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ParseError, match="^empty bracketed input$"):
             parse_bracketed(bad)
 
     @pytest.mark.parametrize("bad", ["[A", "[A ] ]", "]", "[A [B ]", "[A ] [B ]", "x [A ]"])
     def test_unbalanced(self, bad):
-        with pytest.raises(UnbalancedBrackets):
+        with pytest.raises(ParseError, match=r"^(unclosed '\['|expected '\['|unexpected "
+                                             r"trailing content) \(at offset \d+\)$"):
             parse_bracketed(bad)
 
     def test_unbalanced_reports_position(self):
-        with pytest.raises(UnbalancedBrackets) as err:
+        with pytest.raises(ParseError, match="^unexpected trailing content") as err:
             parse_bracketed("[A ] ]")
         assert err.value.position == 5
 
     def test_missing_label(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^missing node label after '\['"):
             parse_bracketed("[ ]")
 
 
@@ -76,24 +75,25 @@ class TestSexpr:
         assert tree.children[0].label == "^"
 
     def test_empty_list(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(ParseError, match="^'\\(\\)' has no head atom"):
             parse_sexpr("(A ())")
 
     def test_unterminated_string(self):
-        with pytest.raises(UnterminatedStringLiteral):
+        with pytest.raises(ParseError, match="^unterminated string literal"):
             parse_sexpr('(A "oops)')
 
     @pytest.mark.parametrize("bad", ["(A", "(A))", ")", "(A (B)", "(A) (B)"])
     def test_unbalanced(self, bad):
-        with pytest.raises((UnbalancedParens, ParseError)):
+        with pytest.raises(ParseError, match=r"^(unclosed '\('|expected '\(' at top level|"
+                                             r"unexpected trailing content) \(at offset \d+\)$"):
             parse_sexpr(bad)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ParseError, match="^empty s-expression input$"):
             parse_sexpr("  ")
 
     @pytest.mark.parametrize("text,cls,message,position", [
-        ("(", UnbalancedParens, "unclosed '('", 0),
+        ("(", ParseError, "unclosed '('", 0),
         ('("x")', ParseError, "list head must be an atom", 1),
     ])
     def test_error_message_and_position(self, text, cls, message, position):
@@ -154,7 +154,7 @@ class TestSqlSkeleton:
         assert [c.label for c in tree.children] == ["SELECT_STMT", "SELECT_STMT"]
 
     def test_unsupported_syntax_names_token(self):
-        with pytest.raises(UnsupportedSyntax) as err:
+        with pytest.raises(ParseError, match="^unsupported trailing token") as err:
             parse_sql_skeleton("SELECT a FROM t WHERE x = 1 OFFSET 2")
         assert "offset" in str(err.value).lower()
 
@@ -214,10 +214,10 @@ class TestSqlSkeleton:
         ("SELECT a FROM", ParseError, "unexpected end of SQL input", 13),
         ("SELECT a FROM t WHERE (b = 1", ParseError, "unexpected end of SQL input", 28),
         ("SELECT a FROM t WHERE b", ParseError, "incomplete predicate", 23),
-        ("SELECT a FROM t;;", UnsupportedSyntax, "unsupported trailing token ';'", 16),
+        ("SELECT a FROM t;;", ParseError, "unsupported trailing token ';'", 16),
         ("SELECT a FROM t GROUP a", ParseError, "expected BY, found 'a'", 22),
         ("SELECT a FROM t ORDER a", ParseError, "expected BY, found 'a'", 22),
-        ("SELECT a FROM t WHERE a b", UnsupportedSyntax, "unsupported token 'b' in predicate", 24),
+        ("SELECT a FROM t WHERE a b", ParseError, "unsupported token 'b' in predicate", 24),
     ])
     def test_error_message_and_position(self, sql, cls, message, position):
         with pytest.raises(ParseError) as err:
@@ -227,7 +227,7 @@ class TestSqlSkeleton:
         assert err.value.position == position
 
     def test_blank_input(self):
-        with pytest.raises(EmptyInput, match="^empty SQL input$"):
+        with pytest.raises(ParseError, match="^empty SQL input$"):
             parse_sql_skeleton("  ")
 
 
@@ -369,5 +369,5 @@ def test_hash_cached_and_consistent_with_equality():
 
 
 def test_invalid_label_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node labels must be non-empty$"):
         ParseTree("")
