@@ -9,17 +9,18 @@ one to one, so ``ted`` runs each pair on the side with the smaller product
 ``ted(a, b) == ted(b, a)`` bit for bit. A tree's decomposition, both
 sides with their column plans, is computed on first use and kept on the tree.
 
-A keyroot pair whose subtrees both have two or more nodes runs the
-forest-distance DP, one cell per pair of their nodes. A pair with a
-single-node side is written in closed form: a node against a tree T costs
-|T| − [its label occurs in T]. So a TED costs the DP cells of its
-multi-node keyroot pairs plus, per single-node keyroot, one pass over the
-other tree: O(left path) per single-node pair.
+A keyroot pair whose subtrees both have three or more nodes runs the
+forest-distance DP, one cell per pair of their nodes. A pair with a side
+of one or two nodes is written in closed form (``_single``, ``_double``).
+So a TED costs the DP cells of the keyroot pairs whose subtrees both have
+three or more nodes plus, per one- or two-node keyroot, one pass over the
+other tree.
 """
 
 from __future__ import annotations
 
 import logging
+from operator import sub
 
 from .trees import ParseTree
 
@@ -97,7 +98,7 @@ def _single(lab: str, labels: tuple[str, ...], lml: tuple[int, ...]) -> list[int
     A node against a tree T costs |T| − [lab occurs in T]: it maps onto one
     node of T, kept if the labels match, and the rest are inserted.
     """
-    dist = [d - lml[d] + 1 for d in range(len(labels))]
+    dist = list(map(sub, range(1, len(lml) + 1), lml))  # subtree sizes
     if lab in labels:
         last = 0  # the last postorder position of lab so far
         for d in range(labels.index(lab), len(labels)):
@@ -108,6 +109,43 @@ def _single(lab: str, labels: tuple[str, ...], lml: tuple[int, ...]) -> list[int
     return dist
 
 
+def _double(top: str, leaf: str, labels: tuple[str, ...], lml: tuple[int, ...]) -> list:
+    """Distances from a leaf labelled ``leaf``, and from a node labelled ``top``
+    over it, to each subtree T of a tree. The pair maps both nodes, onto an
+    ancestor and its descendant when |T| ≥ 2: 1 + [T's label is neither] if
+    |T| = 1, else |T| − [T has a non-leaf labelled top or a non-root labelled
+    leaf] − [T has a node labelled leaf below one labelled top]."""
+    alone = list(map(sub, range(1, len(lml) + 1), lml))
+    pair = alone[:]
+    one = both = below = 0  # last positions labelled: top on a non-leaf, top above leaf, leaf
+    for d in range(1, len(labels)):
+        lo, lab = lml[d], labels[d]
+        if lo == d:
+            pair[d] += lab != top and lab != leaf
+        else:
+            if lab == top:
+                one = d
+                if below >= lo:
+                    both = d
+            pair[d] -= (one >= lo or below >= lo) + (both >= lo)
+        if lab == leaf:
+            below = d
+        if below >= lo:
+            alone[d] -= 1
+    return [alone, pair]
+
+
+def _closed(labels: tuple[str, ...], lk: int, k: int, other: tuple) -> list[list[int]]:
+    """Distances from the nodes lk.. of a keyroot's k ≤ 2 node subtree."""
+    return _double(labels[lk + 1], labels[lk], *other) if k == 2 else [_single(labels[lk], *other)]
+
+
+def _blocks(plan_a: tuple, plan_b: tuple):
+    """The keyroot pairs ``ted`` runs the DP on: (li, rows, sa, lj, cols, sb), both > 2."""
+    big_b = [kb for kb in plan_b if kb[1] > 2]
+    return (ka + kb for ka in plan_a if ka[1] > 2 for kb in big_b)
+
+
 def ted(a: ParseTree, b: ParseTree) -> float:
     """Fewest node inserts, deletes and relabels turning ``a`` into ``b``."""
     (labels_a, lml_a, plan_a, _, offs_a), (labels_b, lml_b, plan_b, _, offs_b) = \
@@ -115,62 +153,58 @@ def ted(a: ParseTree, b: ParseTree) -> float:
     n_a, n_b = len(labels_a) - 1, len(labels_b) - 1
     td = [[0] * (n_b + 1) for _ in range(n_a + 1)]
 
-    # Keyroot pairs with a single-node side, in closed form.
+    # Keyroot pairs with a side of one or two nodes, in closed form.
     for lj, cols, _ in plan_b:
-        if cols == 1:
-            for row, dist in zip(td, _single(labels_b[lj], labels_a, lml_a)):
-                row[lj] = dist
+        if cols <= 2:
+            for c, dists in enumerate(_closed(labels_b, lj, cols, (labels_a, lml_a)), lj):
+                for row, dist in zip(td, dists):
+                    row[c] = dist
     for li, rows, _ in plan_a:
-        if rows == 1:
-            td[li] = _single(labels_a[li], labels_b, lml_b)
+        if rows <= 2:
+            td[li:li + rows] = _closed(labels_a, li, rows, (labels_b, lml_b))
 
-    for li, rows, sa in plan_a:
-        if rows == 1:
-            continue
-        for lj, cols, sb in plan_b:
-            if cols == 1:
-                continue
-            # Forest distances; row 0 is c inserts, column 0 is r deletes.
-            # Column c is node base + c of b, with offset offs_b[sb + c].
-            base = lj - 1
-            columns = range(1, cols + 1)
-            prev = list(range(cols + 1))
-            fd = [prev]
-            for r in range(1, rows + 1):
-                di = li + r - 1
-                cur = [r] * (cols + 1)
-                fd.append(cur)
-                td_di = td[di]
-                left = r  # cur[c - 1]
-                oi = offs_a[sa + r]
-                if oi == 0:  # di is on the keyroot's left path: td[di] is written here
-                    lab_di = labels_a[di]
-                    diag = r - 1  # prev[c - 1]
-                    for c in columns:
-                        up = prev[c]
-                        best = (up if up < left else left) + 1
-                        oj = offs_b[sb + c]
-                        if oj:
-                            t = oj + td_di[base + c]
-                            if t < best:
-                                best = t
-                        else:
-                            t = diag + (lab_di != labels_b[base + c])
-                            if t < best:
-                                best = t
-                            td_di[base + c] = best
-                        cur[c] = left = best
-                        diag = up
-                else:
-                    fd_sub = fd[oi]
-                    for c in columns:
-                        up = prev[c]
-                        best = (up if up < left else left) + 1
-                        t = fd_sub[offs_b[sb + c]] + td_di[base + c]
+    for li, rows, sa, lj, cols, sb in _blocks(plan_a, plan_b):
+        # Forest distances; row 0 is c inserts, column 0 is r deletes.
+        # Column c is node base + c of b, with offset offs_b[sb + c].
+        base = lj - 1
+        columns = range(1, cols + 1)
+        prev = list(range(cols + 1))
+        fd = [prev]
+        for r in range(1, rows + 1):
+            di = li + r - 1
+            cur = [r] * (cols + 1)
+            fd.append(cur)
+            td_di = td[di]
+            left = r  # cur[c - 1]
+            oi = offs_a[sa + r]
+            if oi == 0:  # di is on the keyroot's left path: td[di] is written here
+                lab_di = labels_a[di]
+                diag = r - 1  # prev[c - 1]
+                for c in columns:
+                    up = prev[c]
+                    best = (up if up < left else left) + 1
+                    oj = offs_b[sb + c]
+                    if oj:
+                        t = oj + td_di[base + c]
                         if t < best:
                             best = t
-                        cur[c] = left = best
-                prev = cur
+                    else:
+                        t = diag + (lab_di != labels_b[base + c])
+                        if t < best:
+                            best = t
+                        td_di[base + c] = best
+                    cur[c] = left = best
+                    diag = up
+            else:
+                fd_sub = fd[oi]
+                for c in columns:
+                    up = prev[c]
+                    best = (up if up < left else left) + 1
+                    t = fd_sub[offs_b[sb + c]] + td_di[base + c]
+                    if t < best:
+                        best = t
+                    cur[c] = left = best
+            prev = cur
 
     return float(td[n_a][n_b])
 

@@ -272,7 +272,7 @@ def test_ted_invariant_under_injective_relabeling(max_nodes, alphabet):
 
 
 # ---------------------------------------------------------------------------
-# keyroot pairs with a single-node side, in closed form; the column plan
+# keyroot pairs with a one- or two-node side, in closed form; the column plan
 # ---------------------------------------------------------------------------
 
 def test_single_node_against_every_small_tree():
@@ -283,6 +283,30 @@ def test_single_node_against_every_small_tree():
             expected = float(tree.size - (lab in labels))
             assert ted(t(lab), tree) == ted(tree, t(lab)) == expected, (lab, tree)
             assert ted_bruteforce(t(lab), tree) == expected, (lab, tree)
+
+
+def test_two_node_against_every_small_tree():
+    """A node over a leaf, equal labels and labels absent from the tree
+    included, on the row side and on the column side. ``_double``'s two
+    rows, the leaf alone and the pair, hold those distances at every
+    subtree."""
+    trees = all_trees(5, ("A", "B", "C"))
+    for leaf in ("A", "B", "D"):
+        alone = {tree: ted_left_path(t(leaf), tree) for tree in trees}
+        for top in ("A", "B", "D"):
+            pair = t(top, t(leaf))
+            both = {}
+            for tree in trees:
+                d = both[tree] = ted(pair, tree)
+                assert d == ted(tree, pair) == ted_left_path(pair, tree), (pair, tree)
+                if tree.size <= 4:
+                    assert d == ted_bruteforce(pair, tree), (pair, tree)
+            for tree in trees:
+                labels, lml = ted_module._decompose(tree)[0][:2]
+                rows = [row[1:] for row in ted_module._double(top, leaf, labels, lml)]
+                subtrees = list(tree.postorder())
+                assert rows == [[alone[s] for s in subtrees], [both[s] for s in subtrees]], \
+                    (pair, tree)
 
 
 SQL = [
@@ -341,6 +365,14 @@ def test_sql_skeletons_have_single_node_keyroots(sql_trees):
     singles = [sum(k == 1 for _, k, _ in side[2]) for tree in sql_trees
                for side in ted_module._decompose(tree)]
     assert sum(singles) > len(SQL) and sum(map(bool, singles)) > len(singles) // 2
+
+
+def test_sql_skeletons_have_two_node_keyroots(sql_trees):
+    """So the left-path comparison below covers ``_double`` on both sides."""
+    for side in (0, 1):
+        doubles = [sum(k == 2 for _, k, _ in ted_module._decompose(tree)[side][2])
+                   for tree in sql_trees]
+        assert sum(doubles) > len(SQL) and sum(map(bool, doubles)) > len(SQL) // 2
 
 
 def test_sql_skeletons_match_left_path_reference(sql_trees):
