@@ -397,10 +397,10 @@ def main(argv: list[str] | None = None) -> int:
                 write_json(out / "config_used.json", config.to_dict(), indent=2)
         return EXIT_OK
     except (OSError, ValueError) as exc:
-        logger.error("%s", exc)
+        logger.error("%s", exc, exc_info=args.verbose)
         return EXIT_DATA
     except (FloatingPointError, ZeroDivisionError) as exc:
-        logger.error("numeric failure: %s", exc)
+        logger.error("numeric failure: %s", exc, exc_info=args.verbose)
         return EXIT_NUMERIC
 
 

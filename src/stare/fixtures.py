@@ -33,7 +33,6 @@ class FixtureSpec:
 class FixtureData:
     train: list[Record]
     dev: list[Record]
-    cluster_of: dict[str, int]
     tagged: list[Tagged] = field(default_factory=list)
 
 
@@ -221,7 +220,6 @@ def generate(spec: FixtureSpec = FixtureSpec()) -> FixtureData:
     rng = np.random.default_rng(spec.seed)
     train: list[Record] = []
     dev: list[Record] = []
-    cluster_of: dict[str, int] = {}
     tagged: list[Tagged] = []
     for c in range(spec.clusters):
         for split, n, prefix in ((train, spec.per_cluster, ""),
@@ -231,10 +229,9 @@ def generate(spec: FixtureSpec = FixtureSpec()) -> FixtureData:
                 words = _with_carriers(rng, words)
                 rid = f"{prefix}c{c}_{i:03d}"
                 split.append(Record(rid, " ".join(w for w, _ in words), parse))
-                cluster_of[rid] = c
                 if split is train:
                     tagged.append(words)
-    return FixtureData(train=train, dev=dev, cluster_of=cluster_of, tagged=tagged)
+    return FixtureData(train=train, dev=dev, tagged=tagged)
 
 
 _LABELERS = {"POS": list, "DEPS": deps_labels, "PT": pt_labels}

@@ -2,15 +2,16 @@
 
 Three dialects are supported: bracketed task-oriented parses
 ("[IN:X [SL:Y some span ] ]"), LISP-style S-expressions, and a
-clause-level SQL skeleton. Every parser returns a ParseTree whose
-child order matches the source text exactly.
+clause-level SQL skeleton. Each parser is a recursive-descent grammar
+over one token cursor, and returns a ParseTree whose child order matches
+the source text exactly.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 
 class ParseError(ValueError):
@@ -44,7 +45,10 @@ class ParseTree:
             raise ValueError("node labels must be non-empty")
         self.label = label
         self.children = tuple(children)
-        self.size = 1 + sum(c.size for c in self.children)
+        size = 1  # a loop: sum() over a generator would build one per node
+        for child in self.children:
+            size += child.size
+        self.size = size
         self._hash: int | None = None
         self._ted: tuple | None = None
 
@@ -91,6 +95,54 @@ def _lex(pattern: re.Pattern[str], text: str) -> list[tuple[str, str, int]]:
     return [(m.lastgroup, m.group(m.lastgroup), m.start()) for m in pattern.finditer(text)]
 
 
+class _Cursor:
+    """Read position of a recursive-descent grammar in one dialect's tokens.
+
+    The tokens are ``lex(text)`` closed by an ``end`` token at ``len(text)``,
+    so a grammar looks at the next token without a bounds check; ``name``
+    names the dialect in the empty-input and unexpected-end errors.
+    """
+
+    def __init__(self, name: str, text: str, lex: Callable[[str], list[tuple[str, str, int]]]):
+        if not text or not text.strip():
+            raise ParseError(f"empty {name} input")
+        self.name = name
+        self.tokens = lex(text)
+        self.tokens.append(("end", "", len(text)))
+        self.pos = 0
+
+    def _peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def _at(self, kind: str, value: str, ahead: int = 0) -> bool:
+        tok_kind, tok_value, _ = self.tokens[self.pos + ahead]
+        return tok_kind == kind and tok_value == value
+
+    def _accept(self, kind: str, *values: str) -> str | None:
+        """Take the next token if it is a ``kind`` token with one of ``values``
+        (any value if none are given); its value, else None."""
+        tok_kind, value, _ = self.tokens[self.pos]
+        if tok_kind == kind and (not values or value in values):
+            self.pos += 1
+            return value
+        return None
+
+    def _take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError(f"unexpected end of {self.name} input", tok[2])
+        self.pos += 1
+        return tok
+
+    def _expect(self, kind: str, value: str) -> None:
+        """Take the next token, which must be the ``kind`` token ``value``;
+        a keyword is named bare in the error, punctuation quoted."""
+        tok_kind, tok_value, off = self._take()
+        if tok_kind != kind or tok_value != value:
+            shown = value if kind == "kw" else repr(value)
+            raise ParseError(f"expected {shown}, found {tok_value!r}", off)
+
+
 # ---------------------------------------------------------------------------
 # bracketed dialect
 # ---------------------------------------------------------------------------
@@ -115,47 +167,31 @@ def parse_bracketed(text: str) -> ParseTree:
     becomes one leaf whose label is the lowercased, whitespace-collapsed
     span.
     """
-    if not text or not text.strip():
-        raise ParseError("empty bracketed input")
-    tokens = lex_bracketed(text)
-    pos = 0
+    cur = _Cursor("bracketed", text, lex_bracketed)
 
-    def parse_node() -> ParseTree:
-        nonlocal pos
-        kind, _, open_off = tokens[pos]
-        if kind != "open":
-            raise ParseError("expected '['", open_off)
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][0] != "atom":
-            off = tokens[pos][2] if pos < len(tokens) else len(text)
-            raise ParseError("missing node label after '['", off)
-        label = tokens[pos][1]
-        pos += 1
+    def node() -> ParseTree:
+        open_off = cur._take()[2]
+        label = cur._accept("atom")
+        if label is None:
+            raise ParseError("missing node label after '['", cur._peek()[2])
         children: list[ParseTree] = []
-        span: list[str] = []
-
-        def flush() -> None:
+        while True:
+            span = []
+            while word := cur._accept("atom"):
+                span.append(word)
             if span:
                 children.append(ParseTree(_norm_span(span)))
-                span.clear()
-
-        while pos < len(tokens):
-            kind, value, _ = tokens[pos]
-            if kind == "open":
-                flush()
-                children.append(parse_node())
-            elif kind == "close":
-                flush()
-                pos += 1
+            if cur._accept("close"):
                 return ParseTree(label, children)
-            else:
-                span.append(value)
-                pos += 1
-        raise ParseError("unclosed '['", open_off)
+            if not cur._at("open", "["):
+                raise ParseError("unclosed '['", open_off)
+            children.append(node())
 
-    root = parse_node()
-    if pos != len(tokens):
-        raise ParseError("unexpected trailing content", tokens[pos][2])
+    if not cur._at("open", "["):
+        raise ParseError("expected '['", cur._peek()[2])
+    root = node()
+    if cur._peek()[0] != "end":
+        raise ParseError("unexpected trailing content", cur._peek()[2])
     return root
 
 
@@ -187,40 +223,32 @@ def parse_sexpr(text: str) -> ParseTree:
     remaining elements become children in order. Bare atoms and string
     literals become leaves with lowercased, whitespace-collapsed labels.
     """
-    if not text or not text.strip():
-        raise ParseError("empty s-expression input")
-    tokens = lex_sexpr(text)
-    pos = 0
+    cur = _Cursor("s-expression", text, lex_sexpr)
 
-    def parse_expr() -> ParseTree:
-        nonlocal pos
-        kind, value, off = tokens[pos]
-        if kind in ("atom", "string"):
-            pos += 1
+    def expr() -> ParseTree:
+        kind, value, open_off = cur._take()
+        if kind != "open":
             return ParseTree(_norm_span(value.split()) or '""')
-        # kind == "open"
-        pos += 1
-        if pos >= len(tokens):
-            raise ParseError("unclosed '('", off)
-        head_kind, head_value, head_off = tokens[pos]
-        if head_kind == "close":
-            raise ParseError("'()' has no head atom", off)
-        if head_kind != "atom":
-            raise ParseError("list head must be an atom", head_off)
-        pos += 1
+        head = cur._accept("atom")
+        if head is None:
+            kind, _, off = cur._peek()
+            if kind == "close":
+                raise ParseError("'()' has no head atom", open_off)
+            if kind != "end":  # at the end, the loop below says unclosed
+                raise ParseError("list head must be an atom", off)
         children: list[ParseTree] = []
-        while pos < len(tokens):
-            if tokens[pos][0] == "close":
-                pos += 1
-                return ParseTree(head_value, children)
-            children.append(parse_expr())
-        raise ParseError("unclosed '('", off)
+        while (kind := cur._peek()[0]) != "close":
+            if kind == "end":
+                raise ParseError("unclosed '('", open_off)
+            children.append(expr())
+        cur._take()
+        return ParseTree(head, children)
 
-    if tokens[0][0] != "open":
-        raise ParseError("expected '(' at top level", tokens[0][2])
-    root = parse_expr()
-    if pos != len(tokens):
-        raise ParseError("unexpected trailing content", tokens[pos][2])
+    if not cur._at("open", "("):
+        raise ParseError("expected '(' at top level", cur._peek()[2])
+    root = expr()
+    if cur._peek()[0] != "end":
+        raise ParseError("unexpected trailing content", cur._peek()[2])
     return root
 
 
@@ -252,28 +280,21 @@ NUM_PLACEHOLDER = "<NUM>"
 STR_PLACEHOLDER = "<STR>"
 
 
-class _SqlToken(NamedTuple):
-    kind: str  # kw | ident | num | str | op | punct | end
-    value: str
-    offset: int
-
-
-def _lex_sql(text: str) -> list[_SqlToken]:
-    """Tokens of one statement, keywords uppercased and identifiers
-    lowercased, closed by an ``end`` token at ``len(text)``."""
-    out: list[_SqlToken] = []
+def _lex_sql(text: str) -> list[tuple[str, str, int]]:
+    """Tokens of one statement as (kind, value, offset), kind in {kw, ident,
+    num, str, op, punct}: keywords uppercased, identifiers lowercased."""
+    out = []
     for kind, value, off in _lex(_SQL_TOKEN, text):
         if kind == "bad":
             raise ParseError(f"cannot lex {value!r}", off)
         if kind == "word":
             upper = value.upper()
             kind, value = ("kw", upper) if upper in _SQL_KEYWORDS else ("ident", value.lower())
-        out.append(_SqlToken(kind, value, off))
-    out.append(_SqlToken("end", "", len(text)))
+        out.append((kind, value, off))
     return out
 
 
-class _SqlParser:
+class _SqlParser(_Cursor):
     """Recursive-descent parser producing clause-level skeleton trees.
 
     Supported subset: SELECT / FROM / WHERE / GROUP BY / HAVING /
@@ -282,40 +303,6 @@ class _SqlParser:
     essential fields survive: identifiers, function names, operators,
     and <NUM>/<STR> placeholders for literals.
     """
-
-    def __init__(self, tokens: list[_SqlToken]):
-        self.tokens = tokens
-        self.pos = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def _at(self, kind: str, value: str, ahead: int = 0) -> bool:
-        tok = self.tokens[self.pos + ahead]
-        return tok.kind == kind and tok.value == value
-
-    def _accept(self, kind: str, *values: str) -> str | None:
-        """Take the next token if it is a ``kind`` token with one of ``values``;
-        its value, else None."""
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and tok.value in values:
-            self.pos += 1
-            return tok.value
-        return None
-
-    def _take(self) -> _SqlToken:
-        tok = self.tokens[self.pos]
-        if tok.kind == "end":
-            raise ParseError("unexpected end of SQL input", tok.offset)
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, value: str) -> None:
-        """Take the next token, which must be the ``kind`` token ``value``;
-        a keyword is named bare in the error, punctuation quoted."""
-        tok = self._take()
-        if tok.kind != kind or tok.value != value:
-            shown = value if kind == "kw" else repr(value)
-            raise ParseError(f"expected {shown}, found {tok.value!r}", tok.offset)
 
     def _comma_list(self, item: Callable[[], ParseTree]) -> list[ParseTree]:
         items = [item()]
@@ -329,6 +316,13 @@ class _SqlParser:
         while self._accept("kw", op):
             node = ParseTree(op, (node, operand()))
         return node
+
+    def _subquery(self) -> ParseTree:
+        """``( statement )``."""
+        self._expect("punct", "(")
+        inner = self.parse_statement()
+        self._expect("punct", ")")
+        return inner
 
     # -- grammar -----------------------------------------------------------
 
@@ -356,9 +350,9 @@ class _SqlParser:
             self._expect("kw", "BY")
             clauses.append(ParseTree("ORDER BY", self._comma_list(self._parse_order_item)))
         if self._accept("kw", "LIMIT"):
-            tok = self._take()
-            if tok.kind != "num":
-                raise ParseError("LIMIT expects a number", tok.offset)
+            kind, _, off = self._take()
+            if kind != "num":
+                raise ParseError("LIMIT expects a number", off)
             clauses.append(ParseTree("LIMIT", (ParseTree(NUM_PLACEHOLDER),)))
         return ParseTree("SELECT_STMT", clauses)
 
@@ -368,25 +362,23 @@ class _SqlParser:
         return value
 
     def _parse_value(self) -> ParseTree:
-        tok = self._take()
-        if tok.kind == "punct" and tok.value == "*":
+        if self._at("punct", "("):
+            return self._subquery()
+        kind, value, off = self._take()
+        if kind == "punct" and value == "*":
             return ParseTree("*")
-        if tok.kind == "num":
+        if kind == "num":
             return ParseTree(NUM_PLACEHOLDER)
-        if tok.kind == "str":
+        if kind == "str":
             return ParseTree(STR_PLACEHOLDER)
-        if tok.kind == "punct" and tok.value == "(":
-            inner = self.parse_statement()
-            self._expect("punct", ")")
-            return inner
-        if tok.kind == "ident":
+        if kind == "ident":
             if not self._accept("punct", "("):
-                return ParseTree(tok.value)
+                return ParseTree(value)
             self._accept("kw", "DISTINCT")
             args = self._comma_list(self._parse_value)
             self._expect("punct", ")")
-            return ParseTree(tok.value, args)
-        raise ParseError(f"unsupported token {tok.value!r}", tok.offset)
+            return ParseTree(value, args)
+        raise ParseError(f"unsupported token {value!r}", off)
 
     def _parse_table_refs(self) -> list[ParseTree]:
         refs = [self._parse_table_ref()]
@@ -399,24 +391,20 @@ class _SqlParser:
                 return refs
 
     def _parse_table_ref(self) -> ParseTree:
-        if self._accept("punct", "("):
-            ref = self.parse_statement()
-            self._expect("punct", ")")
+        if self._at("punct", "("):
+            ref = self._subquery()
         else:
-            tok = self._take()
-            if tok.kind != "ident":
-                raise ParseError(f"expected table name, found {tok.value!r}", tok.offset)
-            ref = ParseTree(tok.value)
-        self._skip_alias()
+            kind, value, off = self._take()
+            if kind != "ident":
+                raise ParseError(f"expected table name, found {value!r}", off)
+            ref = ParseTree(value)
+        if self._accept("kw", "AS"):  # the alias is skipped
+            kind, _, off = self._take()
+            if kind != "ident":
+                raise ParseError("expected alias name", off)
+        else:
+            self._accept("ident")
         return ref
-
-    def _skip_alias(self) -> None:
-        if self._accept("kw", "AS"):
-            tok = self._take()
-            if tok.kind != "ident":
-                raise ParseError("expected alias name", tok.offset)
-        elif self.tokens[self.pos].kind == "ident":
-            self.pos += 1
 
     def _maybe_parse_join(self) -> ParseTree | None:
         start = self.pos
@@ -440,13 +428,10 @@ class _SqlParser:
 
     def _parse_predicate(self) -> ParseTree:
         if self._accept("kw", "EXISTS"):
-            self._expect("punct", "(")
-            inner = self.parse_statement()
-            self._expect("punct", ")")
-            return ParseTree("EXISTS", (inner,))
+            return ParseTree("EXISTS", (self._subquery(),))
         # '(' opens either a grouped predicate or a subquery operand.
         if self._at("punct", "(") and not self._at("kw", "SELECT", 1):
-            self.pos += 1
+            self._take()
             inner = self._parse_condition()
             self._expect("punct", ")")
             return inner
@@ -456,12 +441,8 @@ class _SqlParser:
         return self._finish_predicate(left)
 
     def _finish_predicate(self, left: ParseTree) -> ParseTree:
-        tok = self.tokens[self.pos]
-        if tok.kind == "end":
-            raise ParseError("incomplete predicate", tok.offset)
-        if tok.kind == "op":
-            self.pos += 1
-            return ParseTree(tok.value, (left, self._parse_value()))
+        if op := self._accept("op"):
+            return ParseTree(op, (left, self._parse_value()))
         if self._accept("kw", "IN"):
             self._expect("punct", "(")
             if self._at("kw", "SELECT"):
@@ -476,7 +457,10 @@ class _SqlParser:
             lo = self._parse_value()
             self._expect("kw", "AND")
             return ParseTree("BETWEEN", (left, lo, self._parse_value()))
-        raise ParseError(f"unsupported token {tok.value!r} in predicate", tok.offset)
+        kind, value, off = self._peek()
+        if kind == "end":
+            raise ParseError("incomplete predicate", off)
+        raise ParseError(f"unsupported token {value!r} in predicate", off)
 
 
 def parse_sql_skeleton(text: str) -> ParseTree:
@@ -487,14 +471,12 @@ def parse_sql_skeleton(text: str) -> ParseTree:
     the uppercased clause keyword. Literals are replaced by <NUM>/<STR>
     placeholders and subqueries recurse as full skeletons.
     """
-    if not text or not text.strip():
-        raise ParseError("empty SQL input")
-    parser = _SqlParser(_lex_sql(text))
+    parser = _SqlParser("SQL", text, _lex_sql)
     root = parser.parse_statement()
     parser._accept("punct", ";")
-    tok = parser.tokens[parser.pos]
-    if tok.kind != "end":
-        raise ParseError(f"unsupported trailing token {tok.value!r}", tok.offset)
+    kind, value, off = parser._peek()
+    if kind != "end":
+        raise ParseError(f"unsupported trailing token {value!r}", off)
     return root
 
 

@@ -292,6 +292,30 @@ def test_stage_error_maps_to_exit_code(pipeline_runs, tmp_path, caplog, monkeypa
     assert not (tmp_path / ".lock").exists()
 
 
+@pytest.mark.parametrize("error,code", [
+    (ValueError("shapes (2,) and (3,) not aligned"), cli.EXIT_DATA),
+    (FloatingPointError("overflow"), cli.EXIT_NUMERIC),
+], ids=["ValueError", "FloatingPointError"])
+def test_verbose_logs_the_traceback(pipeline_runs, tmp_path, caplog, monkeypatch, error,
+                                    code):
+    """Under ``-v`` the error is logged with its traceback, so a ``ValueError``
+    that numpy raises can be told apart from a data error; the message and
+    the exit code stay those of a run without ``-v``."""
+    def fail(*args):
+        raise error
+
+    monkeypatch.setitem(cli._STAGES, "bucket", fail)
+    config = pipeline_runs[0] / "config.json"
+    argv = ["bucket", "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(argv) == code
+    assert "Traceback" not in caplog.text
+    caplog.clear()
+    assert cli.main(["-v", *argv]) == code
+    assert "Traceback (most recent call last)" in caplog.text
+    assert "in fail" in caplog.text
+    assert str(error) in caplog.records[-1].getMessage()
+
+
 def _exception_classes_nothing_needs() -> list[str]:
     """Each exception class of ``src/stare`` that no ``except`` outside
     ``cli.main`` names and that defines no method, as ``module.Class``."""

@@ -143,14 +143,15 @@ class TestMineAll:
         with pytest.raises(IndexCorpusMismatch):
             mine_all(corpus, _index_for(other), MiningConfig())
 
-    def test_planted_clusters_positive_in_cluster(self, bank, lsh_index, mined,
-                                                  fixture_data):
+    def test_planted_clusters_positive_in_cluster(self, bank, lsh_index, mined):
+        def cluster_of(rid):  # fixture ids are c<k>_<i>
+            return rid.split("_")[-2]
+
         groups, report = mined
         assert report.anchors == len(bank)
         assert report.skipped_empty_pool == 0
         for group in groups:
-            assert (fixture_data.cluster_of[group.positive_id]
-                    == fixture_data.cluster_of[group.anchor_id])
+            assert cluster_of(group.positive_id) == cluster_of(group.anchor_id)
             for rid in group.random_negative_ids:
                 pool = lsh_index.query(lsh_index.signatures[group.anchor_id]) - {group.anchor_id}
                 assert rid not in pool

@@ -341,6 +341,33 @@ def test_sexpr_rejects_corrupted_delimiters(source, data):
     assert corrupted.count("(") == corrupted.count(")")
 
 
+# Each dialect's delimiters, quotes, keywords and words, plus a few
+# well-formed fragments so that some drawn texts parse.
+_PIECES = {
+    "bracketed": ["[", "]", '"', "IN:X", "SL:Y", "for", "x1", "[A b ]"],
+    "sexpr": ["(", ")", '"', '"a b"', '""', "foo", ":obj", "12", "(plan x)"],
+    "sql_skeleton": [
+        "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+        "JOIN", "LEFT", "ON", "AS", "AND", "OR", "NOT", "IN", "LIKE", "BETWEEN", "EXISTS",
+        "UNION", "ALL", "ASC", "(", ")", ",", ";", "*", "=", "<=", "'s'", '"q"', "'", "?",
+        "a", "t.b", "count", "1", "2.5", "SELECT a FROM t", "WHERE a = 1"],
+}
+
+
+@pytest.mark.parametrize("dialect", list(_PIECES))
+@settings(max_examples=300, derandomize=True)
+@given(data=st.data())
+def test_parse_returns_a_tree_or_a_located_parse_error(dialect, data):
+    pieces = data.draw(st.lists(st.sampled_from(_PIECES[dialect]), max_size=16))
+    text = "".join(data.draw(st.sampled_from(["", " ", "\n"])) + p for p in pieces)
+    try:
+        tree = parse(text, dialect)
+    except ParseError as err:
+        assert err.position is None or 0 <= err.position <= len(text)
+    else:
+        assert isinstance(tree, ParseTree)
+
+
 @settings(max_examples=100, derandomize=True)
 @given(bracketed_source())
 def test_anonymize_idempotent_and_shape_preserving(source):
