@@ -266,11 +266,12 @@ def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
             index = None
     if index is None:
         index = retrieval.build_index(corpus, params, cfg, injection)
-    # The index now holds the digest of ``params``: a loaded one was checked against them.
+    # The index now holds the digest of ``params`` and this injection: a loaded
+    # one was checked against them. So the query is ranked without hashing again.
     _check_fitted(direction_path, fitted_to, index.provenance["params_sha256"])
     k = config.prompt["k"] if args.k is None else args.k
-    hits = retrieval.topk(index, args.query, k, params, cfg,
-                          injection=injection, exclude=args.exclude)
+    hits = retrieval._rank(index.ids, index.embeddings,
+                           encoder.embed(args.query, params, cfg, injection), k, args.exclude)
     if args.format == "json":
         print(json.dumps([{"id": rid, "score": score} for rid, score in hits],
                          indent=2))

@@ -33,7 +33,6 @@ _LABEL_FILES = {"POS": "labels_pos.txt", "DEPS": "labels_deps.txt", "PT": "label
 class TokenLabelCorpus:
     sentences: list[tuple[list[str], list[str]]]
     label_set: list[str]
-    prop: str
 
     def __post_init__(self) -> None:
         known = set(self.label_set)
@@ -77,15 +76,7 @@ def load_token_label_corpus(path: str | Path, prop: str) -> TokenLabelCorpus:
             tokens, labels = [], []
     if not sentences:
         raise ValueError(f"{path}: no sentence to probe")
-    return TokenLabelCorpus(sentences, label_set, prop)
-
-
-@dataclass
-class Probe:
-    W: np.ndarray  # (k, d)
-    b: np.ndarray  # (k,)
-    training_accuracy: float
-    loss_curve: list[float] = field(default_factory=list)
+    return TokenLabelCorpus(sentences, label_set)
 
 
 @dataclass
@@ -153,12 +144,12 @@ def probe_loss_and_grads(W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndar
 
 
 def train_probe(X: np.ndarray, y: np.ndarray, n_labels: int,
-                config: ProbeConfig = ProbeConfig()) -> Probe:
-    """Full-batch gradient descent from zero init; deterministic.
+                config: ProbeConfig = ProbeConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """The fit (W (k, d), b (k,)): full-batch gradient descent from zero
+    init; deterministic.
 
-    The objective is convex, so the loss curve must not increase; if a
-    step would increase it the learning rate is halved and the step
-    retried.
+    The objective is convex, so the loss must not increase; if a step
+    would increase it the learning rate is halved and the step retried.
     """
     if len(np.unique(y)) < 2:
         raise ValueError("probe training needs at least 2 distinct labels")
@@ -167,31 +158,26 @@ def train_probe(X: np.ndarray, y: np.ndarray, n_labels: int,
     b = np.zeros(n_labels)
     lr = config.lr
     loss, dW, db = probe_loss_and_grads(W, b, X, y, config.l2)
-    curve = [loss]
     for _ in range(config.epochs):
-        stepped = False
         while lr >= 1e-12:
             W_new = W - lr * dW
             b_new = b - lr * db
             new_loss, new_dW, new_db = probe_loss_and_grads(W_new, b_new, X, y, config.l2)
             if new_loss <= loss:
                 W, b, loss, dW, db = W_new, b_new, new_loss, new_dW, new_db
-                stepped = True
                 break
             lr *= 0.5
-        if not stepped:
+        else:  # no step size lowers the loss
             break
-        curve.append(loss)
-    accuracy = float(np.mean(np.argmax(X @ W.T + b, axis=1) == y))
-    return Probe(W=W, b=b, training_accuracy=accuracy, loss_curve=curve)
+    return W, b
 
 
-def extract_direction(probe: Probe) -> np.ndarray:
-    """Top right singular vector of the probe weights, from ``np.linalg.svd``.
+def extract_direction(W: np.ndarray) -> np.ndarray:
+    """Top right singular vector of a probe's weights, from ``np.linalg.svd``.
 
     The unit vector's sign is fixed so its first nonzero component is positive.
     """
-    W = np.asarray(probe.W, dtype=np.float64)
+    W = np.asarray(W, dtype=np.float64)
     if not np.any(W):
         raise ValueError("probe weight matrix is all zeros")
     v = np.linalg.svd(W, full_matrices=False)[2][0]
@@ -259,10 +245,11 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
     and the queries' uninjected states of the in-range grid layers (only
     those) are kept per ``enc.forward_batch`` chunk, and a cell resumes
     every chunk from its layer-L states plus lam*u. The cost is two
-    forwards per sequence plus, per injected cell, the blocks after L; the
-    scores equal those of rebuilding the index per cell bit for bit. Cell
-    failures are recorded in the report rather than raised. The baseline
-    row always comes first and wins ties.
+    forwards per sequence plus, per cell, the blocks after L; the scores
+    equal those of rebuilding the index per cell bit for bit, so a
+    lam = 0 cell scores the baseline. Cell failures are recorded in the
+    report rather than raised. The baseline row always comes first and
+    wins ties.
     """
     rows: list[SweepRow] = []
     golds = retrieval.gold_ids(queries, bank)
@@ -306,8 +293,8 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
                     # One forward serves every in-range layer; an
                     # out-of-range layer raises its own error row.
                     states, y = collect_states(corpus, params, cfg, [layer, *in_range])
-                u = extract_direction(train_probe(states[layer], y, len(corpus.label_set),
-                                                  probe_config))
+                W, _ = train_probe(states[layer], y, len(corpus.label_set), probe_config)
+                u = extract_direction(W)
             except (ValueError, ArithmeticError) as exc:  # bad data fails the cell
                 rows.append(SweepRow(prop=prop, layer=layer, lam=0.0,
                                      score=float("nan"), error=str(exc)))
@@ -315,7 +302,7 @@ def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: Enc
             for lam in grid.lambdas:
                 injection = InjectionDirection(u=u, layer=layer, lam=float(lam), prop=prop)
                 try:
-                    score = baseline if lam == 0.0 else score_cell(injection)
+                    score = score_cell(injection)
                 except (ValueError, ArithmeticError) as exc:
                     rows.append(SweepRow(prop=prop, layer=layer, lam=float(lam),
                                          score=float("nan"), error=str(exc)))

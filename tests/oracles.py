@@ -307,7 +307,6 @@ def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
     """``mli.sweep`` by brute force: every cell rebuilds the retrieval index
     under its injection and ranks each dev query with ``topk``."""
     rows: list[mli.SweepRow] = []
-    probes: dict = {}
     directions: dict = {}
     golds = retrieval.gold_ids(queries, bank)
 
@@ -331,9 +330,8 @@ def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
             try:
                 if key not in directions:
                     X, y = mli.collect_states(corpus, params, cfg, [layer])
-                    probes[key] = mli.train_probe(X[layer], y, len(corpus.label_set),
-                                                  probe_config)
-                    directions[key] = mli.extract_direction(probes[key])
+                    W, _ = mli.train_probe(X[layer], y, len(corpus.label_set), probe_config)
+                    directions[key] = mli.extract_direction(W)
             except Exception as exc:
                 rows.append(mli.SweepRow(prop=prop, layer=layer, lam=0.0,
                                          score=float("nan"), error=str(exc)))

@@ -282,20 +282,19 @@ def test_criterion_10_svd_direction():
         k = int(rng.integers(2, 31))
         d = int(rng.integers(4, 65))
         W = rng.standard_normal((k, d))
-        probe = mli.Probe(W=W, b=np.zeros(k), training_accuracy=0.0)
-        u = mli.extract_direction(probe)
+        u = mli.extract_direction(W)
         worst = min(worst, abs(float(u @ jacobi_svd_top_right(W))))
     v = np.array([0.0, 3.0, -4.0, 0.0])
     W1 = np.zeros((3, 4))
     W1[1] = v
-    u1 = mli.extract_direction(mli.Probe(W1, np.zeros(3), 0.0))
+    u1 = mli.extract_direction(W1)
     expected = v / np.linalg.norm(v)
     if expected[np.flatnonzero(expected)[0]] < 0:
         expected = -expected
     rank1_err = float(np.abs(u1 - expected).max())
     W2 = np.zeros((2, 5))
     W2[0, 0], W2[1, 1] = 3.0, 1.0
-    u2 = mli.extract_direction(mli.Probe(W2, np.zeros(2), 0.0))
+    u2 = mli.extract_direction(W2)
     diag_err = max(abs(float(u2[0]) - 1.0), float(np.abs(u2[1:]).max()))
     elapsed = time.time() - started
     _report(10, worst >= 0.999 and rank1_err <= 1e-9 and diag_err <= 1e-9

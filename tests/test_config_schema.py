@@ -337,6 +337,24 @@ def test_shipped_configs_resolve_as_before(tmp_path):
         assert resolved == expected, name
 
 
+@pytest.fixture(scope="module")
+def generated_fixture(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fixture")
+    assert cli.main(["fixture-gen", "--out", str(out), "--seed", "0"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config_loads_unedited(generated_fixture, path):
+    """Each starter config loads as shipped, its corpus paths set through the
+    environment, so a schema change cannot break one silently."""
+    train, dev = generated_fixture / "train.jsonl", generated_fixture / "dev.jsonl"
+    config = load_config(path, env={"STARE_CORPUS_TRAIN": str(train),
+                                    "STARE_CORPUS_DEV": str(dev)})
+    assert (config.path(config.corpus["train"]), config.path(config.corpus["dev"])) == (train, dev)
+    assert config.corpus["dialect"] == _SHIPPED[path.stem][0]
+
+
 class TestOneMetric:
     def test_mean_sim_at_k_by_hand(self):
         bank = Corpus(BANK, "bracketed")

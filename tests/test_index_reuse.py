@@ -90,6 +90,32 @@ def test_matching_index_is_loaded_not_built(run, build_calls, use_direction):
     assert saved[0] == 0 and json.loads(saved[1])
 
 
+@pytest.mark.parametrize("use_direction", [False, True])
+def test_retrieve_hashes_the_params_once(run, monkeypatch, use_direction):
+    """A loaded index is checked against the params and a built one holds
+    their digest, so ranking the query takes no second hash."""
+    fingerprint = encoder.params_fingerprint
+    calls = []
+
+    def counting(params):
+        calls.append(1)
+        return fingerprint(params)
+
+    monkeypatch.setattr(encoder, "params_fingerprint", counting)
+    extra = ["--use-direction"] if use_direction else []
+
+    def hashes(*more: str) -> int:
+        calls.clear()
+        assert _retrieve(run, *extra, *more)[0] == 0
+        return len(calls)
+
+    saved = hashes()
+    explicit = hashes("--index", str(run[1] / _index_file(use_direction)))
+    for name in INDEX_FILES:
+        (run[1] / name).unlink()
+    assert (saved, explicit, hashes()) == (1, 1, 1)
+
+
 def _retrain(fix: Path, out: Path) -> None:
     """Other params under the same config, as a rerun of ``train`` would
     write, and ``direction.json`` fitted to them, as a rerun of ``mli``

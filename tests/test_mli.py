@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -40,11 +41,11 @@ class TestLabelCorpus:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="^token/label length mismatch: 2 vs 1$"):
-            mli.TokenLabelCorpus([(["a", "b"], ["NOUN"])], ["NOUN"], "POS")
+            mli.TokenLabelCorpus([(["a", "b"], ["NOUN"])], ["NOUN"])
 
     def test_empty_sentence(self):
         with pytest.raises(ValueError, match="^token-label corpus contains an empty sentence$"):
-            mli.TokenLabelCorpus([([], [])], ["NOUN"], "POS")
+            mli.TokenLabelCorpus([([], [])], ["NOUN"])
 
     def test_malformed_line_numbered(self, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -63,7 +64,7 @@ class TestCollectStates:
         params = enc.init_params(cfg)
         corpus = mli.TokenLabelCorpus(
             [(["alpha", "beta", "gamma"], ["NOUN", "VERB", "NOUN"])],
-            ["NOUN", "VERB"], "POS")
+            ["NOUN", "VERB"])
         X, y = mli.collect_states(corpus, params, cfg, layers=[2])
         assert list(X) == [2] and X[2].shape == (3, cfg.d)
         assert list(y) == [0, 1, 0]
@@ -72,7 +73,7 @@ class TestCollectStates:
         cfg = self._cfg()
         params = enc.init_params(cfg)
         corpus = mli.TokenLabelCorpus([(["alpha", "beta"], ["NOUN", "VERB"])],
-                                      ["NOUN", "VERB"], "POS")
+                                      ["NOUN", "VERB"])
         X1, _ = mli.collect_states(corpus, params, cfg, [1])
         X2, _ = mli.collect_states(corpus, params, cfg, [1])
         assert np.array_equal(X1[1], X2[1])
@@ -81,14 +82,14 @@ class TestCollectStates:
         cfg = self._cfg()  # max_len 4
         params = enc.init_params(cfg)
         tokens = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        corpus = mli.TokenLabelCorpus([(tokens, ["NOUN"] * 5)], ["NOUN", "VERB"], "POS")
+        corpus = mli.TokenLabelCorpus([(tokens, ["NOUN"] * 5)], ["NOUN", "VERB"])
         X, y = mli.collect_states(corpus, params, cfg, [1])
         assert X[1].shape[0] == 4 == len(y)
 
     def test_layer_bounds(self):
         cfg = self._cfg()
         params = enc.init_params(cfg)
-        corpus = mli.TokenLabelCorpus([(["alpha"], ["NOUN"])], ["NOUN", "VERB"], "POS")
+        corpus = mli.TokenLabelCorpus([(["alpha"], ["NOUN"])], ["NOUN", "VERB"])
         for layers in ([0], [1, 4]):
             with pytest.raises(ValueError, match=rf"^layer {layers[-1]} outside \[1, 3\]$"):
                 mli.collect_states(corpus, params, cfg, layers)
@@ -99,7 +100,7 @@ class TestCollectStates:
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
         sentences = [(words[i % 3 : i % 3 + n], [("NOUN", "VERB")[j % 2] for j in range(n)])
                      for i, n in enumerate([2, 1, 3, 2, 5, 1, 2, 3, 4, 2])]
-        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")
+        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"])
         X, y = mli.collect_states(corpus, params, cfg, [3, 1])  # one forward, both layers
         assert list(X) == [3, 1]
         for layer in (1, 3):
@@ -123,7 +124,7 @@ class TestCollectStates:
         for n in rng.integers(1, 9, 1000):
             sentences.append(([words[j] for j in rng.integers(0, 50, n)],
                               [("NOUN", "VERB")[j % 2] for j in range(n)]))
-        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")
+        corpus = mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"])
         tracemalloc.start()
         try:
             X, y = mli.collect_states(corpus, params, cfg, [1, 2])
@@ -135,21 +136,26 @@ class TestCollectStates:
         assert peak < 1.5 * returned
 
 
+def _accuracy(W, b, X, y):
+    """The share of rows whose highest-scoring label is their own."""
+    return float(np.mean(np.argmax(X @ W.T + b, axis=1) == y))
+
+
 class TestTrainProbe:
     def test_separable_blobs(self, probe_cfg):
         rng = np.random.default_rng(0)
         X = np.vstack([rng.standard_normal((60, 8)) * 0.1 + [4, 0, 0, 0, 0, 0, 0, 0],
                        rng.standard_normal((60, 8)) * 0.1 - [4, 0, 0, 0, 0, 0, 0, 0]])
         y = np.array([0] * 60 + [1] * 60)
-        probe = mli.train_probe(X, y, n_labels=2, config=probe_cfg)
-        assert probe.training_accuracy >= 0.99
+        W, b = mli.train_probe(X, y, n_labels=2, config=probe_cfg)
+        assert _accuracy(W, b, X, y) >= 0.99
 
     def test_chance_level_on_random_labels(self, probe_cfg):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((400, 8))
         y = rng.integers(0, 4, size=400)
-        probe = mli.train_probe(X, y, 4, probe_cfg)
-        assert abs(probe.training_accuracy - 0.25) <= 0.1
+        W, b = mli.train_probe(X, y, 4, probe_cfg)
+        assert abs(_accuracy(W, b, X, y) - 0.25) <= 0.1
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -188,13 +194,26 @@ class TestTrainProbe:
         assert np.array_equal(dW, want_dW) and np.array_equal(db, want_db)
         assert all(np.array_equal(a, c) for a, c in zip((W, b, X, y), inputs))
 
-    def test_loss_curve_monotone(self, probe_cfg):
+    def test_loss_curve_monotone(self, probe_cfg, monkeypatch):
+        """Descent: a step is kept only if it does not raise the loss, so the
+        fit returned has the lowest loss of every one evaluated."""
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 6))
         y = rng.integers(0, 3, size=100)
-        probe = mli.train_probe(X, y, 3, probe_cfg)
-        curve = probe.loss_curve
-        assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
+        loss_and_grads = mli.probe_loss_and_grads
+        losses = []
+
+        def recording(*args):
+            out = loss_and_grads(*args)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(mli, "probe_loss_and_grads", recording)
+        W, b = mli.train_probe(X, y, 3, probe_cfg)
+        monkeypatch.undo()
+        loss = mli.probe_loss_and_grads(W, b, X, y, probe_cfg.l2)[0]
+        assert len(losses) > probe_cfg.epochs
+        assert loss == min(losses) <= losses[0]
 
     def test_degenerate_labels(self, probe_cfg):
         X = np.ones((10, 4))
@@ -204,14 +223,11 @@ class TestTrainProbe:
 
 
 class TestExtractDirection:
-    def _probe(self, W):
-        return mli.Probe(W=W, b=np.zeros(W.shape[0]), training_accuracy=0.0)
-
     def test_rank_one(self):
         v = np.array([0.0, 3.0, -4.0, 0.0])
         W = np.zeros((3, 4))
         W[1] = v
-        u = mli.extract_direction(self._probe(W))
+        u = mli.extract_direction(W)
         expected = v / np.linalg.norm(v)
         if expected[np.flatnonzero(expected)[0]] < 0:
             expected = -expected
@@ -220,7 +236,7 @@ class TestExtractDirection:
     def test_diagonal(self):
         W = np.zeros((2, 5))
         W[0, 0], W[1, 1] = 3.0, 1.0
-        u = mli.extract_direction(self._probe(W))
+        u = mli.extract_direction(W)
         assert abs(u[0] - 1.0) <= 1e-9
         assert np.abs(u[1:]).max() <= 1e-9
 
@@ -229,7 +245,7 @@ class TestExtractDirection:
         for _ in range(20):
             k, d = int(rng.integers(2, 12)), int(rng.integers(4, 40))
             W = rng.standard_normal((k, d))
-            u = mli.extract_direction(self._probe(W))
+            u = mli.extract_direction(W)
             oracle = jacobi_svd_top_right(W)
             assert abs(float(u @ oracle)) >= 0.999
 
@@ -237,20 +253,20 @@ class TestExtractDirection:
         rng = np.random.default_rng(5)
         for _ in range(10):
             W = rng.standard_normal((4, 9))
-            u = mli.extract_direction(self._probe(W))
+            u = mli.extract_direction(W)
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-9
             assert u[np.flatnonzero(u)[0]] > 0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)
         W = rng.standard_normal((5, 12))
-        u1 = mli.extract_direction(self._probe(W))
-        u2 = mli.extract_direction(self._probe(2.5 * W))
+        u1 = mli.extract_direction(W)
+        u2 = mli.extract_direction(2.5 * W)
         assert np.allclose(u1, u2, atol=1e-9)
 
     def test_zero_matrix(self):
         with pytest.raises(ValueError, match="^probe weight matrix is all zeros$"):
-            mli.extract_direction(self._probe(np.zeros((3, 4))))
+            mli.extract_direction(np.zeros((3, 4)))
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6])
     def test_narrow_gap(self, gap):
@@ -258,7 +274,7 @@ class TestExtractDirection:
         left = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         right = np.linalg.qr(rng.standard_normal((8, 3)))[0]
         W = left @ np.diag([1.0, 1.0 - gap, 0.5]) @ right.T
-        u = mli.extract_direction(self._probe(W))
+        u = mli.extract_direction(W)
         assert abs(float(u @ right[:, 0])) >= 1 - 1e-12
 
 
@@ -280,7 +296,7 @@ class TestSweep:
         params = enc.init_params(cfg)
         sentences = [([f"token{i}", "alpha", "beta"], ["NOUN", "VERB", "NOUN"])
                      for i in range(8)]
-        corpora = {"POS": mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"], "POS")}
+        corpora = {"POS": mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"])}
         dev = Corpus([Record("d1", "token1 alpha beta", "[A1 x1 ]")], "bracketed")
         return dev, bank, params, cfg, corpora
 
@@ -409,6 +425,31 @@ def test_fixture_sweep_equals_reference(dev_queries, bank, trained_params, enc_c
     _assert_same_sweep(mli.sweep(*args, k=5), reference_sweep(*args, k=5))
 
 
+def test_fixture_lambda_zero_rows_score_the_baseline(dev_queries, bank, trained_params, enc_cfg,
+                                                     label_corpora, monkeypatch, tmp_path):
+    """A lam = 0 cell is scored like every other cell, resumed from the kept
+    states plus 0*u, and ``mli_grid.csv`` gets the baseline's score bit for bit."""
+    resumed_embedding = mli.resumed_embedding
+    cells = set()
+
+    def recording(states, injection, *args):
+        cells.add((injection.prop, injection.layer, injection.lam))
+        return resumed_embedding(states, injection, *args)
+
+    monkeypatch.setattr(mli, "resumed_embedding", recording)
+    grid = mli.SweepGrid(layers=[2, 3, 4], properties=["POS", "DEPS"], lambdas=[0.0])
+    result = mli.sweep(dev_queries, bank, trained_params, enc_cfg, label_corpora, grid, k=5)
+    assert cells == {(prop, layer, 0.0) for prop in grid.properties for layer in grid.layers}
+    path = tmp_path / "mli_grid.csv"
+    mli.write_sweep_report(result, path)
+    baseline, *rows = csv.DictReader(path.open())
+    assert baseline["property"] == "" and len(rows) == 6
+    for row in rows:
+        assert row["error"] == "" and float(row["lambda"]) == 0.0
+        assert float(row["score"]).hex() == float(baseline["score"]).hex() \
+            == result.baseline_score.hex()
+
+
 # A direction.json as ``save_direction`` writes it.
 _PARAMS_SHA256 = "0123456789abcdef" * 4
 _SAVED_DIRECTION = {"format_version": 2, "params_sha256": _PARAMS_SHA256, "property": "POS",
@@ -496,5 +537,5 @@ def test_fixture_probes_beat_chance(trained_params, enc_cfg, label_corpora):
         X, y = mli.collect_states(corpus, trained_params, enc_cfg, [2, 3, 4])
         chance = 1.0 / len(corpus.label_set)
         for layer, states in X.items():
-            probe = mli.train_probe(states, y, len(corpus.label_set))
-            assert probe.training_accuracy > chance + 0.2, (prop, layer)
+            W, b = mli.train_probe(states, y, len(corpus.label_set))
+            assert _accuracy(W, b, states, y) > chance + 0.2, (prop, layer)

@@ -197,6 +197,26 @@ def test_comb_pair_runs_on_cheaper_side(left_spine, right_spine, side):
         assert ted(x, y).hex() == ted_left_path(x, y).hex()
 
 
+def _dp_cells(side_a, side_b) -> int:
+    return sum(rows * cols for _, rows, _, _, cols, _ in ted_module._blocks(side_a[2], side_b[2]))
+
+
+def test_long_conjunction_runs_on_left_side():
+    """Why ``ted`` keeps both orientations. On the seed-0 SQL benchmark bank,
+    running every pair mirrored costs about the DP cells of the cheaper-side
+    rule (11.06 M against 11.03 M; left only, 18.2 M). But ``_chain`` nests
+    AND to the left, so a WHERE of 20 conjuncts costs 12x the cells mirrored."""
+    where = " AND ".join(f"c{i} {{op}} {i}" for i in range(20))
+    a, b = (parse_sql_skeleton("SELECT T1.a, T2.b FROM t AS T1 JOIN u AS T2 ON T1.x = T2.x "
+                               "WHERE " + where.format(op=op)) for op in ("=", ">"))
+    assert a.size == b.size == 91
+    sides_a, sides_b = ted_module._decompose(a), ted_module._decompose(b)
+    assert [_dp_cells(sides_a[k], sides_b[k]) for k in (0, 1)] == [59_049, 708_964]
+    picked = ted_module._cheaper_sides(a, b)
+    assert picked[0] is sides_a[0] and picked[1] is sides_b[0]
+    assert ted(a, b).hex() == ted_left_path(a, b).hex()
+
+
 def test_mirrored_side_is_left_side_of_mirror(random_tree_pool):
     for tree in random_tree_pool + [_left_comb(10)]:
         left, right = ted_module._decompose(tree)
