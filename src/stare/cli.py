@@ -45,13 +45,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_in(low: int, high: float = float("inf")):
-    """argparse type: an integer in [low, high], else a usage error naming the flag."""
+def _int_in(low: int):
+    """argparse type: an integer >= low, else a usage error naming the flag."""
     def value(text: str) -> int:
         with contextlib.suppress(ValueError):
-            if low <= int(text) <= high:
+            if low <= int(text):
                 return int(text)
-        raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
 
 
@@ -112,6 +112,20 @@ def _upstream(path: Path, stage: str) -> Path:
     return path
 
 
+def _check_built(path: Path, section: str, built, config: PipelineConfig, stage: str) -> None:
+    """Refuse an artifact that ``stage`` built under other ``section`` settings."""
+    for key, value in getattr(config, section).items():
+        if getattr(built, key) != value:
+            raise ValueError(f"{path}: built with {section}.{key} = {getattr(built, key)!r}, "
+                             f"but the config has {value!r}; rerun '{stage}'")
+
+
+def _trained_params(config: PipelineConfig, out: Path):
+    params, cfg = encoder.load_params(path := _upstream(out / "encoder.params", "train"))
+    _check_built(path, "encoder", cfg, config, "train")
+    return params, cfg
+
+
 def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
     """The index of every record, sketching each distinct parse string once."""
     index = bucketing.LshIndex(**config.bucketing)
@@ -150,10 +164,7 @@ def cmd_bucket(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
 def cmd_mine(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     path = _upstream(out / "lsh_index.json", "bucket")
     index = bucketing.LshIndex.load(path)
-    for key in ("num_hashes", "tau", "seed"):
-        if getattr(index, key) != config.bucketing[key]:
-            raise ValueError(f"{path}: built with bucketing.{key} = {getattr(index, key)!r}, "
-                             f"but the config has {config.bucketing[key]!r}; rerun 'bucket'")
+    _check_built(path, "bucketing", index, config, "bucket")
     try:
         groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     except mining.IndexCorpusMismatch:
@@ -189,7 +200,7 @@ def cmd_train(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
 
 def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     dev = _load_corpus(config, "dev")
-    params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
+    params, cfg = _trained_params(config, out)
     m = config.mli
     if not m["label_corpora"]:
         raise ValueError("mli.label_corpora is empty; nothing to probe")
@@ -248,19 +259,15 @@ def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
     if args.exclude is not None and args.exclude not in corpus:
         raise ValueError(f"--exclude {args.exclude!r}: no such record in the bank "
                          f"{config.path(config.corpus['train'])}")
-    params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
+    params, cfg = _trained_params(config, out)
     direction_path = out / "direction.json"
     injection, fitted_to = (_load_direction(_upstream(direction_path, "mli"), cfg)
                             if args.use_direction else (None, None))
-    path = Path(args.index) if args.index else _index_path(out, injection is not None)
-    index = None
-    if args.index or path.exists():
-        index = retrieval.load_index(path)
+    path = _index_path(out, injection is not None)
+    index = retrieval.load_index(path) if path.exists() else None
+    if index is not None:
         field = retrieval.index_mismatch(index, corpus, params, cfg, injection)
         if field is not None:
-            if args.index:
-                raise ValueError(f"{path}: its {field} differs from that of the bank "
-                                 f"{config.corpus['train']}, params and injection in use")
             logger.info("%s: its %s differs from this run's; building the index in memory",
                         path, field)
             index = None
@@ -286,7 +293,7 @@ def cmd_retrieve(config: PipelineConfig, corpus: Corpus, out: Path,
 
 def cmd_eval(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     dev = _load_corpus(config, "dev")
-    trained_params, cfg = encoder.load_params(_upstream(out / "encoder.params", "train"))
+    trained_params, cfg = _trained_params(config, out)
     untrained_params = encoder.init_params(cfg)
     direction_path = out / "direction.json"
     injection, fitted_to = _load_direction(direction_path, cfg)
@@ -356,8 +363,6 @@ def make_parser() -> _Parser:
     p.add_argument("--k", type=_int_in(1), help="exemplars to return (default: prompt.k)")
     p.add_argument("--exclude")
     p.add_argument("--format", choices=("json", "prompt"), default="json")
-    p.add_argument("--index", help="saved retrieval index (default: the one 'eval' saved for "
-                   "this injection if it matches, else build in memory)")
     p.add_argument("--use-direction", action="store_true",
                    help="apply <out>/direction.json while embedding")
     stage("eval", "compare untrained / trained / trained+MLI / BM25")
@@ -367,9 +372,8 @@ def make_parser() -> _Parser:
     p.add_argument("--dialect", default="bracketed", choices=[d.value for d in ParseDialect])
     p = sub.add_parser("fixture-gen", help="generate the synthetic fixture corpus")
     p.add_argument("--out", required=True)
-    bounds = {"clusters": (1, len(fixtures._BUILDERS)), "seed": (0,)}
     for f in fields(fixtures.FixtureSpec):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=_int_in(*bounds.get(f.name, (1,))),
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_int_in(0 if f.name == "seed" else 1),
                        default=f.default)
     return parser
 

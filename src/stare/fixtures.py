@@ -23,7 +23,6 @@ Tagged = list[tuple[str, str]]  # (word, POS tag)
 
 @dataclass
 class FixtureSpec:
-    clusters: int = 5
     per_cluster: int = 20
     dev_per_cluster: int = 3
     seed: int = 0
@@ -215,17 +214,15 @@ def pt_labels(pos_tags: list[str]) -> list[str]:
 
 def generate(spec: FixtureSpec = FixtureSpec()) -> FixtureData:
     """Build the planted-cluster corpus; fully determined by the seed."""
-    if spec.clusters > len(_BUILDERS):
-        raise ValueError(f"at most {len(_BUILDERS)} cluster families are defined")
     rng = np.random.default_rng(spec.seed)
     train: list[Record] = []
     dev: list[Record] = []
     tagged: list[Tagged] = []
-    for c in range(spec.clusters):
+    for c, build in enumerate(_BUILDERS):
         for split, n, prefix in ((train, spec.per_cluster, ""),
                                  (dev, spec.dev_per_cluster, "dev_")):
             for i in range(n):
-                words, parse = _BUILDERS[c](rng)
+                words, parse = build(rng)
                 words = _with_carriers(rng, words)
                 rid = f"{prefix}c{c}_{i:03d}"
                 split.append(Record(rid, " ".join(w for w, _ in words), parse))

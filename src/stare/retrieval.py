@@ -228,8 +228,6 @@ def build_prompt(spec: PromptSpec, exemplars: list[tuple[str, str]], query: str)
                   for i, (u, p) in enumerate(exemplars, start=1)]
         blocks.append(f"Query\nUser: {query}\nParse:")
         return header + "\n\n" + "\n\n".join(blocks)
-    if spec.schema_text is None:
-        raise ValueError("sql_schema template requires schema_text")
     cases = [(u, f" {p}") for u, p in exemplars] + [(query, "")]
     return "\n\n".join(f"/* Given the following database schema: */\n{spec.schema_text}\n"
                        f"/* Answer the following: {u} */\nSQL Query:{p}" for u, p in cases)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,8 +139,6 @@ class TestCliBasics:
         (["fixture-gen", "--per-cluster", "0"], "--per-cluster"),
         (["fixture-gen", "--per-cluster", "-3"], "--per-cluster"),
         (["fixture-gen", "--dev-per-cluster", "0"], "--dev-per-cluster"),
-        (["fixture-gen", "--clusters", "0"], "--clusters"),
-        (["fixture-gen", "--clusters", "6"], "--clusters"),
         (["fixture-gen", "--seed", "-1"], "--seed"),
         (["fixture-gen", "--seed", "one"], "--seed"),
     ])
@@ -154,6 +153,16 @@ class TestCliBasics:
         assert err.value.code == 1
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fixture_gen_seed_0_writes_the_pinned_bytes(self, tmp_path):
+        """``fixture-gen --seed 0`` writes the six inputs whose sha256 the
+        benchmark's demo-pipeline workload pins in ``perfbench/pins.json``."""
+        pins_path = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+        pins = json.loads(pins_path.read_text(encoding="utf-8"))["demo-pipeline"]
+        assert cli.main(["fixture-gen", "--out", str(tmp_path), "--seed", "0"]) == 0
+        names = ("train.jsonl", "dev.jsonl", "pos.tsv", "deps.tsv", "pt.tsv", "config.json")
+        assert {name: _hash(tmp_path / name) for name in names} == \
+            {name: pins[name] for name in names}
 
     def test_unknown_format_exits_1(self, fixture_dir, tmp_path):
         with pytest.raises(SystemExit) as err:

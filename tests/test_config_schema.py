@@ -1,6 +1,7 @@
 """The section dataclasses as config schema, read-only retrieve, loud loaders."""
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -139,11 +140,13 @@ class TestRetrieve:
 
 
 class TestLoaders:
-    def test_foreign_index_header(self, run_dir):
+    def test_foreign_index_header(self, run_dir, caplog):
         config, out = run_dir
         with pytest.raises(ValueError, match="encoder.params"):
             retrieval.load_index(out / "encoder.params")
-        assert _retrieve(config, out, "--index", str(out / "encoder.params")) == 2
+        (out / "index_trained.bin").write_bytes((out / "encoder.params").read_bytes())
+        assert _retrieve(config, out) == 2
+        assert "index_trained.bin" in caplog.text
 
     def test_truncated_index(self, run_dir, tmp_path):
         _, out = run_dir
@@ -165,16 +168,24 @@ class TestLoaders:
         assert _retrieve(config, out) == 2
 
     @pytest.mark.parametrize("fmt", ["json", "prompt"])
-    def test_index_of_another_bank(self, run_dir, tmp_path, caplog, capsys, fmt):
+    def test_index_of_another_bank(self, run_dir, caplog, capsys, fmt):
+        """A saved index of other ids is rebuilt from the bank, so only bank
+        ids are printed and each prompt exemplar is a bank record."""
+        caplog.set_level(logging.INFO, logger="stare")
         config, out = run_dir
         params, cfg = enc.load_params(out / "encoder.params")
         other = Corpus([Record("z0", "remind me to pack boxes", BANK[0].parse),
                         Record("z1", "call ravi now", BANK[1].parse)], "bracketed")
-        path = tmp_path / "other.index"
+        path = out / "index_trained.bin"
         retrieval.save_index(retrieval.build_index(other, params, cfg), path)
-        assert _retrieve(config, out, "--index", str(path), "--format", fmt) == 2
-        assert "other.index" in caplog.text
-        assert capsys.readouterr().out == ""
+        assert _retrieve(config, out, "--format", fmt) == 0
+        assert f"{path}: its ids differs" in caplog.text
+        printed = capsys.readouterr().out
+        if fmt == "json":
+            hits = json.loads(printed)
+            assert len(hits) == 2 and {hit["id"] for hit in hits} <= {rec.id for rec in BANK}
+        else:
+            assert "Example 2" in printed
 
     def test_direction_missing_key(self, run_dir, capsys):
         config, out = run_dir
@@ -206,31 +217,31 @@ class TestLoaders:
     @pytest.mark.parametrize("provenance", [
         None, {"injection": None}, {"params_sha256": 7, "injection": None},
         {"params_sha256": "ab"}, {"params_sha256": "ab", "injection": "POS"}])
-    def test_index_provenance_checked(self, run_dir, tmp_path, caplog, provenance):
+    def test_index_provenance_checked(self, run_dir, caplog, provenance):
         config, out = run_dir
         params, cfg = enc.load_params(out / "encoder.params")
         index = retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg)
-        path = tmp_path / "bad.index"
+        path = out / "index_trained.bin"
         retrieval.save_index(retrieval.RetrievalIndex(index.ids, index.embeddings, provenance),
                              path)
-        with pytest.raises(ValueError, match="bad.index"):
+        with pytest.raises(ValueError, match="index_trained.bin"):
             retrieval.load_index(path)
-        assert _retrieve(config, out, "--index", str(path)) == 2
-        assert "bad.index" in caplog.text
+        assert _retrieve(config, out) == 2
+        assert "index_trained.bin" in caplog.text
 
     @pytest.mark.parametrize("header", [{"n": True}, {"ids": [7]}])
-    def test_index_header_types_checked(self, run_dir, tmp_path, caplog, header):
+    def test_index_header_types_checked(self, run_dir, caplog, header):
         config, out = run_dir
         params, cfg = enc.load_params(out / "encoder.params")
-        path = tmp_path / "bad.index"
+        path = out / "index_trained.bin"
         retrieval.save_index(retrieval.build_index(Corpus(BANK[:1], "bracketed"), params, cfg),
                              path)
         line, _, blob = path.read_bytes().partition(b"\n")
         path.write_bytes(json.dumps({**json.loads(line), **header}).encode() + b"\n" + blob)
-        with pytest.raises(ValueError, match="bad.index"):
+        with pytest.raises(ValueError, match="index_trained.bin"):
             retrieval.load_index(path)
-        assert _retrieve(config, out, "--index", str(path)) == 2
-        assert "bad.index" in caplog.text
+        assert _retrieve(config, out) == 2
+        assert "index_trained.bin" in caplog.text
 
     @pytest.mark.parametrize("stage", ["retrieve", "eval"])
     @pytest.mark.parametrize("change", [{"u": [0.2] * 5}, {"layer": 9}])

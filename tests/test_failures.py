@@ -196,6 +196,22 @@ def test_mine_refuses_index_of_other_bucketing(copied_run, caplog, monkeypatch, 
     assert _snapshot(copied_run["run"]) == before
 
 
+def test_stages_refuse_params_of_other_encoder_settings(copied_run, caplog, capsys,
+                                                       monkeypatch):
+    """``mli``, ``eval`` and ``retrieve`` run ``encoder.params`` only under the
+    ``encoder`` section that trained it: another is exit 2 naming the key and
+    both values, and the run directory keeps its bytes."""
+    monkeypatch.setenv("STARE_ENCODER_SEED", "9")
+    before = _snapshot(copied_run["run"])
+    for stage in ("mli", "eval", "retrieve"):
+        caplog.clear()
+        assert cli.main(_argv(stage, copied_run)) == cli.EXIT_DATA
+        assert (f"{copied_run['run'] / 'encoder.params'}: built with encoder.seed = 1, "
+                "but the config has 9; rerun 'train'") in caplog.text
+    assert capsys.readouterr().out == ""
+    assert _snapshot(copied_run["run"]) == before
+
+
 def test_use_direction_needs_direction_json(copied_run, caplog, capsys):
     """Without ``direction.json`` there is no injection to apply: exit 2
     naming the file. A baseline file applies none: the plain hits."""

@@ -1,7 +1,7 @@
 """``eval`` saves the trained indexes; ``retrieve`` uses the one for its
 injection only when ``retrieval.index_mismatch`` finds no field in which it
 differs from the bank, params and injection in use. A stale saved index is
-rebuilt in memory; a stale ``--index`` file is a data error naming the field."""
+rebuilt in memory, and the INFO log names the field."""
 
 from __future__ import annotations
 
@@ -55,10 +55,6 @@ def _retrieve(run, *extra: str) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def _index_file(use_direction: bool) -> str:
-    return INDEX_FILES[use_direction]
-
-
 def test_eval_saves_the_indexes_it_ranks_with(pipeline_runs):
     """Two seed-0 runs write byte-identical index files, each equal to the
     index ``build_index`` gives for its run's bank, params and injection."""
@@ -80,13 +76,12 @@ def test_eval_saves_the_indexes_it_ranks_with(pipeline_runs):
 def test_matching_index_is_loaded_not_built(run, build_calls, use_direction):
     extra = ["--use-direction"] if use_direction else []
     saved = _retrieve(run, *extra)
-    explicit = _retrieve(run, *extra, "--index", str(run[1] / _index_file(use_direction)))
     assert not build_calls
     for name in INDEX_FILES:
         (run[1] / name).unlink()
     rebuilt = _retrieve(run, *extra)
     assert len(build_calls) == 1
-    assert saved == explicit == rebuilt
+    assert saved == rebuilt
     assert saved[0] == 0 and json.loads(saved[1])
 
 
@@ -104,16 +99,15 @@ def test_retrieve_hashes_the_params_once(run, monkeypatch, use_direction):
     monkeypatch.setattr(encoder, "params_fingerprint", counting)
     extra = ["--use-direction"] if use_direction else []
 
-    def hashes(*more: str) -> int:
+    def hashes() -> int:
         calls.clear()
-        assert _retrieve(run, *extra, *more)[0] == 0
+        assert _retrieve(run, *extra)[0] == 0
         return len(calls)
 
     saved = hashes()
-    explicit = hashes("--index", str(run[1] / _index_file(use_direction)))
     for name in INDEX_FILES:
         (run[1] / name).unlink()
-    assert (saved, explicit, hashes()) == (1, 1, 1)
+    assert (saved, hashes()) == (1, 1)
 
 
 def _retrain(fix: Path, out: Path) -> None:
@@ -156,7 +150,7 @@ def test_stale_index_is_rebuilt(run, build_calls, caplog, change, use_direction)
     how, field, stales_plain = CHANGES[change]
     how(*run)
     stale = use_direction or stales_plain
-    path = run[1] / _index_file(use_direction)
+    path = run[1] / INDEX_FILES[use_direction]
     extra = ["--use-direction"] if use_direction else []
 
     code, stdout = _retrieve(run, *extra)
@@ -164,32 +158,9 @@ def test_stale_index_is_rebuilt(run, build_calls, caplog, change, use_direction)
     assert len(build_calls) == stale
     assert (f"{path}: its {field} differs" in caplog.text) == stale
 
-    code, explicit = _retrieve(run, *extra, "--index", str(path))
-    assert (code, explicit) == ((2, "") if stale else (0, stdout))
-    if stale:
-        assert f"{path}: its {field} differs" in caplog.text
-
     for name in INDEX_FILES:
         (run[1] / name).unlink()
     assert _retrieve(run, *extra) == (0, stdout)
-
-
-def test_stale_explicit_index_is_refused(run, tmp_path, caplog):
-    """Fifty utterances replaced under the same ids after the index was saved:
-    it still holds the old embeddings, so ``--index`` refuses it."""
-    fix, out = run
-    params, cfg = encoder.load_params(out / "encoder.params")
-    index = tmp_path / "bank.index"
-    retrieval.save_index(retrieval.build_index(
-        load_corpus(fix / "train.jsonl", "bracketed"), params, cfg), index)
-    path = fix / "train.jsonl"
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    texts = [row["utterance"] for row in rows[:50]]
-    for row, text in zip(rows, texts[1:] + texts[:1]):
-        row["utterance"] = text
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    assert _retrieve(run, "--index", str(index)) == (2, "")
-    assert f"{index}: its inputs_sha256 differs" in caplog.text
 
 
 def test_index_mismatch_names_the_first_field():
