@@ -74,7 +74,7 @@ def write_header_blob(path: str | Path, header: dict,
     with atomic_write(path, binary=True) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for arr in blobs:
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
 
 def read_text(path: str | Path, data: bytes | None = None) -> str:
@@ -114,17 +114,17 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, object]]:
 
 
 def read_header_blob(path: str | Path, version: int,
-                     hints: dict[str, object]) -> tuple[list, bytearray]:
+                     hints: dict[str, object]) -> tuple[list, bytes]:
     """The values of ``hints``' header keys, and the blob, of a
     ``write_header_blob`` file; a ValueError naming the file if the header is
     unreadable or fails ``hints``, or the blob holds a NaN or infinity.
-    Loaded arrays view the one blob buffer, so each value is held once."""
+    The blob is immutable bytes, read once: loaded arrays are read-only views."""
     with open(path, "rb") as fh:
         header = read_json(path, version, read_text(path, fh.readline()))
         values = fields(str(path), header, hints)
-        blob = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
-        if fh.readinto(blob) != len(blob):
-            raise ValueError(f"{path}: file changed while it was read")
+        # Read past the buffer: fh.read() would join its read-ahead to the rest, a second copy.
+        fh.raw.seek(fh.tell())
+        blob = fh.raw.readall()
     if not np.isfinite(np.frombuffer(blob, np.float64, len(blob) // 8)).all():
         raise ValueError(f"{path}: holds a NaN or infinity")
     return values, blob

@@ -16,7 +16,7 @@ import logging
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,22 +81,21 @@ def word_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize(text: str, vocab: Mapping[str, int], max_len: int | None = None) -> list[int]:
+def tokenize(text: str, cfg: EncoderConfig) -> list[int]:
     """``ids_for_tokens`` of the text's ``word_tokens``."""
-    return ids_for_tokens(word_tokens(text), vocab, max_len)
+    return ids_for_tokens(word_tokens(text), cfg)
 
 
-def ids_for_tokens(tokens: Sequence[str], vocab: Mapping[str, int],
-                   max_len: int | None = None) -> list[int]:
-    """Each word's vocab id, looked up lowercased (UNK if absent), for the
-    first ``max_len`` words. Vocab keys are lowercase (``build_vocab``), so
-    a word found as given is not lowercased again."""
+def ids_for_tokens(tokens: Sequence[str], cfg: EncoderConfig) -> list[int]:
+    """Each word's ``cfg.vocab`` id, looked up lowercased (UNK if absent), for
+    the first ``cfg.max_len`` words. Vocab keys are lowercase (``build_vocab``),
+    so a word found as given is not lowercased again."""
     if not tokens:
         raise EmptyInput("no tokens found")
-    if max_len is not None and len(tokens) > max_len:
-        logger.debug("truncating %d tokens to max_len=%d", len(tokens), max_len)
-        tokens = tokens[:max_len]
-    return [vocab.get(tok) or vocab.get(tok.lower(), UNK_ID) for tok in tokens]
+    if len(tokens) > cfg.max_len:
+        logger.debug("truncating %d tokens to max_len=%d", len(tokens), cfg.max_len)
+        tokens = tokens[:cfg.max_len]
+    return [cfg.vocab.get(tok) or cfg.vocab.get(tok.lower(), UNK_ID) for tok in tokens]
 
 
 def build_vocab(texts: Sequence[str]) -> dict[str, int]:
@@ -399,7 +398,7 @@ def backward_ids(d_final: np.ndarray, cache: dict, params: dict[str, np.ndarray]
 def forward(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
             injection: InjectionDirection | None = None) -> list[np.ndarray]:
     """``forward_ids`` of the text's tokens: per-layer (tokens, d) states, layer 0 first."""
-    return forward_ids(tokenize(text, cfg.vocab, cfg.max_len), params, cfg, injection)
+    return forward_ids(tokenize(text, cfg), params, cfg, injection)
 
 
 def embed(text: str, params: dict[str, np.ndarray], cfg: EncoderConfig,
@@ -457,7 +456,7 @@ def step_loss_and_grads(groups: Sequence[Sequence[str]], params: dict[str, np.nd
     """
     slots: dict[str, int] = {}
     group_slots = [[slots.setdefault(text, len(slots)) for text in texts] for texts in groups]
-    id_lists = [tokenize(text, cfg.vocab, cfg.max_len) for text in slots]
+    id_lists = [tokenize(text, cfg) for text in slots]
     embs = embed_batch(id_lists, params, cfg)
     dembs = np.zeros_like(embs)
     loss = 0.0

@@ -108,8 +108,7 @@ def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
         if not 1 <= layer <= cfg.layers:
             raise ValueError(f"layer {layer} outside [1, {cfg.layers}]")
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
-    id_lists = [enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
-                for tokens, _ in corpus.sentences]
+    id_lists = [enc.ids_for_tokens(tokens, cfg) for tokens, _ in corpus.sentences]
     starts = np.cumsum([0, *map(len, id_lists)])  # sentence i owns rows starts[i]:starts[i+1]
     xs = {layer: np.empty((starts[-1], cfg.d)) for layer in layers}
     for positions, states, _ in enc.forward_batch(id_lists, params, cfg):

@@ -82,7 +82,7 @@ def corpus_tokens(corpus: Corpus, cfg: EncoderConfig) -> list[list[int]]:
     """The token ids of each record's utterance, in corpus order."""
     def tokens(rec):
         try:
-            return enc.tokenize(rec.utterance, cfg.vocab, cfg.max_len)
+            return enc.tokenize(rec.utterance, cfg)
         except enc.EmptyInput as exc:
             raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
 
@@ -324,7 +324,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
         "n": int, "d": int, "ids": list[str], "provenance": dict})
     fields(f"{path}: provenance", provenance, {"inputs_sha256": str, "params_sha256": str,
                                                "injection": dict | None})
-    if len(ids) != n or len(blob) != 8 * n * d:
+    if len(ids) != n or d < 0 or d == 0 < n or len(blob) != 8 * n * d:
         raise ValueError(f"{path}: embeddings do not match the header ({len(blob)} bytes)")
     embeddings = np.frombuffer(blob, dtype=np.float64).reshape(n, d)
     return RetrievalIndex(ids=ids, embeddings=embeddings, provenance=provenance)

@@ -396,7 +396,7 @@ def reference_group_loss_and_grads(texts, params, cfg, temperature, grads) -> fl
     runs = []
     embs = []
     for text in texts:
-        ids = enc.tokenize(text, cfg.vocab, cfg.max_len)
+        ids = enc.tokenize(text, cfg)
         [(_, states, cache)] = enc.forward_batch([ids], params, cfg, with_cache=True)
         runs.append(cache)
         embs.append(states[-1][0].mean(axis=0))
@@ -453,7 +453,7 @@ def mean_group_loss(groups, corpus, params: dict[str, np.ndarray], cfg: enc.Enco
     """Mean InfoNCE over groups at fixed parameters (no updates)."""
     total = 0.0
     for group in groups:
-        embs = enc.embed_batch([enc.tokenize(text, cfg.vocab, cfg.max_len)
+        embs = enc.embed_batch([enc.tokenize(text, cfg)
                                 for text in enc.group_texts(group, corpus)], params, cfg)
         total += infonce_loss(embs[0], embs[1], embs[2:], temperature)
     return total / len(groups)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from stare import cli, encoder as enc, fixtures, mli, retrieval
-from stare.artifacts import atomic_write, fields, fits, read_jsonl, write_json
+from stare.artifacts import (atomic_write, fields, fits, read_jsonl, write_header_blob,
+                             write_json)
 from stare.bucketing import LshIndex, minhash
 from stare.corpus import Record, save_corpus
 from stare.mining import ContrastiveGroup, save_groups
@@ -31,6 +32,15 @@ def test_atomic_write_keeps_bytes(tmp_path, binary, data):
         fh.write(data)
     assert path.read_bytes() == (data if binary else data.encode("utf-8"))
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_header_blob_holds_each_array_as_c_order_float64(tmp_path):
+    arrays = [np.arange(3.0), np.arange(6).reshape(2, 3).T, np.ones((2, 1, 3)), np.empty((0, 4))]
+    path = tmp_path / "blob.bin"
+    write_header_blob(path, {"format_version": 1},
+                      [(str(i), arr, arr.shape) for i, arr in enumerate(arrays)])
+    assert path.read_bytes() == b'{"format_version": 1}\n' + b"".join(
+        np.asarray(arr, np.float64).tobytes() for arr in arrays)
 
 
 def _groups(d: Path):

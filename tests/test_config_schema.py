@@ -148,24 +148,43 @@ class TestLoaders:
         assert _retrieve(config, out) == 2
         assert "index_trained.bin" in caplog.text
 
-    def test_truncated_index(self, run_dir, tmp_path):
-        _, out = run_dir
+    def test_truncated_index(self, run_dir, caplog):
+        """An index 8 bytes short or one byte long is refused naming its file."""
+        config, out = run_dir
         params, cfg = enc.load_params(out / "encoder.params")
-        index = retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg)
-        path = tmp_path / "index.bin"
-        retrieval.save_index(index, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="index.bin"):
-            retrieval.load_index(path)
+        path = out / "index_trained.bin"
+        retrieval.save_index(retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg), path)
+        data = path.read_bytes()
+        for damaged in (data[:-8], data + b"\0"):
+            path.write_bytes(damaged)
+            with pytest.raises(ValueError, match="index_trained.bin"):
+                retrieval.load_index(path)
+            assert _retrieve(config, out) == 2
+            assert "index_trained.bin" in caplog.text
 
-    @pytest.mark.parametrize("cut", [300, -8])
+    @pytest.mark.parametrize("cut", [lambda b: b[:300], lambda b: b[:-8], lambda b: b + b"\0"],
+                             ids=["300", "-8", "+1"])
     def test_truncated_params(self, run_dir, cut):
         config, out = run_dir
         path = out / "encoder.params"
-        path.write_bytes(path.read_bytes()[:cut])
+        path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ValueError, match="encoder.params"):
             enc.load_params(path)
         assert _retrieve(config, out) == 2
+
+    def test_loaded_arrays_read_only(self, run_dir):
+        """Each loaded array is a read-only view of the file's bytes, aligned
+        (an array at an odd address slowed serve's queries by about 5%)."""
+        _, out = run_dir
+        params, cfg = enc.load_params(out / "encoder.params")
+        path = out / "index_trained.bin"
+        retrieval.save_index(retrieval.build_index(Corpus(BANK, "bracketed"), params, cfg), path)
+        for arr in [*params.values(), retrieval.load_index(path).embeddings]:
+            assert arr.flags.aligned
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
 
     @pytest.mark.parametrize("fmt", ["json", "prompt"])
     def test_index_of_another_bank(self, run_dir, caplog, capsys, fmt):
@@ -229,14 +248,19 @@ class TestLoaders:
         assert _retrieve(config, out) == 2
         assert "index_trained.bin" in caplog.text
 
-    @pytest.mark.parametrize("header", [{"n": True}, {"ids": [7]}])
+    @pytest.mark.parametrize("header", [{"n": True}, {"ids": [7]}, {"n": 0, "d": -5, "ids": []},
+                                        {"n": 2, "d": 0, "ids": ["a", "b"]}])
     def test_index_header_types_checked(self, run_dir, caplog, header):
+        """A header that ``save_index`` never writes is refused naming the
+        file: a key of the wrong type, ``d`` < 0, or ``d`` = 0 < ``n``. The
+        last two come with the empty blob that their n × d sizes."""
         config, out = run_dir
         params, cfg = enc.load_params(out / "encoder.params")
         path = out / "index_trained.bin"
         retrieval.save_index(retrieval.build_index(Corpus(BANK[:1], "bracketed"), params, cfg),
                              path)
         line, _, blob = path.read_bytes().partition(b"\n")
+        blob = b"" if "d" in header else blob
         path.write_bytes(json.dumps({**json.loads(line), **header}).encode() + b"\n" + blob)
         with pytest.raises(ValueError, match="index_trained.bin"):
             retrieval.load_index(path)

@@ -28,20 +28,20 @@ def small_params(small_cfg):
 class TestTokenize:
     def test_punctuation_split(self):
         vocab = enc.build_vocab(["Remind me!"])
-        ids = enc.tokenize("Remind me!", vocab)
+        ids = enc.tokenize("Remind me!", enc.EncoderConfig(vocab=vocab))
         assert ids == [vocab["remind"], vocab["me"], vocab["!"]]
 
     def test_unknown_maps_to_unk(self, small_cfg):
-        ids = enc.tokenize("zzz-unseen", small_cfg.vocab)
+        ids = enc.tokenize("zzz-unseen", small_cfg)
         assert enc.UNK_ID in ids
 
     def test_truncation(self, small_cfg):
         text = " ".join(["word"] * 100)
-        assert len(enc.tokenize(text, small_cfg.vocab, max_len=64)) == 64
+        assert len(enc.tokenize(text, small_cfg)) == small_cfg.max_len == 16
 
     def test_empty_rejected(self, small_cfg):
         with pytest.raises(enc.EmptyInput):
-            enc.tokenize("   ", small_cfg.vocab)
+            enc.tokenize("   ", small_cfg)
 
     def test_vocab_reserves_unk(self):
         vocab = enc.build_vocab(["a b c"])
@@ -370,7 +370,7 @@ class TestTrain:
         # lengths 3, 1, 4); group 3 alone (3 texts of lengths 1, 3, 4).
         steps = [{text for group in groups[i : i + 2] for text in enc.group_texts(group, corpus)}
                  for i in (0, 2)]
-        lengths = [[len(enc.tokenize(text, cfg.vocab, cfg.max_len)) for text in step]
+        lengths = [[len(enc.tokenize(text, cfg)) for text in step]
                    for step in steps]
         chunks = sum(len(enc.length_chunks(step)) for step in lengths)
         assert len(calls) == 2 * chunks == 2 * (3 + 3)

@@ -106,7 +106,7 @@ class TestCollectStates:
         for layer in (1, 3):
             want_x, want_y = [], []
             for tokens, labels in sentences:
-                ids = enc.ids_for_tokens(tokens, cfg.vocab, cfg.max_len)
+                ids = enc.ids_for_tokens(tokens, cfg)
                 want_x.append(enc.forward_ids(ids, params, cfg)[layer])
                 want_y += [labels[j] == "VERB" for j in range(len(ids))]
             assert np.array_equal(X[layer], np.vstack(want_x))
