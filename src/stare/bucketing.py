@@ -35,10 +35,6 @@ _SQL_NON_FEATURES = {"SELECT_STMT", trees.NUM_PLACEHOLDER, trees.STR_PLACEHOLDER
 _SQL_OPERATOR = re.compile(r"^[=<>!]+$")
 
 
-class DuplicateId(ValueError):
-    pass
-
-
 def _norm_terminal(token: str) -> str:
     return _DIGITS.sub("<d>", token.lower())
 
@@ -162,7 +158,7 @@ class LshIndex:
     def insert(self, record_id: str, sig: np.ndarray) -> None:
         self._check_signature(sig)
         if record_id in self.signatures:
-            raise DuplicateId(record_id)
+            raise ValueError(f"duplicate id {record_id!r}")
         self.signatures[record_id] = sig
         for bucket, key in zip(self.buckets, self._band_keys(sig)):
             bucket.setdefault(key, []).append(record_id)
@@ -236,6 +232,6 @@ class LshIndex:
             records[n] = None
             try:
                 index.insert(rid, np.frombuffer(raw, "<u8").astype(_U64, copy=False))
-            except DuplicateId:
-                raise DuplicateId(f"{path}: record {n}: duplicate id {rid!r}") from None
+            except ValueError as exc:  # a repeated id: the width is checked above
+                raise ValueError(f"{path}: record {n}: {exc}") from None
         return index

@@ -29,7 +29,7 @@ from .encoder import EncoderConfig, TrainConfig
 from .mining import MiningConfig
 from .mli import ProbeConfig, SweepGrid
 from .ted import sim_struct, sim_struct_raw, ted
-from .trees import ParseDialect, parse
+from .trees import ParseDialect, ParseError, parse
 
 logger = logging.getLogger("stare")
 
@@ -133,7 +133,11 @@ def _build_lsh(config: PipelineConfig, corpus: Corpus) -> bucketing.LshIndex:
     for rec in corpus:
         sig = sigs.get(rec.parse)
         if sig is None:
-            feats = bucketing.extract_features(rec.parse, corpus.dialect)
+            try:
+                feats = bucketing.extract_features(rec.parse, corpus.dialect)
+            except ParseError as exc:
+                exc.args = (f"record {rec.id!r}: {exc}",)
+                raise
             sig = sigs[rec.parse] = bucketing.minhash(feats, index.num_hashes, index.seed)
         index.insert(rec.id, sig)
     return index

@@ -14,10 +14,6 @@ from .ted import form, sim_struct
 from .trees import ParseDialect, ParseTree
 
 
-class CorpusFormatError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Record:
     id: str
@@ -50,7 +46,7 @@ class Corpus:
         self.index_of: dict[str, int] = {}
         for i, rec in enumerate(self.records):
             if rec.id in self.index_of:
-                raise CorpusFormatError(f"duplicate record id {rec.id!r}")
+                raise ValueError(f"duplicate record id {rec.id!r}")
             self.index_of[rec.id] = i
         self._tree_cache: dict[str, ParseTree] = {}
         self._tree_ids: np.ndarray | None = None
@@ -82,7 +78,11 @@ class Corpus:
         parse = self.get(record_id).parse
         cached = self._tree_cache.get(parse)
         if cached is None:
-            cached = self._tree_cache[parse] = self._compared(trees.parse(parse, self.dialect))
+            try:
+                cached = self._tree_cache[parse] = self._compared(trees.parse(parse, self.dialect))
+            except trees.ParseError as exc:
+                exc.args = (f"record {record_id!r}: {exc}",)
+                raise
         return cached
 
     def _compared(self, tree: ParseTree) -> ParseTree:
@@ -140,10 +140,11 @@ def load_corpus(path: str | Path, dialect: ParseDialect | str, anonymize: bool =
     records = [Record(str(rid), utterance, parse) for rid, utterance, parse in (
         fields(where, obj, {"id": str | int, "utterance": str, "parse": str})
         for where, obj in read_jsonl(path))]
+    dialect = ParseDialect(dialect)
     try:
-        return Corpus(records, ParseDialect(dialect), anonymize)
-    except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
+        return Corpus(records, dialect, anonymize)
+    except ValueError as exc:  # a repeated id: the records and dialect are already checked
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_corpus(records: list[Record], path: str | Path) -> None:

@@ -16,11 +16,11 @@ import logging
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .artifacts import read_header_blob, write_header_blob
+from .artifacts import fields, read_header_blob, write_header_blob
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,6 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 CHUNK_TOKENS = 64
 
 
-class EmptyInput(ValueError):
-    pass
-
-
 @dataclass
 class EncoderConfig:
     vocab: dict[str, int]
@@ -53,6 +49,8 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if set(self.vocab.values()) != set(range(len(self.vocab))):
+            raise ValueError("vocab ids must be exactly 0 .. len(vocab) - 1")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.heads < 1 or self.d % self.heads:
@@ -91,7 +89,7 @@ def ids_for_tokens(tokens: Sequence[str], cfg: EncoderConfig) -> list[int]:
     the first ``cfg.max_len`` words. Vocab keys are lowercase (``build_vocab``),
     so a word found as given is not lowercased again."""
     if not tokens:
-        raise EmptyInput("no tokens found")
+        raise ValueError("no tokens found")
     if len(tokens) > cfg.max_len:
         logger.debug("truncating %d tokens to max_len=%d", len(tokens), cfg.max_len)
         tokens = tokens[:cfg.max_len]
@@ -323,7 +321,7 @@ def forward_batch(id_lists: Sequence[Sequence[int]], params: dict[str, np.ndarra
     _validate_injection(injection, cfg)
     id_lists = [list(ids)[: cfg.max_len] for ids in id_lists]
     if not all(id_lists):
-        raise EmptyInput("empty id sequence")
+        raise ValueError("empty id sequence")
     for positions in length_chunks([len(ids) for ids in id_lists]):
         ids = np.array([id_lists[pos] for pos in positions])
         x = params["tok_emb"][ids] + params["pos_emb"][: ids.shape[1]]
@@ -585,6 +583,7 @@ def save_params(path: str | Path, params: dict[str, np.ndarray], cfg: EncoderCon
 def load_params(path: str | Path) -> tuple[dict[str, np.ndarray], EncoderConfig]:
     (config, arrays), blob = read_header_blob(path, FORMAT_VERSION,
                                               {"config": dict, "arrays": list})
+    fields(f"{path}: config", config, get_type_hints(EncoderConfig))
     try:
         cfg = EncoderConfig(**config)
     except (TypeError, ValueError) as exc:

@@ -83,8 +83,8 @@ def corpus_tokens(corpus: Corpus, cfg: EncoderConfig) -> list[list[int]]:
     def tokens(rec):
         try:
             return enc.tokenize(rec.utterance, cfg)
-        except enc.EmptyInput as exc:
-            raise enc.EmptyInput(f"record {rec.id!r}: {exc}") from exc
+        except ValueError as exc:  # no tokens: tokenize raises nothing else
+            raise ValueError(f"record {rec.id!r}: {exc}") from exc
 
     return [tokens(rec) for rec in corpus]
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stare import fixtures
-from stare.bucketing import (DuplicateId, LshIndex, extract_features, lsh_params, minhash,
-                             _feature_hash, _hash_family)
+from stare.bucketing import (LshIndex, extract_features, lsh_params, minhash, _feature_hash,
+                             _hash_family)
 from stare.trees import ParseError
 
 from oracles import exact_jaccard, reference_lsh_query, signature_agreement
@@ -155,7 +155,7 @@ class TestLshIndex:
         for i in range(5):
             index.insert(f"r{i}", self._sig({f"tok{i}", "shared"}, index))
         assert len(index) == 5
-        with pytest.raises(DuplicateId):
+        with pytest.raises(ValueError, match="duplicate id 'r0'"):
             index.insert("r0", self._sig({"tok0", "shared"}, index))
 
     def test_signature_length_mismatch(self):

@@ -40,7 +40,7 @@ class TestTokenize:
         assert len(enc.tokenize(text, small_cfg)) == small_cfg.max_len == 16
 
     def test_empty_rejected(self, small_cfg):
-        with pytest.raises(enc.EmptyInput):
+        with pytest.raises(ValueError, match="no tokens found"):
             enc.tokenize("   ", small_cfg)
 
     def test_vocab_reserves_unk(self):
@@ -145,7 +145,7 @@ class TestForwardBatch:
                 id_lists, small_params, small_cfg)}) > 1
 
     def test_empty_sequence_rejected(self, small_cfg, small_params):
-        with pytest.raises(enc.EmptyInput):
+        with pytest.raises(ValueError, match="empty id sequence"):
             list(enc.forward_batch([[1], []], small_params, small_cfg))
 
 
@@ -421,3 +421,5 @@ def test_config_validation():
         enc.EncoderConfig(vocab=vocab, d=10, heads=4)
     with pytest.raises(ValueError, match="^layers must be >= 2 so a middle layer exists$"):
         enc.EncoderConfig(vocab=vocab, layers=1)
+    with pytest.raises(ValueError, match=r"^vocab ids must be exactly 0 \.\. len\(vocab\) - 1$"):
+        enc.EncoderConfig(vocab={"<unk>": 0, "a": 2})

@@ -2,7 +2,8 @@
 data error (exit 2) that names the file, without a traceback, and leaves the
 run directory byte-unchanged. Below the table: a failed stage keeps the old
 ``config_used.json``, ``mine`` refuses an LSH index built under another
-``bucketing`` section, a missing ``direction.json`` under ``--use-direction``,
+``bucketing`` section, a malformed ``encoder.params`` config or record parse,
+a missing ``direction.json`` under ``--use-direction``,
 the non-finite rule, a ``train`` or ``mli`` killed mid-run, and the reader of
 ``stare.artifacts`` that the table rests on."""
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import builtins
 import hashlib
+import json
 import math
 import os
 import re
@@ -26,6 +28,7 @@ import pytest
 
 from stare import bucketing, cli, encoder, mining, mli, retrieval
 from stare.artifacts import read_json, read_lines, write_json
+from stare.corpus import Corpus, Record
 from stare.trees import ParseError
 
 QUERY = "hey call ravi thanks"
@@ -210,6 +213,74 @@ def test_stages_refuse_params_of_other_encoder_settings(copied_run, caplog, caps
                 "but the config has 9; rerun 'train'") in caplog.text
     assert capsys.readouterr().out == ""
     assert _snapshot(copied_run["run"]) == before
+
+
+def _last_vocab_id(value):
+    return lambda config: {**config, "vocab": {**config["vocab"],
+                                               list(config["vocab"])[-1]: value(config)}}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda config: {**config, "d": float(config["d"])}, "config: 'd' must be int, got "),
+    (lambda config: {**config, "vocab": list(config["vocab"])},
+     "config: 'vocab' must be dict[str, int], got ["),
+    (_last_vocab_id(lambda config: "3"), "config: 'vocab' must be dict[str, int], got {"),
+    (_last_vocab_id(lambda config: len(config["vocab"]) + 5),
+     "bad encoder config (vocab ids must be exactly 0 .. len(vocab) - 1)"),
+    (lambda config: {**config, "layers": True}, "config: 'layers' must be int, got True")],
+    ids=["float_d", "vocab_list", "vocab_id_str", "vocab_id_out_of_range", "bool_layers"])
+def test_malformed_params_config_is_a_named_data_error(copied_run, caplog, capsys, edit,
+                                                       message):
+    """The ``config`` of the ``encoder.params`` header is read by the one
+    field rule (``artifacts.fields``), and its vocab ids must be exactly
+    0 .. len(vocab) - 1: a wrong type or id is exit 2 naming the file and
+    the key, not a traceback."""
+    path = copied_run["run"] / "encoder.params"
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    header["config"] = edit(header["config"])
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + data[end:])
+    before = _snapshot(copied_run["run"])
+
+    code = cli.main(_argv("retrieve", copied_run))
+
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert f"{path}: {message}" in caplog.text
+    assert "Traceback" not in caplog.text + err
+    assert _snapshot(copied_run["run"]) == before
+
+
+@pytest.mark.parametrize("name,stage", [("train.jsonl", "bucket"), ("train.jsonl", "mine"),
+                                        ("dev.jsonl", "eval")])
+def test_malformed_parse_names_its_record(copied_run, caplog, capsys, name, stage):
+    """A parse that does not parse is exit 2 naming its record, whichever
+    stage parses it first: ``bucket`` sketches the train parses, ``mine``
+    compares them, and ``eval`` compares each dev parse with its hits."""
+    path = copied_run["fixture"] / name
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    broken = records[7]
+    cut = broken["parse"].rindex("]")
+    broken["parse"] = broken["parse"][:cut] + broken["parse"][cut + 1:]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    before = _snapshot(copied_run["run"])
+
+    code = cli.main(_argv(stage, copied_run))
+
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert f"record {broken['id']!r}: unclosed '['" in caplog.text
+    assert "Traceback" not in caplog.text + err
+    assert _snapshot(copied_run["run"]) == before
+
+
+def test_parse_error_named_by_corpus_keeps_its_type_and_offset():
+    bank = Corpus([Record("ok", "u", "[A x ]"), Record("bad", "u", "[A [B x ]")], "bracketed")
+    with pytest.raises(ParseError, match=r"^record 'bad': unclosed '\[' \(at offset 0\)$") as err:
+        bank.tree("bad")
+    assert err.value.position == 0
+    assert bank.tree("ok").label == "A"
 
 
 def test_use_direction_needs_direction_json(copied_run, caplog, capsys):

@@ -96,7 +96,7 @@ def test_mixed_length_index_rows_equal_embed(tiny_bank, tiny_cfg, tiny_params, l
 def test_build_index_names_empty_record(tiny_cfg, tiny_params):
     bank = Corpus([Record("ok", "call mia", "[A x ]"), Record("blank", "   ", "[A x ]")],
                   "bracketed")
-    with pytest.raises(enc.EmptyInput, match="'blank'"):
+    with pytest.raises(ValueError, match="record 'blank': no tokens found"):
         build_index(bank, tiny_params, tiny_cfg)
 
 
