@@ -1,6 +1,6 @@
 """Artifact files: one writer that never leaves a partial file, one reader
-that decides what a readable file is, and one type rule for every JSON field
-a loader reads.
+that decides what a readable file is, one type rule for every JSON field a
+loader reads, and one check of the settings an artifact was built under.
 
 ``atomic_write`` fills ``<name>.tmp<pid>`` beside the target and moves it over
 the target only on a clean exit: a failed write leaves the old file as it was,
@@ -164,3 +164,11 @@ def fields(where: str, obj, hints: dict[str, object]) -> list:
             name = hint.__name__ if type(hint) is type else hint
             raise ValueError(f"{where}: {key!r} must be {name}, got {reprlib.repr(obj[key])}")
     return [obj[key] for key in hints]
+
+
+def check_built(where: str, section: str, built: dict, wanted: dict, stage: str) -> None:
+    """Refuse an artifact that ``stage`` built under other ``section`` settings."""
+    for key, value in wanted.items():
+        if built[key] != value:
+            raise ValueError(f"{where}: built with {section}.{key} = {built[key]!r}, "
+                             f"but the config has {value!r}; rerun '{stage}'")

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from . import trees
-from .artifacts import atomic_write, fields, fits, read_json
+from .artifacts import atomic_write, check_built, fields, fits, read_json
 from .trees import ParseDialect
 
 DEFAULT_NUM_HASHES = 128
@@ -183,15 +183,14 @@ class LshIndex:
 
     # -- persistence --------------------------------------------------------
 
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
 
     def save(self, path: str | Path) -> None:
         """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one
         record at a time, so no string of the whole file is built. A record
         is ``[id, base64 of the signature's P little-endian uint64s]``."""
         header = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
-                  "b": self.bands, "r": self.rows, "tau": self.tau, "seed": self.seed,
-                  "records": None}
+                  "tau": self.tau, "seed": self.seed, "records": None}
         with atomic_write(path) as fh:
             for n, key in enumerate(sorted(header)):
                 fh.write(("{" if n == 0 else ", ") + json.dumps(key) + ": ")
@@ -206,15 +205,16 @@ class LshIndex:
             fh.write("}")
 
     @classmethod
-    def load(cls, path: str | Path) -> "LshIndex":
-        """Read ``save`` output with one ``read_json`` call, then decode and
-        drop one record at a time; anything malformed is a ValueError naming ``path``."""
+    def load(cls, path: str | Path, settings: dict) -> "LshIndex":
+        """Read ``save`` output with one ``read_json`` call, refuse a header of other
+        ``settings`` before a band is made, then decode and drop one record at a
+        time; anything malformed is a ValueError naming ``path``."""
         payload = read_json(path, cls.FORMAT_VERSION)
-        num_hashes, bands, rows, tau, seed, records = fields(f"{path}: LSH index", payload, {
-            "P": int, "b": int, "r": int, "tau": float, "seed": int, "records": list})
-        index = cls(num_hashes=num_hashes, tau=tau, seed=seed)
-        if (index.bands, index.rows) != (bands, rows):
-            raise ValueError(f"{path}: band geometry mismatch in saved index")
+        num_hashes, tau, seed, records = fields(f"{path}: LSH index", payload, {
+            "P": int, "tau": float, "seed": int, "records": list})
+        check_built(path, "bucketing", {"num_hashes": num_hashes, "tau": tau, "seed": seed},
+                    settings, "bucket")
+        index = cls(**settings)
         width = 8 * index.num_hashes
         for n, record in enumerate(records):
             if not (fits(record, list[str]) and len(record) == 2):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bucketing, encoder, fixtures, mining, mli, retrieval
-from .artifacts import atomic_write, write_json
+from .artifacts import atomic_write, check_built, write_json
 from .config import PipelineConfig, load_config
 from .corpus import Corpus, load_corpus
 from .encoder import EncoderConfig, TrainConfig
@@ -112,17 +112,9 @@ def _upstream(path: Path, stage: str) -> Path:
     return path
 
 
-def _check_built(path: Path, section: str, built, config: PipelineConfig, stage: str) -> None:
-    """Refuse an artifact that ``stage`` built under other ``section`` settings."""
-    for key, value in getattr(config, section).items():
-        if getattr(built, key) != value:
-            raise ValueError(f"{path}: built with {section}.{key} = {getattr(built, key)!r}, "
-                             f"but the config has {value!r}; rerun '{stage}'")
-
-
 def _trained_params(config: PipelineConfig, out: Path):
     params, cfg = encoder.load_params(path := _upstream(out / "encoder.params", "train"))
-    _check_built(path, "encoder", cfg, config, "train")
+    check_built(path, "encoder", vars(cfg), config.encoder, "train")
     return params, cfg
 
 
@@ -167,8 +159,7 @@ def cmd_bucket(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
 
 def cmd_mine(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
     path = _upstream(out / "lsh_index.json", "bucket")
-    index = bucketing.LshIndex.load(path)
-    _check_built(path, "bucketing", index, config, "bucket")
+    index = bucketing.LshIndex.load(path, config.bucketing)
     try:
         groups, report = mining.mine_all(corpus, index, MiningConfig(**config.mining))
     except mining.IndexCorpusMismatch:

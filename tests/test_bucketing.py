@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import struct
 import tracemalloc
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stare import fixtures
+from stare import bucketing, fixtures
 from stare.bucketing import (LshIndex, extract_features, lsh_params, minhash, _feature_hash,
                              _hash_family)
+from stare.config import load_config
 from stare.trees import ParseError
 
 from oracles import exact_jaccard, reference_lsh_query, signature_agreement
@@ -131,6 +133,14 @@ class TestLshParams:
             lsh_params(0.5, 1)
 
 
+# The bucketing settings of the small index the loader tests save.
+SETTINGS = {"num_hashes": 32, "tau": 0.5, "seed": 2}
+
+
+def _settings(index: LshIndex) -> dict:
+    return {"num_hashes": index.num_hashes, "tau": index.tau, "seed": index.seed}
+
+
 class TestLshIndex:
     def _sig(self, tokens, index):
         return minhash(frozenset(tokens), index.num_hashes, index.seed)
@@ -181,13 +191,13 @@ class TestLshIndex:
             index.insert(f"r{i}", sig)
         path = tmp_path / "index.json"
         index.save(path)
-        loaded = LshIndex.load(path)
+        loaded = LshIndex.load(path, _settings(index))
         assert loaded.bands == index.bands and loaded.rows == index.rows
         for rid, sig in sigs.items():
             assert np.array_equal(loaded.signatures[rid], sig)  # bit-exact
             assert loaded.query(sig) == index.query(sig)
 
-    @pytest.mark.parametrize("key", ["P", "b", "r", "tau", "seed", "records"])
+    @pytest.mark.parametrize("key", ["P", "tau", "seed", "records"])
     def test_load_names_missing_key(self, tmp_path, key):
         path = tmp_path / "lsh_index.json"
         LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
@@ -195,10 +205,9 @@ class TestLshIndex:
         del payload[key]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"lsh_index.json.*'{key}'"):
-            LshIndex.load(path)
+            LshIndex.load(path, SETTINGS)
 
-    @pytest.mark.parametrize("key,value", [("P", "32"), ("b", 8.0), ("seed", None),
-                                           ("tau", "0.5"), ("r", True)])
+    @pytest.mark.parametrize("key,value", [("P", "32"), ("seed", None), ("tau", "0.5")])
     def test_load_rejects_bad_header_value(self, tmp_path, key, value):
         path = tmp_path / "lsh_index.json"
         LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
@@ -206,13 +215,30 @@ class TestLshIndex:
         payload[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="lsh_index.json"):
-            LshIndex.load(path)
+            LshIndex.load(path, SETTINGS)
+
+    @pytest.mark.parametrize("key,setting,value", [("P", "num_hashes", 10**12),
+                                                   ("tau", "tau", 0.25), ("seed", "seed", 3)])
+    def test_load_refuses_other_settings_before_building(self, tmp_path, monkeypatch, key,
+                                                         setting, value):
+        """A header that differs from the settings is refused before
+        ``lsh_params`` runs, so a huge ``P`` costs nothing."""
+        path = tmp_path / "lsh_index.json"
+        LshIndex(num_hashes=32, tau=0.5, seed=2).save(path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(bucketing, "lsh_params", pytest.fail)
+        message = (f"{path}: built with bucketing.{setting} = {value!r}, but the config has "
+                   f"{SETTINGS[setting]!r}; rerun 'bucket'")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LshIndex.load(path, SETTINGS)
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "lsh_index.json"
         path.write_text("[]")
         with pytest.raises(ValueError, match="lsh_index.json"):
-            LshIndex.load(path)
+            LshIndex.load(path, SETTINGS)
 
     def test_load_rejects_records_not_a_list(self, tmp_path):
         path = tmp_path / "lsh_index.json"
@@ -221,7 +247,7 @@ class TestLshIndex:
         payload["records"] = 7
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="lsh_index.json.*records"):
-            LshIndex.load(path)
+            LshIndex.load(path, SETTINGS)
 
     @pytest.mark.parametrize("mangle", [lambda b: b[:-1], lambda b: b + b" {}",
                                         lambda b: b[:40], lambda b: b"\xff" + b])
@@ -232,7 +258,7 @@ class TestLshIndex:
         index.save(path)
         path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(ValueError, match="lsh_index.json"):
-            LshIndex.load(path)
+            LshIndex.load(path, SETTINGS)
 
     def test_save_is_deterministic(self, tmp_path):
         def build():
@@ -277,8 +303,7 @@ def test_recall_and_pool_size_on_synthetic_sets():
 # ---------------------------------------------------------------------------
 
 def _payload(index):
-    return {"format_version": 2, "P": index.num_hashes, "b": index.bands, "r": index.rows,
-            "tau": index.tau, "seed": index.seed,
+    return {"format_version": 3, "P": index.num_hashes, "tau": index.tau, "seed": index.seed,
             "records": [[rid, base64.b64encode(struct.pack(f"<{len(sig)}Q", *map(int, sig)))
                          .decode("ascii")] for rid, sig in index.signatures.items()]}
 
@@ -296,11 +321,11 @@ def _assert_same_index(loaded, index):
 def _check_save_and_load(index, path):
     index.save(path)
     assert path.read_bytes() == json.dumps(_payload(index), sort_keys=True).encode("utf-8")
-    _assert_same_index(LshIndex.load(path), index)
+    _assert_same_index(LshIndex.load(path, _settings(index)), index)
     payload = _payload(index)
     records_first = {"records": payload.pop("records"), **payload}
     path.write_text(json.dumps(records_first, indent=1), encoding="utf-8")
-    _assert_same_index(LshIndex.load(path), index)
+    _assert_same_index(LshIndex.load(path, _settings(index)), index)
 
 
 def test_save_and_load_fixture_index(lsh_index, tmp_path):
@@ -381,8 +406,8 @@ def test_pools_partition_ids_by_signature(case, copies):
 def test_bucket_report_pool_sizes_equal_per_record_queries(pipeline_runs):
     """``bucket`` sizes each record's pool from its signature's one union;
     the report holds the sizes that one query per record gives."""
-    _, run, _ = pipeline_runs
-    index = LshIndex.load(run / "lsh_index.json")
+    fix_dir, run, _ = pipeline_runs
+    index = LshIndex.load(run / "lsh_index.json", load_config(fix_dir / "config.json").bucketing)
     sizes = [len(index.query(sig) - {rid}) for rid, sig in index.signatures.items()]
     report = json.loads((run / "bucket_report.json").read_text(encoding="utf-8"))
     assert len(list(index.pools())) < len(index)  # the fixture repeats signatures
@@ -404,7 +429,7 @@ def test_save_and_load_memory(tmp_path):
         save_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        loaded = LshIndex.load(path)
+        loaded = LshIndex.load(path, _settings(index))
         load_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -344,7 +344,14 @@ def test_mine_refuses_version_1_lsh_index(fixture_dir, bucketed, tmp_path, caplo
     payload["format_version"] = 1
     payload["records"] = [[rid, _int_values(text)] for rid, text in payload["records"]]
     assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
-    assert "lsh_index.json" in caplog.text and "version 2" in caplog.text
+    assert "lsh_index.json" in caplog.text and "not a version 3 file" in caplog.text
+
+
+def test_mine_refuses_version_2_lsh_index(fixture_dir, bucketed, tmp_path, caplog):
+    """The earlier header, which also held the band geometry ``b`` and ``r``."""
+    payload = {**json.loads(bucketed), "format_version": 2, "b": 32, "r": 4}
+    assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
+    assert "lsh_index.json" in caplog.text and "not a version 3 file" in caplog.text
 
 
 def test_mine_refuses_index_of_other_ids(fixture_dir, bucketed, tmp_path, caplog):

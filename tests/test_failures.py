@@ -115,6 +115,13 @@ def copied_run(pipeline_runs, tmp_path):
     shutil.rmtree(root, ignore_errors=True)
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child process that imports this ``stare``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _argv(stage: str, dirs: dict[str, Path]) -> list[str]:
     argv = [stage, "--config", str(dirs["fixture"] / "config.json"), "--out", str(dirs["run"])]
     if stage == "retrieve":
@@ -196,6 +203,27 @@ def test_mine_refuses_index_of_other_bucketing(copied_run, caplog, monkeypatch, 
     assert cli.main(_argv("mine", copied_run)) == cli.EXIT_DATA
     assert (f"built with bucketing.{key} = {built}, but the config has {value}; "
             "rerun 'bucket'") in caplog.text
+    assert _snapshot(copied_run["run"]) == before
+
+
+@pytest.mark.parametrize("records", ["kept", "none"])
+def test_mine_refuses_index_of_other_p_before_building_it(copied_run, records):
+    """A header ``P`` of 10**12, with its records or with none, is refused as
+    another ``bucketing.num_hashes`` before the index is built (building it
+    would take hours): exit 2 in a child within the timeout, and the run
+    directory keeps its bytes."""
+    path = copied_run["run"] / "lsh_index.json"
+    payload = read_json(path)
+    payload["P"] = 10**12
+    if records == "none":
+        payload["records"] = []
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    before = _snapshot(copied_run["run"])
+    proc = subprocess.run([sys.executable, "-m", "stare.cli", *_argv("mine", copied_run)],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_DATA
+    assert (f"{path}: built with bucketing.num_hashes = {10**12}, but the config has 128; "
+            "rerun 'bucket'") in proc.stderr
     assert _snapshot(copied_run["run"]) == before
 
 
@@ -499,7 +527,9 @@ def test_non_finite_metric_is_a_numeric_failure(copied_run, caplog, monkeypatch)
 
 # Each file a killed ``train`` or ``mli`` can find under its final name, and its loader.
 LOADERS = {"bucket_report.json": read_json, "mining_report.json": read_json,
-           "config_used.json": read_json, "lsh_index.json": bucketing.LshIndex.load,
+           "config_used.json": read_json,
+           "lsh_index.json": lambda path: bucketing.LshIndex.load(
+               path, read_json(path.with_name("config_used.json"))["bucketing"]),
            "pairs.jsonl": mining.load_groups, "encoder.params": encoder.load_params,
            "loss_curve.csv": lambda path: list(read_lines(path)),
            "mli_grid.csv": lambda path: list(read_lines(path)),
@@ -509,14 +539,11 @@ LOADERS = {"bucket_report.json": read_json, "mining_report.json": read_json,
 def _stage(stage: str, config: Path, out: Path, pause: str | None = None) -> subprocess.Popen:
     """``stare <stage>`` in a child process; with ``pause``, through
     ``paused_stage.py``, which holds its first artifact write there."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     launcher = ([str(Path(__file__).with_name("paused_stage.py")), pause] if pause
                 else ["-m", "stare.cli"])
     return subprocess.Popen(
         [sys.executable, *launcher, stage, "--config", str(config), "--out", str(out)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
 
 
 @pytest.fixture

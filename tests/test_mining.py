@@ -400,7 +400,7 @@ def test_build_lsh_sketches_each_distinct_parse_once(pipeline_runs, monkeypatch)
     index = cli._build_lsh(config, corpus)
 
     assert len(calls) == len({rec.parse for rec in corpus}) < len(corpus)
-    saved = bucketing.LshIndex.load(run / "lsh_index.json")
+    saved = bucketing.LshIndex.load(run / "lsh_index.json", config.bucketing)
     assert list(index.signatures) == list(saved.signatures)
     assert all(np.array_equal(sig, saved.signatures[rid]) for rid, sig in index.signatures.items())
 
