@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import sys
 import tempfile
 from pathlib import Path
 
+import stare.ted as ted_module
 from stare import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import sqlbank  # noqa: E402
-
-# The module, not the function that ``stare`` re-exports under its name.
-ted_module = importlib.import_module("stare.ted")
 
 
 def count_work(seed: int) -> dict[str, int]:

@@ -1,10 +1,11 @@
-import importlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stare.ted as ted_module
+import stare.trees as trees_module
 from stare import bucketing, fixtures
 from stare.corpus import Corpus, Record
 from stare.mining import (ContrastiveGroup, IndexCorpusMismatch, MiningConfig, Pool, load_groups,
@@ -13,10 +14,6 @@ from stare.ted import sim_struct
 from stare.trees import parse
 
 from oracles import label_pattern, reference_mine_group, ted_bruteforce
-
-# The package re-exports a function named ``ted``; this is the module.
-ted_module = importlib.import_module("stare.ted")
-trees_module = importlib.import_module("stare.trees")
 
 
 def _corpus(parses, dialect="bracketed", anonymize=False):

@@ -1,4 +1,3 @@
-import importlib
 import math
 import shutil
 from pathlib import Path
@@ -361,6 +360,7 @@ def test_eval_one_ted_per_distinct_gold_bank_label_pattern(pipeline_runs, tmp_pa
                                                            monkeypatch):
     """The four rankers of ``eval`` share one set of gold-vs-bank similarities,
     and gold-vs-bank pairs that differ only by label names share one TED."""
+    import stare.ted as ted_module
     from stare import cli
     from stare.config import load_config
     from stare.corpus import load_corpus
@@ -376,7 +376,6 @@ def test_eval_one_ted_per_distinct_gold_bank_label_pattern(pipeline_runs, tmp_pa
     pairs = {frozenset((gold, bank.tree(rec.id))) for gold in golds for rec in bank}
     assert len({rec.parse for rec in dev}) > 1 and len(pairs) < len(golds) * len(bank)
 
-    ted_module = importlib.import_module("stare.ted")
     real, calls = ted_module.ted, []
     monkeypatch.setattr(ted_module, "ted",
                         lambda a, b, *rest: calls.append((a, b)) or real(a, b, *rest))

@@ -1,17 +1,14 @@
-import importlib
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stare.ted as ted_module
 from stare.ted import sim_struct, sim_struct_raw, ted
 from stare.trees import ParseTree, parse_sql_skeleton
 
 from oracles import TooLarge, all_trees, mirror, ted_bruteforce, ted_left_path
-
-# The module, not the function that ``stare`` re-exports under its name.
-ted_module = importlib.import_module("stare.ted")
 
 
 def t(label, *children):
