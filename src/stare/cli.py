@@ -194,7 +194,6 @@ def cmd_train(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
 
 
 def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
-    dev = _load_corpus(config, "dev")
     params, cfg = _trained_params(config, out)
     m = config.mli
     if not m["label_corpora"]:
@@ -203,7 +202,7 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
                      for prop in m["properties"] if prop in m["label_corpora"]}
     layers = m["layers"] or mli.default_sweep_layers(cfg.layers)
     grid = SweepGrid(layers=list(layers), properties=list(m["properties"]), lambdas=m["lambdas"])
-    result = mli.sweep(dev, corpus, params, cfg, label_corpora, grid,
+    result = mli.sweep(corpus, params, cfg, label_corpora, grid,
                        k=m["k"], probe_config=ProbeConfig(**m["probe"]))
     cells = [row for row in result.rows if row.prop]  # the baseline row has no property
     failed = [row for row in cells if row.error]
@@ -213,14 +212,19 @@ def cmd_mli(config: PipelineConfig, corpus: Corpus, out: Path) -> None:
                          f"the first, {first.prop} layer {first.layer}: {first.error}")
     mli.write_sweep_report(result, out / "mli_grid.csv")
     best = result.best
-    mli.save_direction(best, out / "direction.json", encoder.params_fingerprint(params))
+    edge = best is not None and (best.layer in (min(layers), max(layers))
+                                 or best.lam in (min(grid.lambdas), max(grid.lambdas)))
+    mli.save_direction(best, out / "direction.json", encoder.params_fingerprint(params), edge)
     if best is None:
-        logger.info("sweep kept the uninjected baseline (score %.4f)",
+        logger.info("sweep kept the uninjected baseline (leave-one-out score %.4f)",
                     result.baseline_score)
     else:
-        logger.info("sweep best: %s layer %d lambda %.2f (%.4f vs baseline %.4f)",
+        logger.info("sweep best: %s layer %d lambda %.2f (leave-one-out %.4f vs baseline %.4f)",
                     best.prop, best.layer, best.lam, result.best_score,
                     result.baseline_score)
+    if edge:
+        logger.info("the pick lies on the edge of the grid: layers %s, lambdas %s",
+                    sorted(layers), sorted(grid.lambdas))
     if failed:
         logger.warning("%d of %d injected sweep rows failed; see %s", len(failed), len(cells),
                        out / "mli_grid.csv")

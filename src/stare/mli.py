@@ -4,8 +4,8 @@ A logistic-regression probe is trained on one layer's token states for a
 linguistic property (POS, DEPS, or PT); the top right singular vector of
 its weight matrix, taken from ``np.linalg.svd``, becomes a unit steering
 direction. The sweep scores (layer, property, intensity) cells by the
-structural similarity of what the injected retriever fetches for dev
-queries, with the uninjected retriever always included as baseline.
+structural similarity of what the injected retriever fetches for each
+bank record from the others, with the uninjected retriever as baseline.
 """
 
 from __future__ import annotations
@@ -232,47 +232,45 @@ def resumed_embedding(states: list[np.ndarray | None], injection: InjectionDirec
     return enc.run_blocks(x, params, cfg, injection.layer)[-1].mean(axis=-2)
 
 
-def sweep(queries: Corpus, bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
+def sweep(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
           label_corpora: dict[str, TokenLabelCorpus], grid: SweepGrid, k: int,
           probe_config: ProbeConfig = ProbeConfig()) -> SweepResult:
-    """Score every grid cell by mean structural similarity at k.
+    """Score every grid cell by mean structural similarity at k, leave-one-out:
+    each bank record is a query, ranked with ``exclude`` set to its own id,
+    whose gold is its own parse.
 
     Probes are trained once per (property, layer), on states collected
     by one forward over the property's label corpus. The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
     An injection after layer L cannot change layers 0..L, so the bank's
-    and the queries' uninjected states of the in-range grid layers (only
-    those) are kept per ``enc.forward_batch`` chunk, and a cell resumes
-    every chunk from its layer-L states plus lam*u. The cost is two
-    forwards per sequence plus, per cell, the blocks after L; the scores
-    equal those of rebuilding the index per cell bit for bit, so a
-    lam = 0 cell scores the baseline. Cell failures are recorded in the
-    report rather than raised. The baseline row always comes first and
-    wins ties.
+    uninjected states of the in-range grid layers (only those) are kept per
+    ``enc.forward_batch`` chunk, and a cell resumes every chunk from its
+    layer-L states plus lam*u; a record's query is its resumed row before
+    normalisation, ``enc.embed`` of its utterance bit for bit. The cost is
+    three forwards per record (index row, baseline query, kept states)
+    plus, per cell, the blocks after L; a cell scores as rebuilding the
+    index under it would, so a lam = 0 cell scores the baseline. Cell
+    failures are recorded in the report rather than raised. The baseline
+    row always comes first and wins ties.
     """
     rows: list[SweepRow] = []
-    golds = retrieval.gold_ids(queries, bank)
+    golds = bank.tree_ids().tolist()
     in_range = [layer for layer in grid.layers if 1 <= layer <= cfg.layers]
 
     index = retrieval.build_index(bank, params, cfg)
-    baseline = retrieval.mean_sim_at_k(
-        golds, [retrieval.topk(index, rec.utterance, k, params, cfg) for rec in queries], bank)
-    def kept_chunks(corpus: Corpus) -> list[tuple[list[int], list[np.ndarray | None]]]:
-        return [(positions, [x if layer in in_range else None for layer, x in enumerate(states)])
-                for positions, states, _ in enc.forward_batch(
-                    retrieval.corpus_tokens(corpus, cfg), params, cfg)]
-    bank_chunks, query_chunks = kept_chunks(bank), kept_chunks(queries)
-
-    def resumed(chunks, n: int, injection: InjectionDirection) -> np.ndarray:
-        out = np.empty((n, cfg.d))
-        for positions, states in chunks:
-            out[positions] = resumed_embedding(states, injection, params, cfg)
-        return out
+    baseline = retrieval.mean_sim_at_k(golds, [
+        retrieval.topk(index, rec.utterance, k, params, cfg, exclude=rec.id) for rec in bank], bank)
+    chunks = [(positions, [x if layer in in_range else None for layer, x in enumerate(states)])
+              for positions, states, _ in enc.forward_batch(
+                  retrieval.corpus_tokens(bank, cfg), params, cfg)]
 
     def score_cell(injection: InjectionDirection) -> float:
-        embeddings = retrieval._unit_rows(index.ids, resumed(bank_chunks, len(bank), injection))
-        hits = [retrieval._rank(index.ids, embeddings, vec, k)
-                for vec in resumed(query_chunks, len(queries), injection)]
+        queries = np.empty((len(bank), cfg.d))
+        for positions, states in chunks:
+            queries[positions] = resumed_embedding(states, injection, params, cfg)
+        embeddings = retrieval._unit_rows(index.ids, queries.copy())
+        hits = [retrieval._rank(index.ids, embeddings, vec, k, exclude=rid)
+                for rid, vec in zip(index.ids, queries)]
         return retrieval.mean_sim_at_k(golds, hits, bank)
 
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))
@@ -328,15 +326,18 @@ DIRECTION_FORMAT_VERSION = 2
 
 
 def save_direction(direction: InjectionDirection | None, path: str | Path,
-                   params_sha256: str) -> None:
+                   params_sha256: str, on_grid_edge: bool = False) -> None:
     """Write the sweep's pick, fitted to the params with ``params_sha256``;
-    None records that the uninjected baseline won."""
+    None records that the uninjected baseline won. ``on_grid_edge`` records
+    that a pick's layer or lambda is the lowest or highest swept; readers
+    ignore it."""
     payload: dict = {"format_version": DIRECTION_FORMAT_VERSION, "params_sha256": params_sha256}
     if direction is None:
         payload["baseline"] = True
     else:
         payload.update({"property": direction.prop, "layer": direction.layer,
-                        "lambda": direction.lam, "u": [float(x) for x in direction.u]})
+                        "lambda": direction.lam, "u": [float(x) for x in direction.u],
+                        "on_grid_edge": on_grid_edge})
     write_json(path, payload)
 
 

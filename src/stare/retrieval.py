@@ -50,11 +50,18 @@ def _unit_rows(ids: list[str], embeddings: np.ndarray) -> np.ndarray:
 def _head(ids: list[str], scores: np.ndarray, k: int,
           exclude: str | None = None) -> list[tuple[str, float]]:
     """The k (id, score) pairs of highest score, ties to lower index, with
-    ``exclude`` skipped: the one top-k rule of every ranker."""
+    ``exclude`` skipped: the one top-k rule of every ranker.
+
+    Only the rows scoring at least the (k + 1)-th highest (finite) score,
+    ties included, are sorted: they hold the head whichever row is skipped.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    neg = -scores
+    rows = (np.flatnonzero(neg <= np.partition(neg, k)[k]) if k + 1 < len(neg)
+            else np.arange(len(neg)))
     head = []
-    for i in np.argsort(-scores, kind="stable"):
+    for i in rows[np.argsort(neg[rows], kind="stable")]:
         if len(head) == k:
             break
         if ids[i] != exclude:

@@ -74,11 +74,10 @@ def label_corpora(fixture_data, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def sweep_result(dev_queries, bank, trained_params, enc_cfg, label_corpora):
+def sweep_result(bank, trained_params, enc_cfg, label_corpora):
     grid = mli.SweepGrid(layers=[2, 3, 4], properties=["POS", "DEPS", "PT"],
                          lambdas=[0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
-    return mli.sweep(dev_queries, bank, trained_params, enc_cfg, label_corpora,
-                     grid, k=5)
+    return mli.sweep(bank, trained_params, enc_cfg, label_corpora, grid, k=5)
 
 
 @pytest.fixture(scope="session")

@@ -37,7 +37,7 @@ MB = 2 ** 20
 
 def measure(what: str, fixture: Path) -> dict:
     config = load_config(fixture / "config.json", env={})
-    bank, dev = cli._load_corpus(config, "train"), cli._load_corpus(config, "dev")
+    bank = cli._load_corpus(config, "train")
     cfg = encoder.EncoderConfig(vocab=encoder.build_vocab([rec.utterance for rec in bank]),
                                 **config.encoder)
     params = encoder.init_params(cfg)
@@ -51,8 +51,7 @@ def measure(what: str, fixture: Path) -> dict:
         return {"rows": len(y), "traced_peak_mb": peak / MB,
                 "output_mb": (sum(x.nbytes for x in X.values()) + y.nbytes) / MB}
     start = time.perf_counter()
-    result = mli.sweep(dev, bank, params, cfg, labels, GRID, k=config.mli["k"],
-                       probe_config=PROBE)
+    result = mli.sweep(bank, params, cfg, labels, GRID, k=config.mli["k"], probe_config=PROBE)
     return {"wall_s": time.perf_counter() - start,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "scores": [repr(row.score) for row in result.rows]}

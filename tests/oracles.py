@@ -302,18 +302,19 @@ def all_trees(max_nodes: int, alphabet: tuple[str, ...]) -> list[ParseTree]:
     return trees
 
 
-def reference_sweep(queries, bank, params, cfg, label_corpora, grid, k,
+def reference_sweep(bank, params, cfg, label_corpora, grid, k,
                     probe_config=mli.ProbeConfig()) -> mli.SweepResult:
     """``mli.sweep`` by brute force: every cell rebuilds the retrieval index
-    under its injection and ranks each dev query with ``topk``."""
+    under its injection and ranks each bank record, leave-one-out, with
+    ``topk``."""
     rows: list[mli.SweepRow] = []
     directions: dict = {}
-    golds = retrieval.gold_ids(queries, bank)
+    golds = retrieval.gold_ids(bank, bank)
 
     def score_cell(injection):
         index = retrieval.build_index(bank, params, cfg, injection)
-        hits = [retrieval.topk(index, rec.utterance, k, params, cfg, injection=injection)
-                for rec in queries]
+        hits = [retrieval.topk(index, rec.utterance, k, params, cfg, injection=injection,
+                               exclude=rec.id) for rec in bank]
         return retrieval.mean_sim_at_k(golds, hits, bank)
 
     baseline = score_cell(None)

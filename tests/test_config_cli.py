@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stare import cli
+from stare import cli, mli
+from stare.encoder import InjectionDirection
 from stare.config import apply_env_overrides, load_config
 from stare.fixtures import FixtureSpec, write_fixture
 
@@ -247,6 +248,29 @@ class TestCliBasics:
         out.mkdir()
         shutil.copy(run_a / "encoder.params", out / "encoder.params")
         assert cli.main(["mli", "--config", str(cfg_path), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("layer,lam,edge", [(3, 2.0, False), (2, 2.0, True), (3, 6.0, True),
+                                                (None, None, None)])
+    def test_pick_on_grid_edge_recorded_and_logged(self, pipeline_runs, tmp_path, monkeypatch,
+                                                   caplog, layer, lam, edge):
+        """``direction.json`` records, and ``mli`` logs, whether the pick's
+        layer or lambda is the lowest or highest of the fixture's grid
+        (layers 2-4, lambdas 0.5-6.0); a baseline pick records nothing."""
+        import shutil
+
+        fix_dir, run_a, _ = pipeline_runs
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(run_a / "encoder.params", out / "encoder.params")
+        best = None if layer is None else InjectionDirection(u=np.array([0.6, 0.8]), layer=layer,
+                                                             lam=lam, prop="POS")
+        rows = [mli.SweepRow("", 0, 0.0, 0.5), mli.SweepRow("POS", layer or 2, lam or 1.0, 0.6)]
+        monkeypatch.setattr(mli, "sweep", lambda *args, **kwargs: mli.SweepResult(
+            best=best, best_score=0.6 if best else 0.5, baseline_score=0.5, rows=rows))
+        caplog.set_level("INFO", logger="stare")
+        assert cli.main(["mli", "--config", str(fix_dir / "config.json"), "--out", str(out)]) == 0
+        assert json.loads((out / "direction.json").read_text()).get("on_grid_edge") is edge
+        assert ("edge of the grid" in caplog.text) is bool(edge)
 
     def test_numeric_failure_exits_3(self, fixture_dir, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -3,7 +3,8 @@ data error (exit 2) that names the file, without a traceback, and leaves the
 run directory byte-unchanged. Below the table: a failed stage keeps the old
 ``config_used.json``, ``mine`` refuses an LSH index built under another
 ``bucketing`` section, a malformed ``encoder.params`` config or record parse,
-a missing ``direction.json`` under ``--use-direction``,
+a missing ``direction.json`` under ``--use-direction``, ``mli`` that reads no
+``dev.jsonl`` and refuses a bank of ``mli.k`` records,
 the non-finite rule, a ``train`` or ``mli`` killed mid-run, and the reader of
 ``stare.artifacts`` that the table rests on."""
 
@@ -72,7 +73,7 @@ STAGES = ("bucket", "mine", "train", "mli", "eval", "retrieve")
 INPUTS = {
     "config.json": ("fixture", STAGES, {}),
     "train.jsonl": ("fixture", STAGES, {"duplicate_line": _duplicate_first_line}),
-    "dev.jsonl": ("fixture", ("mli", "eval"), {"duplicate_line": _duplicate_first_line}),
+    "dev.jsonl": ("fixture", ("eval",), {"duplicate_line": _duplicate_first_line}),
     "pos.tsv": ("fixture", ("mli",), {}),
     "lsh_index.json": ("run", ("mine",), {"nan": _nan(rb'("tau": )[-+.\deE]+')}),
     "pairs.jsonl": ("run", ("train",), {"nan": _nan(rb'("positive_sim": )[-+.\deE]+')}),
@@ -146,6 +147,44 @@ def test_corrupt_input_is_a_named_data_error(copied_run, caplog, capsys,
     assert code == cli.EXIT_DATA
     assert str(path) in caplog.text
     assert "Traceback" not in caplog.text + err
+    assert _snapshot(copied_run["run"]) == before
+
+
+@pytest.mark.parametrize("replacement", ["other_fixture", *CORRUPTIONS, *INPUTS["dev.jsonl"][2]])
+def test_mli_reads_no_dev(copied_run, tmp_path, replacement):
+    """``mli`` selects its injection leave-one-out over the bank, so another
+    fixture's ``dev.jsonl``, or a corrupt one, leaves its artifacts
+    byte-identical: only ``eval`` reads ``dev``."""
+    path = copied_run["fixture"] / "dev.jsonl"
+    if replacement == "other_fixture":
+        assert cli.main(["fixture-gen", "--out", str(tmp_path / "other"), "--seed", "1"]) == 0
+        damaged = (tmp_path / "other" / "dev.jsonl").read_bytes()
+    else:
+        damaged = {**CORRUPTIONS, **INPUTS["dev.jsonl"][2]}[replacement](path.read_bytes())
+    assert damaged != path.read_bytes()
+    path.write_bytes(damaged)
+    names = ("mli_grid.csv", "direction.json")
+    before = {name: (copied_run["run"] / name).read_bytes() for name in names}
+
+    assert cli.main(_argv("mli", copied_run)) == cli.EXIT_OK
+    assert {name: (copied_run["run"] / name).read_bytes() for name in names} == before
+
+
+def test_mli_bank_of_k_records_is_a_data_error(copied_run, caplog, capsys):
+    """Left out, each of k bank records has k - 1 others to retrieve from, so
+    ``mli`` on a bank of exactly ``mli.k`` records is exit 2 with ``_head``'s
+    message, and the run directory is unchanged."""
+    k = read_json(copied_run["fixture"] / "config.json")["mli"]["k"]
+    path = copied_run["fixture"] / "train.jsonl"
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:k]),
+                    encoding="utf-8")
+    before = _snapshot(copied_run["run"])
+
+    code = cli.main(_argv("mli", copied_run))
+
+    assert code == cli.EXIT_DATA
+    assert f"k={k} exceeds {k - 1} available records" in caplog.text
+    assert "Traceback" not in caplog.text + capsys.readouterr().err
     assert _snapshot(copied_run["run"]) == before
 
 

@@ -8,6 +8,7 @@ import pytest
 from stare import encoder as enc
 from stare import mli
 from stare.corpus import Corpus, Record
+from stare.ted import sim_struct
 
 from oracles import jacobi_svd_top_right, reference_probe_loss_and_grads, reference_sweep
 
@@ -297,13 +298,12 @@ class TestSweep:
         sentences = [([f"token{i}", "alpha", "beta"], ["NOUN", "VERB", "NOUN"])
                      for i in range(8)]
         corpora = {"POS": mli.TokenLabelCorpus(sentences, ["NOUN", "VERB"])}
-        dev = Corpus([Record("d1", "token1 alpha beta", "[A1 x1 ]")], "bracketed")
-        return dev, bank, params, cfg, corpora
+        return bank, params, cfg, corpora
 
     def test_lambda_zero_rows_equal_baseline(self):
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
         grid = mli.SweepGrid(layers=[1, 2], properties=["POS"], lambdas=[0.0])
-        result = mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+        result = mli.sweep(bank, params, cfg, corpora, grid, k=2)
         assert result.best is None
         assert result.best_score == result.baseline_score
         for row in result.rows:
@@ -311,24 +311,24 @@ class TestSweep:
                 assert row.score == result.baseline_score
 
     def test_baseline_always_first_row(self):
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
         grid = mli.SweepGrid(layers=[1], properties=["POS"], lambdas=[1.0])
-        result = mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+        result = mli.sweep(bank, params, cfg, corpora, grid, k=2)
         assert result.rows[0].prop == ""
         assert result.rows[0].score == result.baseline_score
         assert result.best_score >= result.baseline_score
 
     def test_missing_label_corpus_recorded_not_fatal(self):
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
         grid = mli.SweepGrid(layers=[1], properties=["POS", "PT"], lambdas=[1.0])
-        result = mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+        result = mli.sweep(bank, params, cfg, corpora, grid, k=2)
         errors = [row for row in result.rows if row.error]
         assert any(row.prop == "PT" for row in errors)
 
     @pytest.mark.parametrize("layers", [2, 4])
     def test_resumed_embeddings_equal_injected_forward(self, layers):
-        dev, bank, params, cfg, _ = self._setup(layers)
-        texts = [rec.utterance for rec in bank] + [rec.utterance for rec in dev]
+        bank, params, cfg, _ = self._setup(layers)
+        texts = [rec.utterance for rec in bank]
         states = [enc.forward(text, params, cfg) for text in texts]
         u = np.random.default_rng(3).standard_normal(cfg.d)
         u /= np.linalg.norm(u)
@@ -341,15 +341,15 @@ class TestSweep:
                         enc.embed(text, params, cfg, injection)), (layer, lam, text)
 
     def test_rows_equal_reference_sweep(self):
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
         # Layer 3 is out of range and PT has no corpus: both give error rows.
         grid = mli.SweepGrid(layers=[1, 2, 3], properties=["POS", "PT"],
                              lambdas=[0.0, 0.5, 2.0, 6.0])
-        _assert_same_sweep(mli.sweep(dev, bank, params, cfg, corpora, grid, k=2),
-                           reference_sweep(dev, bank, params, cfg, corpora, grid, k=2))
+        _assert_same_sweep(mli.sweep(bank, params, cfg, corpora, grid, k=2),
+                           reference_sweep(bank, params, cfg, corpora, grid, k=2))
 
     def test_forward_calls_do_not_grow_with_lambdas(self, monkeypatch):
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
         forward_batch = enc.forward_batch
         calls = []  # one entry per sequence forwarded from layer 0
 
@@ -362,16 +362,16 @@ class TestSweep:
         for lambdas in ([1.0], [0.5, 1.0, 2.0, 4.0, 6.0]):
             calls.clear()
             grid = mli.SweepGrid(layers=[1, 2], properties=["POS"], lambdas=lambdas)
-            mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+            mli.sweep(bank, params, cfg, corpora, grid, k=2)
             counts.append(len(calls))
-        # baseline + prefix states for each sequence, one probe corpus forward
-        sequences = len(bank) + len(dev)
-        assert counts == [2 * sequences + len(corpora["POS"].sentences)] * 2
+        # per bank record the baseline's index row and query, and the prefix
+        # states; one forward per probe sentence
+        assert counts == [3 * len(bank) + len(corpora["POS"].sentences)] * 2
 
     @pytest.mark.parametrize("name", ["train_probe", "resumed_embedding"])
     def test_programming_error_is_not_an_error_row(self, monkeypatch, name):
         """Only data errors (ValueError, ArithmeticError) become error rows."""
-        dev, bank, params, cfg, corpora = self._setup()
+        bank, params, cfg, corpora = self._setup()
 
         def broken(*args, **kwargs):
             raise TypeError("bug")
@@ -379,12 +379,12 @@ class TestSweep:
         monkeypatch.setattr(mli, name, broken)
         grid = mli.SweepGrid(layers=[1], properties=["POS"], lambdas=[1.0])
         with pytest.raises(TypeError, match="bug"):
-            mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+            mli.sweep(bank, params, cfg, corpora, grid, k=2)
 
     def test_chunks_keep_only_grid_layers(self, monkeypatch):
         """A cell resumes from the kept states of its grid layer; no other
-        layer of a bank or query chunk, layer 0 included, is held."""
-        dev, bank, params, cfg, corpora = self._setup(layers=4)
+        layer of a bank chunk, layer 0 included, is held."""
+        bank, params, cfg, corpora = self._setup(layers=4)
         resumed_embedding = mli.resumed_embedding
         seen = []
 
@@ -394,11 +394,29 @@ class TestSweep:
 
         monkeypatch.setattr(mli, "resumed_embedding", capturing)
         grid = mli.SweepGrid(layers=[2, 3, 6], properties=["POS"], lambdas=[1.0])
-        mli.sweep(dev, bank, params, cfg, corpora, grid, k=2)
+        mli.sweep(bank, params, cfg, corpora, grid, k=2)
         assert seen
         for states in seen:
             assert len(states) == cfg.layers + 1
             assert [layer for layer, x in enumerate(states) if x is not None] == [2, 3]
+
+    def test_baseline_leaves_each_record_out(self):
+        """Twin records share an utterance, so each record's own row ties with
+        its twin's for nearest. Left out, it retrieves its twin at k = 1, and
+        the baseline is the mean of the twins' similarities, not 1.0."""
+        parses = ["[A x ]", "[A [B y ] ]", "[C x y z ]", "[C x ]", "[D [E [F w ] ] ]", "[D w ]"]
+        bank = Corpus([Record(f"r{i}", f"twin{i // 2} alpha", parse)
+                       for i, parse in enumerate(parses)], "bracketed")
+        corpora = self._setup()[3]
+        cfg = enc.EncoderConfig(vocab=enc.build_vocab([r.utterance for r in bank]), d=8,
+                                layers=2, heads=2, max_len=8, seed=0)
+        params = enc.init_params(cfg)
+        grid = mli.SweepGrid(layers=[1], properties=["POS"], lambdas=[0.0])
+        result = mli.sweep(bank, params, cfg, corpora, grid, k=1)
+        twins = [sim_struct(bank.tree(f"r{i}"), bank.tree(f"r{i + 1}")) for i in (0, 2, 4)]
+        assert max(twins) < 1.0
+        assert result.baseline_score == pytest.approx(sum(twins) / 3, abs=1e-15)
+        assert [row.score for row in result.rows] == [result.baseline_score] * 2
 
     def test_default_layers(self):
         assert mli.default_sweep_layers(4) == [2, 3, 4]
@@ -418,14 +436,13 @@ def _assert_same_sweep(got, want):
         assert np.array_equal(got.best.u, want.best.u)
 
 
-def test_fixture_sweep_equals_reference(dev_queries, bank, trained_params, enc_cfg,
-                                        label_corpora):
+def test_fixture_sweep_equals_reference(bank, trained_params, enc_cfg, label_corpora):
     grid = mli.SweepGrid(layers=[2, 3, 4], properties=["POS"], lambdas=[0.0, 1.0, 5.0])
-    args = (dev_queries, bank, trained_params, enc_cfg, label_corpora, grid)
+    args = (bank, trained_params, enc_cfg, label_corpora, grid)
     _assert_same_sweep(mli.sweep(*args, k=5), reference_sweep(*args, k=5))
 
 
-def test_fixture_lambda_zero_rows_score_the_baseline(dev_queries, bank, trained_params, enc_cfg,
+def test_fixture_lambda_zero_rows_score_the_baseline(bank, trained_params, enc_cfg,
                                                      label_corpora, monkeypatch, tmp_path):
     """A lam = 0 cell is scored like every other cell, resumed from the kept
     states plus 0*u, and ``mli_grid.csv`` gets the baseline's score bit for bit."""
@@ -438,7 +455,7 @@ def test_fixture_lambda_zero_rows_score_the_baseline(dev_queries, bank, trained_
 
     monkeypatch.setattr(mli, "resumed_embedding", recording)
     grid = mli.SweepGrid(layers=[2, 3, 4], properties=["POS", "DEPS"], lambdas=[0.0])
-    result = mli.sweep(dev_queries, bank, trained_params, enc_cfg, label_corpora, grid, k=5)
+    result = mli.sweep(bank, trained_params, enc_cfg, label_corpora, grid, k=5)
     assert cells == {(prop, layer, 0.0) for prop in grid.properties for layer in grid.layers}
     path = tmp_path / "mli_grid.csv"
     mli.write_sweep_report(result, path)
@@ -453,7 +470,7 @@ def test_fixture_lambda_zero_rows_score_the_baseline(dev_queries, bank, trained_
 # A direction.json as ``save_direction`` writes it.
 _PARAMS_SHA256 = "0123456789abcdef" * 4
 _SAVED_DIRECTION = {"format_version": 2, "params_sha256": _PARAMS_SHA256, "property": "POS",
-                    "layer": 2, "lambda": 5.0, "u": [0.6, 0.8]}
+                    "layer": 2, "lambda": 5.0, "u": [0.6, 0.8], "on_grid_edge": False}
 
 
 class TestDirectionPersistence:
@@ -483,6 +500,23 @@ class TestDirectionPersistence:
         path = tmp_path / "direction.json"
         mli.save_direction(direction, path, _PARAMS_SHA256)
         assert json.loads(path.read_text()) == _SAVED_DIRECTION
+
+    @pytest.mark.parametrize("edge", [True, False, None])
+    def test_on_grid_edge_is_recorded_and_ignored(self, tmp_path, edge):
+        """``on_grid_edge`` is written with a pick; reading ignores it, and a
+        file without it (``None`` here) reads as before."""
+        direction = enc.InjectionDirection(u=np.array([0.6, 0.8]), layer=2, lam=5.0,
+                                           prop="POS")
+        path = tmp_path / "direction.json"
+        mli.save_direction(direction, path, _PARAMS_SHA256, on_grid_edge=bool(edge))
+        payload = json.loads(path.read_text())
+        assert payload["on_grid_edge"] is bool(edge)
+        if edge is None:
+            del payload["on_grid_edge"]
+            path.write_text(json.dumps(payload))
+        loaded, params_sha256 = mli.read_direction(path)
+        assert (loaded.layer, loaded.lam, loaded.prop, params_sha256) == \
+            (2, 5.0, "POS", _PARAMS_SHA256)
 
     def test_reads_file_with_converged_key(self, tmp_path):
         path = tmp_path / "direction.json"

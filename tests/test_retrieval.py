@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stare import encoder as enc
 from stare import retrieval
@@ -103,24 +104,56 @@ class TestRankHead:
     """``_rank`` stops at k kept rows; results equal the full stable sort."""
 
     @staticmethod
-    def _full(index, vec, exclude):
-        scores = index.embeddings @ (vec / np.linalg.norm(vec))
-        return [(index.ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")
-                if index.ids[i] != exclude]
+    def _full(ids, embeddings, vec, exclude):
+        scores = embeddings @ (vec / np.linalg.norm(vec))
+        return [(ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")
+                if ids[i] != exclude]
 
-    @pytest.mark.parametrize("exclude", [None, "head", "tail", "absent"])
-    def test_k_up_to_available(self, tiny_bank, tiny_params, tiny_cfg, exclude):
-        index = build_index(tiny_bank, tiny_params, tiny_cfg)
-        vec = enc.embed("remind me to call", tiny_params, tiny_cfg)
-        order = [rid for rid, _ in self._full(index, vec, None)]
-        exclude = {"head": order[0], "tail": order[-1], "absent": "zz"}.get(exclude)
-        full = self._full(index, vec, exclude)
-        available = len(tiny_bank) - (exclude in tiny_bank.ids())
+    # Equal rows score equal cosines to the query (1, 0): 0.9 twice, 0.5
+    # three times, 0.2 twice and -1, so ties straddle the k-th score of most k.
+    TIES = [0.5, 0.9, 0.5, 0.2, 0.9, 0.5, 0.2, -1.0]
+
+    @pytest.mark.parametrize("bank,exclude", [
+        *[pytest.param("tiny", exclude, id=str(exclude))
+          for exclude in (None, "head", "tail", "absent")],
+        *[pytest.param("ties", exclude, id=f"ties-{exclude}")
+          for exclude in (None, "head", "tail", "absent", "t2")]])
+    def test_k_up_to_available(self, tiny_bank, tiny_params, tiny_cfg, bank, exclude):
+        if bank == "ties":
+            ids = [f"t{i}" for i in range(len(self.TIES))]
+            embeddings = np.array([[c, math.sqrt(1.0 - c * c)] for c in self.TIES])
+            vec = np.array([1.0, 0.0])
+        else:
+            index = build_index(tiny_bank, tiny_params, tiny_cfg)
+            ids, embeddings = index.ids, index.embeddings
+            vec = enc.embed("remind me to call", tiny_params, tiny_cfg)
+        order = [rid for rid, _ in self._full(ids, embeddings, vec, None)]
+        exclude = {"head": order[0], "tail": order[-1], "absent": "zz"}.get(exclude, exclude)
+        full = self._full(ids, embeddings, vec, exclude)
+        available = len(ids) - (exclude in ids)
         assert len(full) == available
-        for k in range(1, available + 1):
-            assert retrieval._rank(index.ids, index.embeddings, vec, k, exclude) == full[:k]
+        for k in range(1, available + 1):  # k = n when nothing is excluded
+            assert retrieval._rank(ids, embeddings, vec, k, exclude) == full[:k]
         with pytest.raises(ValueError, match=f"k={available + 1} exceeds {available} available"):
-            retrieval._rank(index.ids, index.embeddings, vec, available + 1, exclude)
+            retrieval._rank(ids, embeddings, vec, available + 1, exclude)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(scores=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5]) | st.floats(-1.0, 1.0),
+                           min_size=1, max_size=24),
+           k=st.integers(1, 26), exclude=st.integers(-1, 25))
+    def test_head_equals_full_stable_sort(self, scores, k, exclude):
+        """``_head`` of any finite scores, ties and all, is the head of the full
+        stable sort by (-score, index) with ``exclude`` skipped, or the same error."""
+        ids = [f"i{i}" for i in range(len(scores))]
+        scores = np.array(scores)
+        skip = f"i{exclude}"
+        full = [(ids[i], float(scores[i])) for i in np.argsort(-scores, kind="stable")
+                if ids[i] != skip]
+        if k > len(full):
+            with pytest.raises(ValueError, match=f"^k={k} exceeds {len(full)} available records$"):
+                retrieval._head(ids, scores, k, skip)
+        else:
+            assert retrieval._head(ids, scores, k, skip) == full[:k]
 
     def test_k_below_one_raises(self, tiny_bank, tiny_params, tiny_cfg):
         index = build_index(tiny_bank, tiny_params, tiny_cfg)
