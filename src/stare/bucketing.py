@@ -3,8 +3,8 @@
 The index serves high-recall candidate pools: two parses whose feature
 sets have Jaccard similarity above the configured threshold are very
 likely to collide in at least one band. The index persists as JSON with
-each signature as one base64 string, so stock ``json`` reads it without a
-Python int per signature value.
+one record per distinct signature, its bytes as one base64 string, so stock
+``json`` reads it without a Python int per signature value.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -102,18 +103,17 @@ def minhash(features: frozenset[str] | set[str], num_hashes: int = DEFAULT_NUM_H
 def lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
     """Band geometry (b, r) with b*r == num_hashes nearest the threshold.
 
-    Minimizes |(1/b)^(1/r) - tau| over exact factorizations; ties break
-    toward larger r (fewer false positives). The trivial splits always
-    qualify, so a result exists for every num_hashes >= 2.
+    Minimizes |(1/b)^(1/r) - tau| over exact factorizations, b ascending
+    (divisors found up to sqrt(P)); ties break toward larger r (fewer false
+    positives). The trivial splits qualify, so every num_hashes >= 2 has one.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
     if num_hashes < 2:
         raise ValueError("num_hashes must be >= 2")
     best: tuple[float, int, int] | None = None
-    for b in range(1, num_hashes + 1):
-        if num_hashes % b:
-            continue
+    low = [b for b in range(1, math.isqrt(num_hashes) + 1) if num_hashes % b == 0]
+    for b in low + [num_hashes // b for b in reversed(low) if b * b != num_hashes]:
         r = num_hashes // b
         err = abs((1.0 / b) ** (1.0 / r) - tau)
         if best is None or err < best[0] - 1e-15 or (abs(err - best[0]) <= 1e-15 and r > best[2]):
@@ -125,8 +125,8 @@ def lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
 class LshIndex:
     """Banded MinHash index; ids collide when any band's values are equal.
 
-    A band's bucket key is the raw bytes of its values, so a key match is
-    exact equality, and a signature's keys are slices of one ``tobytes``.
+    ``groups`` maps each distinct signature's bytes to its ids, ``signatures`` each id to a
+    read-only view of them, and each band dict (made at first insert) a band's bytes to groups.
     """
 
     num_hashes: int = DEFAULT_NUM_HASHES
@@ -134,61 +134,69 @@ class LshIndex:
     seed: int = 0
     bands: int = field(init=False)
     rows: int = field(init=False)
-    buckets: list[dict[bytes, list[str]]] = field(init=False, repr=False)
+    groups: dict[bytes, list[str]] = field(init=False, repr=False)
+    buckets: list[dict[bytes, list[bytes]]] = field(init=False, repr=False)
     signatures: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.bands, self.rows = lsh_params(self.tau, self.num_hashes)
-        self.buckets = [{} for _ in range(self.bands)]
-        self.signatures = {}
+        self.groups, self.buckets, self.signatures = {}, [], {}
 
     def __len__(self) -> int:
         return len(self.signatures)
 
-    def _check_signature(self, sig: np.ndarray) -> None:
+    def _key(self, sig: np.ndarray) -> bytes:
         if sig.shape != (self.num_hashes,):
             raise ValueError(
                 f"signature length {sig.shape} does not match index P={self.num_hashes}")
+        return sig.astype("<u8", copy=False).tobytes()
 
-    def _band_keys(self, sig: np.ndarray) -> list[bytes]:
-        raw = sig.tobytes()
+    def _band_keys(self, raw: bytes) -> list[bytes]:
         width = len(raw) // self.bands
         return [raw[start : start + width] for start in range(0, len(raw), width)]
 
+    def _add(self, ids: list[str], raw: bytes) -> None:
+        """File distinct ``ids`` under the signature of little-endian bytes
+        ``raw``; only a signature not seen before is banded."""
+        for rid in ids:
+            if rid in self.signatures:
+                raise ValueError(f"duplicate id {rid!r}")
+        group = self.groups.setdefault(raw, [])
+        view = self.signatures[group[0]] if group else np.frombuffer(raw, "<u8")
+        if not group:
+            self.buckets = self.buckets or [{} for _ in range(self.bands)]
+            for bucket, key in zip(self.buckets, self._band_keys(raw)):
+                if key in bucket:
+                    bucket[key].append(raw)
+                else:  # an exact-size list: setdefault(key, []).append over-allocates
+                    bucket[key] = [raw]
+        group.extend(ids)
+        self.signatures.update(dict.fromkeys(ids, view))
+
     def insert(self, record_id: str, sig: np.ndarray) -> None:
-        self._check_signature(sig)
-        if record_id in self.signatures:
-            raise ValueError(f"duplicate id {record_id!r}")
-        self.signatures[record_id] = sig
-        for bucket, key in zip(self.buckets, self._band_keys(sig)):
-            bucket.setdefault(key, []).append(record_id)
+        self._add([record_id], self._key(sig))
 
     def query(self, sig: np.ndarray) -> set[str]:
-        """Union of bucket members colliding in at least one band."""
-        self._check_signature(sig)
-        pool: set[str] = set()
-        for bucket, key in zip(self.buckets, self._band_keys(sig)):
-            pool.update(bucket.get(key, ()))
-        return pool
+        """Ids of every signature colliding with ``sig`` in at least one band."""
+        hits = {raw for bucket, key in zip(self.buckets, self._band_keys(self._key(sig)))
+                for raw in bucket.get(key, ())}
+        return {rid for raw in hits for rid in self.groups[raw]}
 
     def pools(self) -> Iterator[tuple[list[str], set[str]]]:
         """For each distinct signature, in first-insertion order: the ids that
         share it and its one ``query`` union. Those ids collide in every
         band, so each id's pool is the union minus the id."""
-        shared: dict[bytes, list[str]] = {}
-        for rid, sig in self.signatures.items():
-            shared.setdefault(sig.tobytes(), []).append(rid)
-        for ids in shared.values():
+        for ids in self.groups.values():
             yield ids, self.query(self.signatures[ids[0]])
 
     # -- persistence --------------------------------------------------------
 
-    FORMAT_VERSION = 3
+    FORMAT_VERSION = 4
 
     def save(self, path: str | Path) -> None:
-        """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one
-        record at a time, so no string of the whole file is built. A record
-        is ``[id, base64 of the signature's P little-endian uint64s]``."""
+        """Write the bytes of ``json.dumps(payload, sort_keys=True)``, one record at a
+        time, so no string of the whole file is built. A record is a distinct signature,
+        in first-insertion order: ``[[id, ...], base64 of its P little-endian uint64s]``."""
         header = {"format_version": self.FORMAT_VERSION, "P": self.num_hashes,
                   "tau": self.tau, "seed": self.seed, "records": None}
         with atomic_write(path) as fh:
@@ -198,9 +206,9 @@ class LshIndex:
                     fh.write(json.dumps(header[key]))
                     continue
                 fh.write("[")
-                for i, (rid, sig) in enumerate(self.signatures.items()):
-                    text = base64.b64encode(sig.astype("<u8", copy=False).tobytes())
-                    fh.write((", " if i else "") + json.dumps([rid, text.decode("ascii")]))
+                for i, (raw, ids) in enumerate(self.groups.items()):
+                    text = base64.b64encode(raw).decode("ascii")
+                    fh.write((", " if i else "") + json.dumps([ids, text]))
                 fh.write("]")
             fh.write("}")
 
@@ -217,21 +225,22 @@ class LshIndex:
         index = cls(**settings)
         width = 8 * index.num_hashes
         for n, record in enumerate(records):
-            if not (fits(record, list[str]) and len(record) == 2):
-                raise ValueError(f"{path}: record {n} is not [id, base64 signature]: "
+            if not (fits(record, list) and len(record) == 2 and fits(record[0], set[str])
+                    and record[0] and fits(record[1], str)):
+                raise ValueError(f"{path}: record {n} is not [[id, ...], base64 signature]: "
                                  f"{json.dumps(record)[:80]}")
-            rid = record[0]
+            ids = record[0]
             try:
                 raw = base64.b64decode(record[1], validate=True)
             except ValueError:  # binascii.Error, or a non-ASCII string
-                raise ValueError(f"{path}: record {n} ({rid!r}): signature is not "
+                raise ValueError(f"{path}: record {n} ({ids[0]!r}): signature is not "
                                  "base64") from None
             if len(raw) != width:
-                raise ValueError(f"{path}: record {n} ({rid!r}): signature "
+                raise ValueError(f"{path}: record {n} ({ids[0]!r}): signature "
                                  f"has {len(raw)} bytes, not 8 * P = {width}")
             records[n] = None
             try:
-                index.insert(rid, np.frombuffer(raw, "<u8").astype(_U64, copy=False))
+                index._add(ids, raw)
             except ValueError as exc:  # a repeated id: the width is checked above
                 raise ValueError(f"{path}: record {n}: {exc}") from None
         return index

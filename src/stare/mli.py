@@ -95,11 +95,12 @@ class ProbeConfig:
 
 
 def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
-                   cfg: EncoderConfig, layers: Sequence[int]
+                   cfg: EncoderConfig, layers: Sequence[int], xs: dict | None = None
                    ) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """Each of ``layers``' token states over the corpus, one (rows, d) array
     per layer in corpus order, with label indices. One ``enc.forward_batch``
     pass serves every layer; each chunk's rows are copied in as it arrives.
+    Given ``xs``, those layers' states over equal tokens, no forward runs.
 
     Corpus tokens are fed to the encoder one id per token (no re-tokenization),
     so rows align with labels; both are truncated at max_len together.
@@ -110,11 +111,12 @@ def collect_states(corpus: TokenLabelCorpus, params: dict[str, np.ndarray],
     label_index = {lab: i for i, lab in enumerate(corpus.label_set)}
     id_lists = [enc.ids_for_tokens(tokens, cfg) for tokens, _ in corpus.sentences]
     starts = np.cumsum([0, *map(len, id_lists)])  # sentence i owns rows starts[i]:starts[i+1]
-    xs = {layer: np.empty((starts[-1], cfg.d)) for layer in layers}
-    for positions, states, _ in enc.forward_batch(id_lists, params, cfg):
-        for layer, X in xs.items():
-            for b, pos in enumerate(positions):
-                X[starts[pos]:starts[pos + 1]] = states[layer][b]
+    if xs is None:
+        xs = {layer: np.empty((starts[-1], cfg.d)) for layer in layers}
+        for positions, states, _ in enc.forward_batch(id_lists, params, cfg):
+            for layer, X in xs.items():
+                for b, pos in enumerate(positions):
+                    X[starts[pos]:starts[pos + 1]] = states[layer][b]
     ys = [label_index[lab] for ids, (_, labels) in zip(id_lists, corpus.sentences)
           for lab in labels[: len(ids)]]
     return xs, np.asarray(ys, dtype=np.int64)
@@ -240,7 +242,7 @@ def sweep(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
     whose gold is its own parse.
 
     Probes are trained once per (property, layer), on states collected
-    by one forward over the property's label corpus. The baseline is scored
+    by one forward per run of equal-token label corpora. The baseline is scored
     as ``eval`` scores a dense ranker, with ``build_index`` and ``topk``.
     An injection after layer L cannot change layers 0..L, so the bank's
     uninjected states of the in-range grid layers (only those) are kept per
@@ -276,6 +278,7 @@ def sweep(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
     rows.append(SweepRow(prop="", layer=0, lam=0.0, score=baseline))
     best: InjectionDirection | None = None
     best_score = baseline
+    forwards: dict[tuple, dict[int, np.ndarray]] = {}  # the last label-corpus text's states
 
     for prop in grid.properties:
         corpus = label_corpora.get(prop)
@@ -284,12 +287,15 @@ def sweep(bank: Corpus, params: dict[str, np.ndarray], cfg: EncoderConfig,
                                  error="no label corpus"))
             continue
         states: dict[int, np.ndarray] = {}
+        text = tuple(tuple(tokens) for tokens, _ in corpus.sentences)
         for layer in grid.layers:
             try:
                 if layer not in states:
                     # One forward serves every in-range layer; an
                     # out-of-range layer raises its own error row.
-                    states, y = collect_states(corpus, params, cfg, [layer, *in_range])
+                    states, y = collect_states(corpus, params, cfg, [layer, *in_range],
+                                               forwards.get(text))
+                    forwards = {text: states}
                 W, _ = train_probe(states[layer], y, len(corpus.label_set), probe_config)
                 u = extract_direction(W)
             except (ValueError, ArithmeticError) as exc:  # bad data fails the cell

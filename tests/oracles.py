@@ -475,6 +475,23 @@ def signature_agreement(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
+@lru_cache(maxsize=None)
+def _divisors_by_trial(n: int) -> list[int]:
+    return [b for b in range(1, n + 1) if n % b == 0]
+
+
+def reference_lsh_params(tau: float, num_hashes: int) -> tuple[int, int]:
+    """``bucketing.lsh_params`` by trying every b <= P in ascending order: O(P),
+    once per P (the divisors are cached across taus)."""
+    best: tuple[float, int, int] | None = None
+    for b in _divisors_by_trial(num_hashes):
+        r = num_hashes // b
+        err = abs((1.0 / b) ** (1.0 / r) - tau)
+        if best is None or err < best[0] - 1e-15 or (abs(err - best[0]) <= 1e-15 and r > best[2]):
+            best = (err, b, r)
+    return best[1], best[2]
+
+
 def _band_digest(band: np.ndarray) -> int:
     return int.from_bytes(hashlib.blake2b(band.tobytes(), digest_size=8).digest(), "big")
 

@@ -14,7 +14,8 @@ from stare.bucketing import (LshIndex, extract_features, lsh_params, minhash, _f
 from stare.config import load_config
 from stare.trees import ParseError
 
-from oracles import exact_jaccard, reference_lsh_query, signature_agreement
+from oracles import (exact_jaccard, reference_lsh_params, reference_lsh_query,
+                     signature_agreement)
 
 
 class TestExtractFeatures:
@@ -118,6 +119,17 @@ class TestLshParams:
                             for b in range(1, num + 1) if num % b == 0))
                 assert lsh_params(tau, num) == (best[2], num // best[2])
 
+    def test_equals_every_b_reference(self):
+        """The divisors from a sqrt(P) scan, visited in ascending order, give
+        the (b, r) of trying every b <= P, ties included."""
+        for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for num in range(2, 5001):
+                assert lsh_params(tau, num) == reference_lsh_params(tau, num), (tau, num)
+        for num in (999_983, 3_603_600, 10_000_000):  # a prime, 360 divisors, 64 divisors
+            assert lsh_params(0.5, num) == reference_lsh_params(0.5, num), num
+        for tau, num, want in ((0.75, 2, (1, 2)), (0.6, 5, (1, 5)), (0.11, 50, (25, 2))):
+            assert lsh_params(tau, num) == reference_lsh_params(tau, num) == want  # a tie
+
     def test_default_operating_point(self):
         assert lsh_params(0.5, 128) == (32, 4)
 
@@ -156,9 +168,14 @@ class TestLshIndex:
         sig = self._sig({"a", "b"}, index)
         index.insert("x", sig)
         index.insert("y", sig.copy())
-        for band in index.buckets:
-            members = [ids for ids in band.values() if "x" in ids]
-            assert members and all("y" in ids for ids in members)
+        index.insert("z", self._sig({"c", "d"}, index))
+        assert [ids for ids, _ in index.pools()] == [["x", "y"], ["z"]]
+        assert index.query(sig) == next(index.pools())[1] == {"x", "y"}
+        for band in range(index.bands):  # equal in every band, each band on its own
+            rows = slice(band * index.rows, (band + 1) * index.rows)
+            probe = np.zeros(index.num_hashes, dtype=np.uint64)
+            probe[rows] = sig[rows]
+            assert {"x", "y"} <= index.query(probe)
 
     def test_size_and_duplicate(self):
         index = LshIndex(num_hashes=16, tau=0.5, seed=0)
@@ -303,18 +320,26 @@ def test_recall_and_pool_size_on_synthetic_sets():
 # ---------------------------------------------------------------------------
 
 def _payload(index):
-    return {"format_version": 3, "P": index.num_hashes, "tau": index.tau, "seed": index.seed,
-            "records": [[rid, base64.b64encode(struct.pack(f"<{len(sig)}Q", *map(int, sig)))
-                         .decode("ascii")] for rid, sig in index.signatures.items()]}
+    """Format 4: one ``[[id, ...], base64]`` record per distinct signature, in
+    first-insertion order, each id under its first signature."""
+    records: dict[bytes, list] = {}
+    for rid, sig in index.signatures.items():
+        raw = struct.pack(f"<{len(sig)}Q", *map(int, sig))
+        records.setdefault(raw, [[], base64.b64encode(raw).decode("ascii")])[0].append(rid)
+    return {"format_version": 4, "P": index.num_hashes, "tau": index.tau, "seed": index.seed,
+            "records": list(records.values())}
 
 
 def _assert_same_index(loaded, index):
     assert (loaded.num_hashes, loaded.tau, loaded.seed, loaded.bands, loaded.rows) == (
         index.num_hashes, index.tau, index.seed, index.bands, index.rows)
-    assert list(loaded.signatures) == list(index.signatures)
+    assert sorted(loaded.signatures) == sorted(index.signatures)
     for rid, sig in index.signatures.items():
         assert loaded.signatures[rid].dtype == np.uint64
         assert np.array_equal(loaded.signatures[rid], sig)
+    pools = list(index.pools())  # ids, in order, and unions; a loaded index lists ids by pool
+    assert list(loaded.pools()) == pools
+    assert list(loaded.signatures) == [rid for ids, _ in pools for rid in ids]
     assert loaded.buckets == index.buckets
 
 
@@ -329,6 +354,7 @@ def _check_save_and_load(index, path):
 
 
 def test_save_and_load_fixture_index(lsh_index, tmp_path):
+    assert len(list(lsh_index.pools())) < len(lsh_index)  # the fixture repeats signatures
     _check_save_and_load(lsh_index, tmp_path / "lsh_index.json")
 
 
@@ -416,8 +442,9 @@ def test_bucket_report_pool_sizes_equal_per_record_queries(pipeline_runs):
 
 
 def test_save_and_load_memory(tmp_path):
-    """On the fixture bank at N = 2,000, saving holds one record at a time
-    and loading holds the file's text, then its arrays."""
+    """On the fixture bank at N = 2,000 (139 distinct signatures), saving holds
+    one record at a time and loading holds the file's text, then one array
+    per distinct signature."""
     bank = fixtures.generate(fixtures.FixtureSpec(per_cluster=400, seed=0)).train
     index = LshIndex(num_hashes=128, tau=0.5, seed=7)
     for rec in bank:
@@ -434,5 +461,25 @@ def test_save_and_load_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert save_peak < 1_000_000
-    assert load_peak < 2.5 * path.stat().st_size
+    assert load_peak < 1_500_000
     _assert_same_index(loaded, index)
+
+
+def test_loaded_index_of_distinct_signatures_memory(tmp_path):
+    """2,000 random signatures, no two alike and no band shared: the loaded
+    index holds at most the 14.65 MB that one entry per record held."""
+    rng = np.random.default_rng(0)
+    index = LshIndex(num_hashes=128, tau=0.5, seed=0)
+    for i in range(2000):
+        index.insert(f"r{i}", rng.integers(0, 2**64, size=128, dtype=np.uint64))
+    path = tmp_path / "lsh_index.json"
+    index.save(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = LshIndex.load(path, _settings(index))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(list(loaded.pools())) == len(loaded) == 2000
+    assert held <= 14_650_000

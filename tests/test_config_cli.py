@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stare import cli, mli
+from stare.bucketing import LshIndex
 from stare.encoder import InjectionDirection
 from stare.config import apply_env_overrides, load_config
 from stare.fixtures import FixtureSpec, write_fixture
@@ -30,6 +32,19 @@ class TestConfig:
         assert config.bucketing["num_hashes"] == 128
         assert config.training["temperature"] == 0.07
         assert config.path(config.corpus["train"]).exists()
+
+    def test_large_num_hashes_loads_fast(self, fixture_dir):
+        """Checking the ``bucketing`` section makes no band dict, and P = 10**7
+        is factored by a sqrt(P) scan, so ``load_config`` takes milliseconds."""
+        assert LshIndex(num_hashes=10**7).buckets == []
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            config = load_config(fixture_dir / "config.json",
+                                 env={"STARE_BUCKETING_NUM_HASHES": str(10**7)})
+            times.append(time.perf_counter() - start)
+        assert config.bucketing["num_hashes"] == 10**7
+        assert min(times) < 0.05
 
     def test_env_override(self, fixture_dir):
         config = load_config(fixture_dir / "config.json",
@@ -366,16 +381,26 @@ def test_mine_refuses_version_1_lsh_index(fixture_dir, bucketed, tmp_path, caplo
     """The earlier format, with each signature as a list of integers."""
     payload = json.loads(bucketed)
     payload["format_version"] = 1
-    payload["records"] = [[rid, _int_values(text)] for rid, text in payload["records"]]
+    payload["records"] = [[rid, _int_values(text)] for ids, text in payload["records"]
+                          for rid in ids]
     assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
-    assert "lsh_index.json" in caplog.text and "not a version 3 file" in caplog.text
+    assert "lsh_index.json" in caplog.text and "not a version 4 file" in caplog.text
 
 
 def test_mine_refuses_version_2_lsh_index(fixture_dir, bucketed, tmp_path, caplog):
     """The earlier header, which also held the band geometry ``b`` and ``r``."""
     payload = {**json.loads(bucketed), "format_version": 2, "b": 32, "r": 4}
     assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
-    assert "lsh_index.json" in caplog.text and "not a version 3 file" in caplog.text
+    assert "lsh_index.json" in caplog.text and "not a version 4 file" in caplog.text
+
+
+def test_mine_refuses_version_3_lsh_index(fixture_dir, bucketed, tmp_path, caplog):
+    """The earlier records, one ``[id, base64]`` per record."""
+    payload = json.loads(bucketed)
+    payload["format_version"] = 3
+    payload["records"] = [[rid, text] for ids, text in payload["records"] for rid in ids]
+    assert _mine_with_index(fixture_dir, tmp_path, payload) == 2
+    assert "lsh_index.json" in caplog.text and "not a version 4 file" in caplog.text
 
 
 def test_mine_refuses_index_of_other_ids(fixture_dir, bucketed, tmp_path, caplog):

@@ -398,8 +398,9 @@ def test_build_lsh_sketches_each_distinct_parse_once(pipeline_runs, monkeypatch)
 
     assert len(calls) == len({rec.parse for rec in corpus}) < len(corpus)
     saved = bucketing.LshIndex.load(run / "lsh_index.json", config.bucketing)
-    assert list(index.signatures) == list(saved.signatures)
+    assert sorted(index.signatures) == sorted(saved.signatures)
     assert all(np.array_equal(sig, saved.signatures[rid]) for rid, sig in index.signatures.items())
+    assert list(index.pools()) == list(saved.pools())
 
 
 def test_corpus_parses_once_per_distinct_parse_and_anonymize(monkeypatch):

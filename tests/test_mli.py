@@ -368,6 +368,32 @@ class TestSweep:
         # states; one forward per probe sentence
         assert counts == [3 * len(bank) + len(corpora["POS"].sentences)] * 2
 
+    def test_one_label_forward_per_distinct_text(self, monkeypatch):
+        """Label corpora with equal tokens share one forward, and each keeps
+        its own labels: the rows equal the reference sweep's."""
+        bank, params, cfg, corpora = self._setup()
+        sentences = corpora["POS"].sentences
+        corpora["DEPS"] = mli.TokenLabelCorpus(
+            [(tokens, ["A", "B", "B"] if i % 2 else ["B", "A", "A"])
+             for i, (tokens, _) in enumerate(sentences)], ["A", "B"])
+        corpora["PT"] = mli.TokenLabelCorpus(
+            [(tokens[::-1], labels) for tokens, labels in sentences], ["NOUN", "VERB"])
+        forward_batch = enc.forward_batch
+        calls = []
+
+        def counting(id_lists, *args, **kwargs):
+            calls.extend([1] * len(id_lists))
+            return forward_batch(id_lists, *args, **kwargs)
+
+        grid = mli.SweepGrid(layers=[1, 2], properties=["POS", "DEPS", "PT"],
+                             lambdas=[1.0, 3.0])
+        with monkeypatch.context() as patched:
+            patched.setattr(enc, "forward_batch", counting)
+            result = mli.sweep(bank, params, cfg, corpora, grid, k=2)
+        # POS and DEPS share a text; PT reverses each sentence
+        assert len(calls) == 3 * len(bank) + 2 * len(sentences)
+        _assert_same_sweep(result, reference_sweep(bank, params, cfg, corpora, grid, k=2))
+
     @pytest.mark.parametrize("name", ["train_probe", "resumed_embedding"])
     def test_programming_error_is_not_an_error_row(self, monkeypatch, name):
         """Only data errors (ValueError, ArithmeticError) become error rows."""
